@@ -81,4 +81,4 @@ from .realize import (
     prescribe_cone_angles,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

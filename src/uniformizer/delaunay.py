@@ -1,4 +1,4 @@
-"""Ideal Delaunay predicates and the flip algorithm.
+r"""Ideal Delaunay predicates and the flip algorithm.
 
 The local Delaunay condition at an edge e compares horocyclic arc lengths
 in the two adjacent triangles.  With the quad around e labelled
@@ -196,7 +196,7 @@ def make_delaunay(metric, u=None, mode=PLAIN):
         enqueue(_affected_edges(tri, e))
 
     if mode == ADJUSTED:
-        tri, more = _adjust(tri, lam, u, uexp, flips, max_flips)
+        tri = _adjust(tri, lam, u, uexp, flips, max_flips)
 
     nonessential = set()
     for e in range(tri.num_edges):
@@ -228,7 +228,6 @@ def _adjust(tri, lam, u, uexp, flips, max_flips):
     of the undecorated center, so the loop terminates.
     """
     changed = True
-    total = 0
     while changed:
         changed = False
         for e in range(tri.num_edges):
@@ -245,11 +244,8 @@ def _adjust(tri, lam, u, uexp, flips, max_flips):
                 raise FlipLimitExceeded("more than %d flips" % max_flips)
             tri, le, lf = _flip(tri, lam, e)
             flips.append((e, le, lf))
-            total += 1
             changed = True
-    if total:
-        log.debug("adjusted pass: %d extra flips", total)
-    return tri, total
+    return tri
 
 
 class DelaunayCheck:
@@ -294,21 +290,13 @@ def triangle_inequality_check(metric):
     return True
 
 
-def _cotan_weight(metric, e):
-    """cot(angle opposite e in t1) + cot(angle opposite e in t2)."""
-    from .energy import euclidean_angles
+def _cotan_weights(metric):
+    """Per edge, the sum of the cotangents of the two angles opposite it."""
+    from .energy import _triangle_angles
     tri = metric.triangulation
-    total = 0.0
-    for k in tri.edge_sides[e]:
-        t, s = divmod(k, 3)
-        l1, l2, l3 = metric.triangle_lambdas(t)
-        angles = euclidean_angles(math.exp(l1 / 2), math.exp(l2 / 2),
-                                  math.exp(l3 / 2))
-        # Angle opposite side s is at corner (s+2)%3, i.e. the angle
-        # opposite the side with that length: angles[i] is opposite
-        # side i by construction.
-        total += 1.0 / math.tan(angles[s])
-    return total
+    angles = _triangle_angles(tri.side_edge, metric.lam, slice(None))
+    return np.bincount(tri.side_edge, 1.0 / np.tan(angles).ravel(),
+                       minlength=tri.num_edges)
 
 
 class CrosscheckResult:
@@ -326,6 +314,7 @@ def euclidean_delaunay_crosscheck(metric, tol=1e-10):
             "euclidean cross-check requires the triangle inequalities")
     tri = metric.triangulation
     uexp = np.ones(tri.num_vertices)
+    weights = _cotan_weights(metric)
     mismatches = []
     skipped = set()
     for e in range(tri.num_edges):
@@ -334,7 +323,7 @@ def euclidean_delaunay_crosscheck(metric, tol=1e-10):
             skipped.add(e)
             continue
         margin, scale = _margin_and_scale(tri, metric.lam, uexp, e)
-        cot = _cotan_weight(metric, e)
+        cot = float(weights[e])
         m = margin / scale
         m_zero = abs(m) <= tol
         c_zero = abs(cot) <= math.sqrt(tol)

@@ -1,16 +1,21 @@
 """Variational energies for discrete uniformization.
 
-Three levels:
+All energies are sums of one convex triangle potential and share one
+vectorized evaluation path:
 
-* triangle_potential: the convex function of the three half-lambdas of a
-  single triangle whose gradient consists of the euclidean angles.
-* fixed_triangulation_energy: its sum over a fixed triangulation, plus
-  the linear edge term and the horocycle-length terms weighted by the
-  target cone angles.
-* conformal_energy / punctured_energy: the same energy evaluated on the
-  (adjusted) Delaunay retriangulation, as a function of the per-vertex
-  scale factors u.  These are C^2 and convex; gradients measure angle
-  defects and Hessians are cotangent Laplacians.
+* _triangle_angles, the angle kernel: the (T, 3) euclidean angles of a
+  set of triangles from side->edge ids and lambdas (ell = exp(lambda/2)).
+* _evaluate, the evaluator: twice the potential at the half-lambdas
+  summed over a set of triangles, minus pi times the lambda sum over a
+  set of edges; on request also the angle sums, the vertex degrees and
+  the cotangent Hessian.
+
+lobachevsky, euclidean_angles and triangle_potential are scalar views of
+the kernel.  fixed_triangulation_energy evaluates a fixed triangulation;
+conformal_energy and punctured_energy evaluate the (adjusted) Delaunay
+retriangulation as functions of the per-vertex scale factors u.  These
+are C^2 and convex; gradients measure angle defects and Hessians are
+cotangent Laplacians.  Their *_value twins skip the derivatives.
 """
 
 import math
@@ -26,7 +31,7 @@ from .penner import (
     DecoratedMetric,
     PartialDecoration,
     fiber_shift,
-    horocycle_length,
+    _log_horocycle_lengths,
     ptolemy_update,
 )
 
@@ -36,6 +41,54 @@ _LOB_K = 30
 _LOB_COEF = np.array([zeta(2 * k) / (k * (2 * k + 1) * math.pi ** (2 * k))
                       for k in range(1, _LOB_K + 1)])
 
+# Corner i of a triangle lies between sides i and i+2 and faces side
+# i+1: these column orders pick, per corner (or side), the next and the
+# previous side.
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
+
+
+def _lobachevsky(theta):
+    """Elementwise Lobachevsky function: reduce to (-pi/2, pi/2] and sum
+    the power series by Horner's rule."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = theta - math.pi * np.round(theta / math.pi)
+        x2 = x * x
+        s = np.zeros_like(x)
+        for c in _LOB_COEF[::-1]:
+            s = s * x2 + c
+        return np.where(x == 0.0, 0.0,
+                        x - x * np.log(np.abs(2.0 * x)) + s * x2 * x)
+
+
+def _side_angles(ell):
+    """Angles opposite the sides of triangles with side lengths ell, a
+    (T, 3) array, by the half-angle arctangent (stable near degenerate
+    triangles).  Raises TriangleInequalityViolated unless every side is
+    finite and every triangle strictly nondegenerate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 0.5 * (ell[:, 0] + ell[:, 1] + ell[:, 2])
+        d = s[:, None] - ell
+        # Every product below is at most s * s.
+        ok = np.isfinite(s * s) & np.all(d > 0, axis=1)
+        if ok.all():
+            angles = 2.0 * np.arctan2(np.sqrt(d[:, _NEXT] * d[:, _PREV]),
+                                      np.sqrt(s[:, None] * d))
+            ok = np.all(angles > 0, axis=1)
+    if not ok.all():
+        raise TriangleInequalityViolated(
+            "sides (%g, %g, %g) violate the triangle inequality"
+            % tuple(ell[np.argmin(ok)]))
+    return angles
+
+
+def _triangle_angles(side_edge, lam, triangles):
+    """(T, 3) angles opposite sides 0, 1, 2 of the given triangles, where
+    side 3t + s is edge side_edge[3t + s], of length exp(lam[edge] / 2)."""
+    edges = np.reshape(side_edge, (-1, 3))[triangles]
+    with np.errstate(over="ignore"):
+        return _side_angles(np.exp(0.5 * np.asarray(lam)[edges]))
+
 
 def lobachevsky(theta):
     """Milnor's Lobachevsky function, -integral of log|2 sin t|.
@@ -44,14 +97,7 @@ def lobachevsky(theta):
     (-pi/2, pi/2] and summing the classical power series, accurate to
     about 1e-15 absolute.
     """
-    x = theta - math.pi * round(theta / math.pi)
-    if x == 0.0:
-        return 0.0
-    x2 = x * x
-    s = 0.0
-    for c in _LOB_COEF[::-1]:
-        s = s * x2 + c
-    return x - x * math.log(abs(2.0 * x)) + s * x2 * x
+    return float(_lobachevsky(np.float64(theta)))
 
 
 def euclidean_angles(l1, l2, l3):
@@ -60,16 +106,8 @@ def euclidean_angles(l1, l2, l3):
 
     Returns (a1, a2, a3) with a_i opposite l_i and a1 + a2 + a3 = pi.
     """
-    s = 0.5 * (l1 + l2 + l3)
-    d1, d2, d3 = s - l1, s - l2, s - l3
-    if d1 <= 0 or d2 <= 0 or d3 <= 0:
-        raise TriangleInequalityViolated(
-            "sides (%g, %g, %g) violate the triangle inequality"
-            % (l1, l2, l3))
-    a1 = 2.0 * math.atan2(math.sqrt(d2 * d3), math.sqrt(s * d1))
-    a2 = 2.0 * math.atan2(math.sqrt(d3 * d1), math.sqrt(s * d2))
-    a3 = 2.0 * math.atan2(math.sqrt(d1 * d2), math.sqrt(s * d3))
-    return a1, a2, a3
+    return tuple(_side_angles(np.array([[l1, l2, l3]], dtype=float))[0]
+                 .tolist())
 
 
 def triangle_potential(x1, x2, x3):
@@ -84,17 +122,56 @@ def triangle_potential(x1, x2, x3):
     The domain requires strict triangle inequalities for exp(x_i);
     the scaling relation value(x + h) = value(x) + pi*h holds exactly.
     """
-    a1, a2, a3 = euclidean_angles(math.exp(x1), math.exp(x2), math.exp(x3))
-    value = (a1 * x1 + a2 * x2 + a3 * x3
-             + lobachevsky(a1) + lobachevsky(a2) + lobachevsky(a3))
-    grad = np.array([a1, a2, a3])
-    c1, c2, c3 = (1.0 / math.tan(a1), 1.0 / math.tan(a2), 1.0 / math.tan(a3))
+    x = np.array([x1, x2, x3], dtype=float)
+    a = _triangle_angles([0, 1, 2], 2.0 * x, [0])[0]
+    value = float(a @ x + np.sum(_lobachevsky(a)))
+    c1, c2, c3 = 1.0 / np.tan(a)
     hess = np.array([
         [c2 + c3, -c3, -c2],
         [-c3, c3 + c1, -c1],
         [-c2, -c1, c1 + c2],
     ])
-    return value, grad, hess
+    return value, a, hess
+
+
+def _evaluate(tri, lam, triangles=slice(None), edges=slice(None),
+              free=None):
+    """(value, theta_tilde, degree, hessian) over the given cells (default:
+    all); the last three only when free, the Hessian rows, is given.
+
+    theta_tilde is the angle sum and degree the corners minus edge-ends
+    per vertex.  The Hessian is 1/4 sum_e w_e (du_i - du_j)^2 taken twice,
+    w_e the cotangent sum opposite e: w_e/2 [[1, -1], [-1, 1]] per edge.
+    """
+    sides = np.reshape(tri.side_edge, (-1, 3))[triangles]
+    angles = _triangle_angles(sides, lam, slice(None))
+    value = (float(np.sum(angles * lam[sides]))
+             + 2.0 * float(np.sum(_lobachevsky(angles)))
+             - math.pi * float(np.sum(lam[edges])))
+    if free is None:
+        return value, None, None, None
+
+    n = tri.num_vertices
+    corners = np.reshape(tri.corner_vertex, (-1, 3))[triangles].ravel()
+    ends = np.reshape(tri.edge_verts, (-1, 2))[edges]
+    theta_tilde = np.bincount(corners, angles[:, _NEXT].ravel(),
+                              minlength=n)
+    degree = (np.bincount(corners, minlength=n)
+              - np.bincount(ends.ravel(), minlength=n))
+
+    w = np.bincount(sides.ravel(), 1.0 / np.tan(angles).ravel(),
+                    minlength=tri.num_edges)[edges]
+    index = np.full(n, -1)
+    index[free] = np.arange(len(free))
+    i, j = index[ends[:, 0]], index[ends[:, 1]]
+    keep = (i != j) & (i >= 0) & (j >= 0)
+    i, j, q = i[keep], j[keep], 0.5 * w[keep]
+    m = len(free)
+    hessian = sp.csr_matrix(sp.coo_matrix(
+        (np.stack([q, q, -q, -q], 1).ravel(),
+         (np.stack([i, j, i, j], 1).ravel(),
+          np.stack([i, j, j, i], 1).ravel())), shape=(m, m)))
+    return value, theta_tilde, degree, hessian
 
 
 def fixed_triangulation_energy(metric, target):
@@ -105,18 +182,8 @@ def fixed_triangulation_energy(metric, target):
     angles times the log horocycle lengths.  Requires every triangle to
     satisfy the triangle inequalities in ell = exp(lambda/2).
     """
-    tri = metric.triangulation
-    total = 0.0
-    for t in range(tri.num_triangles):
-        l1, l2, l3 = metric.triangle_lambdas(t)
-        value, _, _ = triangle_potential(l1 / 2.0, l2 / 2.0, l3 / 2.0)
-        total += 2.0 * value
-    total -= math.pi * float(np.sum(metric.lam))
-    theta = target.theta
-    for v in range(tri.num_vertices):
-        if theta[v] != 0.0:
-            total -= theta[v] * math.log(horocycle_length(metric, v))
-    return total
+    return (_evaluate(metric.triangulation, metric.lam)[0]
+            - float(target.theta @ _log_horocycle_lengths(metric)))
 
 
 class EnergyEvaluation:
@@ -137,35 +204,17 @@ class EnergyEvaluation:
         self.free_vertices = free_vertices
 
 
-def _angles_by_triangle(tri, lam, triangles):
-    """dict t -> (a0, a1, a2) with a_s the angle opposite side s,
-    computed from the shifted lambdas lam (indexed by edge)."""
-    out = {}
-    for t in triangles:
-        se = tri.side_edge
-        l0, l1, l2 = lam[se[3 * t]], lam[se[3 * t + 1]], lam[se[3 * t + 2]]
-        out[t] = euclidean_angles(math.exp(l0 / 2.0), math.exp(l1 / 2.0),
-                                  math.exp(l2 / 2.0))
-    return out
-
-
-def _cotangent_hessian(n_free, entries):
-    """Assemble the matrix of second partials from (i, j, w) entries.
-
-    The second derivative is the quadratic form
-    1/4 sum w_e (du_i - du_j)^2 evaluated on (x, x) twice, so the
-    per-edge matrix block is w/2 [[1, -1], [-1, 1]].
-    """
-    rows, cols, vals = [], [], []
-    for i, j, w in entries:
-        if i == j or i < 0 or j < 0:
-            continue
-        q = 0.5 * w
-        rows += [i, j, i, j]
-        cols += [i, j, j, i]
-        vals += [q, q, -q, -q]
-    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)),
-                                       shape=(n_free, n_free)))
+def _conformal(metric, target, u, derivatives):
+    result = _delaunay.make_delaunay(fiber_shift(metric, u))
+    met = result.metric
+    n = met.triangulation.num_vertices
+    value, theta_tilde, _, hessian = _evaluate(
+        met.triangulation, met.lam, free=range(n) if derivatives else None)
+    value -= float(target.theta @ _log_horocycle_lengths(met))
+    if not derivatives:
+        return value
+    return EnergyEvaluation(value, target.theta - theta_tilde, hessian,
+                            result, theta_tilde, list(range(n)))
 
 
 def conformal_energy(metric, target, u):
@@ -177,43 +226,35 @@ def conformal_energy(metric, target, u):
     cotangent Laplacian of the Delaunay triangulation (kernel: constant
     vectors).
     """
-    tri = metric.triangulation
-    u = np.asarray(u, dtype=float)
-    shifted = fiber_shift(metric, u)
-    result = _delaunay.make_delaunay(shifted)
-    met = result.metric
-    rtri = met.triangulation
-
-    value = fixed_triangulation_energy(met, target)
-
-    angles = _angles_by_triangle(rtri, met.lam, range(rtri.num_triangles))
-    theta_tilde = np.zeros(rtri.num_vertices)
-    cv = rtri.corner_vertex
-    for t in range(rtri.num_triangles):
-        for i in range(3):
-            # The angle at corner i is opposite side (i+1) % 3.
-            theta_tilde[cv[3 * t + i]] += angles[t][(i + 1) % 3]
-    gradient = target.theta - theta_tilde
-
-    entries = []
-    for e, (k1, k2) in enumerate(rtri.edge_sides):
-        w = 0.0
-        for k in (k1, k2):
-            t, s = divmod(k, 3)
-            w += 1.0 / math.tan(angles[t][s])
-        v1, v2 = rtri.edge_verts[e]
-        entries.append((v1, v2, w))
-    hessian = _cotangent_hessian(rtri.num_vertices, entries)
-
-    return EnergyEvaluation(value, gradient, hessian, result, theta_tilde,
-                            list(range(rtri.num_vertices)))
+    return _conformal(metric, target, u, True)
 
 
 def conformal_energy_value(metric, target, u):
     """Value-only fast path for line searches."""
-    shifted = fiber_shift(metric, u)
-    result = _delaunay.make_delaunay(shifted)
-    return fixed_triangulation_energy(result.metric, target)
+    return _conformal(metric, target, u, False)
+
+
+def _punctured(metric, v_inf, u, derivatives):
+    u_ext = np.array(u, dtype=float)
+    u_ext[v_inf] = np.inf
+    result = _delaunay.make_delaunay(metric, PartialDecoration(u_ext),
+                                     mode=_delaunay.ADJUSTED)
+    tri = result.metric.triangulation
+    sub = mesh_core.subcomplex_avoiding(tri, v_inf)
+    free = sub.kept_vertices
+    ends = np.reshape(tri.edge_verts, (-1, 2))
+    # Shifted lambdas, finite on the kept edges (both ends decorated).
+    lam = result.metric.lam + u_ext[ends[:, 0]] + u_ext[ends[:, 1]]
+    value, theta_tilde, degree, hessian = _evaluate(
+        tri, lam, np.array(sub.kept_triangles, dtype=int),
+        np.array(sub.kept_edges, dtype=int), free if derivatives else None)
+    value -= 2.0 * math.pi * float(np.sum(
+        _log_horocycle_lengths(metric)[free] - u_ext[free]))
+    if not derivatives:
+        return value
+    gradient = math.pi * (degree[free] + 2) - theta_tilde[free]
+    return EnergyEvaluation(value, gradient, hessian, result, theta_tilde,
+                            free)
 
 
 def punctured_energy(metric, v_inf, u):
@@ -224,96 +265,12 @@ def punctured_energy(metric, v_inf, u):
     then sums over the subcomplex avoiding v_inf.  Gradient and Hessian
     are indexed by the free vertices (all but v_inf, in id order).
     """
-    tri = metric.triangulation
-    u = np.asarray(u, dtype=float)
-    n = tri.num_vertices
-    free = [v for v in range(n) if v != v_inf]
-    findex = {v: i for i, v in enumerate(free)}
-
-    u_ext = u.copy()
-    u_ext[v_inf] = np.inf
-    result = _delaunay.make_delaunay(metric, PartialDecoration(u_ext),
-                                     mode=_delaunay.ADJUSTED)
-    rtri = result.metric.triangulation
-    lam_base = result.metric.lam
-    sub = mesh_core.subcomplex_avoiding(rtri, v_inf)
-    tset = set(sub.kept_triangles)
-
-    # Shifted lambdas on the kept edges (finite: both ends decorated).
-    lam_shift = {}
-    for e in sub.kept_edges:
-        a, b = rtri.edge_verts[e]
-        lam_shift[e] = lam_base[e] + u_ext[a] + u_ext[b]
-
-    value = 0.0
-    se = rtri.side_edge
-    angles = {}
-    for t in sub.kept_triangles:
-        l0, l1, l2 = (lam_shift[se[3 * t]], lam_shift[se[3 * t + 1]],
-                      lam_shift[se[3 * t + 2]])
-        val, _, _ = triangle_potential(l0 / 2.0, l1 / 2.0, l2 / 2.0)
-        value += 2.0 * val
-        angles[t] = euclidean_angles(math.exp(l0 / 2.0), math.exp(l1 / 2.0),
-                                     math.exp(l2 / 2.0))
-    value -= math.pi * sum(lam_shift.values())
-    for v in free:
-        value -= 2.0 * math.pi * (math.log(horocycle_length(metric, v))
-                                  - u_ext[v])
-
-    theta_tilde = np.zeros(n)
-    cv = rtri.corner_vertex
-    for t in sub.kept_triangles:
-        for i in range(3):
-            theta_tilde[cv[3 * t + i]] += angles[t][(i + 1) % 3]
-
-    gradient = np.zeros(len(free))
-    for v in free:
-        deg1, deg2 = mesh_core.vertex_degrees(rtri, sub, v)
-        gradient[findex[v]] = (-theta_tilde[v]
-                               + math.pi * (deg2 - deg1 + 2))
-
-    entries = []
-    for e in sub.kept_edges:
-        w = 0.0
-        for k in rtri.edge_sides[e]:
-            t, s = divmod(k, 3)
-            if t in tset:
-                w += 1.0 / math.tan(angles[t][s])
-        v1, v2 = rtri.edge_verts[e]
-        entries.append((findex[v1], findex[v2], w))
-    hessian = _cotangent_hessian(len(free), entries)
-
-    return EnergyEvaluation(value, gradient, hessian, result, theta_tilde,
-                            free)
+    return _punctured(metric, v_inf, u, True)
 
 
 def punctured_energy_value(metric, v_inf, u):
     """Value-only fast path for line searches."""
-    tri = metric.triangulation
-    u_ext = np.asarray(u, dtype=float).copy()
-    u_ext[v_inf] = np.inf
-    result = _delaunay.make_delaunay(metric, PartialDecoration(u_ext),
-                                     mode=_delaunay.ADJUSTED)
-    rtri = result.metric.triangulation
-    lam_base = result.metric.lam
-    sub = mesh_core.subcomplex_avoiding(rtri, v_inf)
-    se = rtri.side_edge
-    lam_shift = {}
-    for e in sub.kept_edges:
-        a, b = rtri.edge_verts[e]
-        lam_shift[e] = lam_base[e] + u_ext[a] + u_ext[b]
-    value = 0.0
-    for t in sub.kept_triangles:
-        l0, l1, l2 = (lam_shift[se[3 * t]], lam_shift[se[3 * t + 1]],
-                      lam_shift[se[3 * t + 2]])
-        val, _, _ = triangle_potential(l0 / 2.0, l1 / 2.0, l2 / 2.0)
-        value += 2.0 * val
-    value -= math.pi * sum(lam_shift.values())
-    for v in range(tri.num_vertices):
-        if v != v_inf:
-            value -= 2.0 * math.pi * (math.log(horocycle_length(metric, v))
-                                      - u_ext[v])
-    return value
+    return _punctured(metric, v_inf, u, False)
 
 
 class CrossflipReport:

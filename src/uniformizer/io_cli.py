@@ -23,7 +23,6 @@ import argparse
 import logging
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -41,8 +40,6 @@ from .errors import (
     ZeroLengthEdge,
 )
 from .penner import ConeAngleTarget, DecoratedMetric
-
-log = logging.getLogger(__name__)
 
 FORMAT_LINE = "uniformizer-surface 1"
 
@@ -314,9 +311,6 @@ def _cmd_check(args):
     tri = sf.triangulation
     met = sf.metric
     chk = _delaunay.check_delaunay(met)
-    theta_sum = 0.0
-    for v in range(tri.num_vertices):
-        pass
     # Gauss-Bonnet report against all-2pi targets.
     chi = tri.euler_characteristic
     target = ConeAngleTarget.uniform(tri.num_vertices)

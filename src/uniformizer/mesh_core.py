@@ -332,9 +332,6 @@ class Subcomplex:
                     self.boundary_vertices.add(v)
                     break
 
-    def contains_vertex(self, v):
-        return v in set(self.kept_vertices)
-
 
 def subcomplex_avoiding(tri, v_inf):
     """All closed cells of tri not incident with the vertex v_inf."""

@@ -1,14 +1,14 @@
 """Newton solvers for the two convex energies.
 
-The conformal energy is scale invariant (when the target angles satisfy
-the Gauss-Bonnet condition), so its Newton system is solved in a gauge:
-one vertex is pinned for the linear solve and the iterate is re-centered
-to zero mean.  The punctured energy is minimized under per-vertex lower
-bounds (horocycle distances to the distinguished vertex) by a primal
-active-set projected Newton method.
+Both run one primal active-set projected Newton loop, _newton, fed with
+lower bounds and a gauge projection of the step.  The punctured energy
+is bounded below by minus the horocycle distances to the distinguished
+vertex.  The conformal energy has no bounds (-inf) and is scale
+invariant when the target angles satisfy Gauss-Bonnet, so its steps are
+re-centred to zero mean and one vertex is pinned for the linear solve.
+The loop and kkt_check share the KKT residuals, _kkt_residuals.
 """
 
-import logging
 import math
 import time
 import warnings
@@ -28,13 +28,17 @@ from .errors import (
 )
 from .penner import ConeAngleTarget
 
-log = logging.getLogger(__name__)
-
 CONVERGED = "Converged"
 ITER_LIMIT = "IterLimit"
 LINE_SEARCH_FAILURE = "LineSearchFailure"
 
 ZERO_MEAN = "zero-mean"
+
+# A variable within this relative distance of its bound counts as active.
+ACTIVE_TOL = 1e-10
+# Relative rounding noise of an energy value recomputed through a long
+# flip sequence; smaller predicted decreases skip the line search.
+NOISE_REL = 1e-11
 
 
 class SolveOptions:
@@ -132,88 +136,126 @@ def minimize_conformal_energy(metric, target, opts=None, u0=None):
             "energy not scale invariant (drift %g); inconsistent target"
             % (e1 - e0))
 
-    return _newton_conformal(metric, target, u, opts, t0)
+    report = _newton(
+        lambda x: _energy.conformal_energy(metric, target, x),
+        lambda x: _energy.conformal_energy_value(metric, target, x),
+        u, np.arange(n), np.full(n, -np.inf),
+        lambda step: step - step.mean(), opts.pin_vertex, opts, t0)
+    u = report.u_final
+    report.u_final = u - (u.mean() if opts.gauge == ZERO_MEAN
+                          else u[opts.pin_vertex])
+    return report
 
 
-def _newton_conformal(metric, target, u, opts, t0):
-    n = len(u)
-    pin = opts.pin_vertex
-    keep = [v for v in range(n) if v != pin]
-    flips_total = 0
+def _kkt_residuals(g, u, lower, act_tol):
+    """(at_bound, stationarity, complementarity, feasibility) of the
+    gradient g at u under the bounds u >= lower; a variable is at its
+    bound within act_tol relative, and only finite bounds can be."""
+    at_bound = np.isfinite(lower) & (
+        u - lower <= act_tol * np.maximum(1.0, np.abs(lower)))
+    return (at_bound,
+            float(np.max(np.abs(g[~at_bound]), initial=0.0)),
+            float(np.max(-g[at_bound], initial=0.0)),
+            float(np.max(lower - u, initial=0.0)))
+
+
+def _newton(energy, energy_value, u, free, lower, project, pin, opts, t0):
+    """Active-set projected Newton on u[free] under u[free] >= lower.
+
+    energy(u) is an EnergyEvaluation indexed like free, energy_value(u)
+    its value.  The inactive variables but pin take a Newton step, which
+    is gauge-projected, cut at the nearest bound (ratio test) and
+    backtracked to sufficient decrease.
+    """
+    bounded = bool(np.any(np.isfinite(lower)))
     shifted_any = False
-    ev = _energy.conformal_energy(metric, target, u)
-    flips_total += len(ev.delaunay.flips)
+    ev = energy(u)
+    flips_total = len(ev.delaunay.flips)
+
+    def failure(status, it, message):
+        return (IterLimit if status == ITER_LIMIT else LineSearchFailure)(
+            message, report=SolveReport(u, it, flips_total, [], residuals,
+                                        status))
 
     for it in range(opts.max_iterations + 1):
-        gnorm = float(np.max(np.abs(ev.gradient))) if n else 0.0
-        if gnorm <= opts.gradient_tolerance:
-            u = _apply_gauge(u, opts)
-            return SolveReport(u, it, flips_total, [], {"grad_inf": gnorm},
-                               CONVERGED, energy=ev.value,
-                               theta_tilde=ev.theta_tilde,
-                               shifted_hessian=shifted_any,
-                               seconds=time.perf_counter() - t0)
+        g = ev.gradient
+        uf = u[free]
+        at_bound, stat, comp, feas = _kkt_residuals(g, uf, lower, ACTIVE_TOL)
+        residuals = ({"stationarity": stat, "complementarity": comp,
+                      "feasibility": feas} if bounded
+                     else {"grad_inf": stat})
+        resid = max(stat, comp, feas)
+        if resid <= opts.gradient_tolerance:
+            return SolveReport(
+                u, it, flips_total, free[at_bound].tolist(), residuals,
+                CONVERGED, energy=ev.value, theta_tilde=ev.theta_tilde,
+                shifted_hessian=shifted_any,
+                seconds=time.perf_counter() - t0)
         if it == opts.max_iterations:
             break
 
-        h_red = ev.hessian[keep][:, keep]
-        g_red = ev.gradient[keep]
-        s_red, shifted = _solve_spd(h_red, -g_red)
+        active = at_bound & (g >= 0)
+        solve = ~active
+        if pin is not None:
+            solve[pin] = False
+        fidx = np.nonzero(solve)[0]
+        if len(fidx) == 0:
+            raise failure(LINE_SEARCH_FAILURE, it,
+                          "all variables active but KKT residual %g" % resid)
+        s_f, shifted = _solve_spd(ev.hessian[fidx][:, fidx], -g[fidx])
         shifted_any = shifted_any or shifted
-        step = np.zeros(n)
-        step[keep] = s_red
-        step -= step.mean()
+        step = np.zeros(len(free))
+        step[fidx] = s_f
+        step = project(step)
 
-        slope = float(ev.gradient @ step)
+        slope = float(g @ step)
         if slope >= 0:
-            step = -ev.gradient + np.mean(ev.gradient)
-            slope = float(ev.gradient @ step)
+            step = project(np.where(active, 0.0, -g))
+            slope = float(g @ step)
             if slope >= 0:
-                raise LineSearchFailure(
-                    "no descent direction at iteration %d" % it,
-                    report=SolveReport(u, it, flips_total, [],
-                                       {"grad_inf": gnorm},
-                                       LINE_SEARCH_FAILURE))
+                raise failure(LINE_SEARCH_FAILURE, it,
+                              "no descent direction at iteration %d" % it)
 
-        alpha = 1.0
+        # Ratio test: largest feasible step towards the bounds.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(step < 0, (lower - uf) / step, np.inf)
+        ratios[~(ratios > 0)] = np.inf
+        alpha = min(1.0, float(np.min(ratios)))
+
         f0 = ev.value
-        # Skip the sufficient-decrease test once the predicted decrease
-        # is below the rounding noise of the recomputed energy value.
-        noise = 1e-11 * (1.0 + abs(f0))
-        if -slope <= noise:
-            trial = u + step
-        else:
-            while True:
-                trial = u + alpha * step
-                try:
-                    f_trial = _energy.conformal_energy_value(metric, target,
-                                                             trial)
-                except (OverflowError, TriangleInequalityViolated):
-                    f_trial = math.inf
-                if f_trial <= f0 + opts.sufficient_decrease * alpha * slope:
-                    break
-                alpha *= opts.shrink
-                if alpha < 1e-14:
-                    raise LineSearchFailure(
-                        "line search stalled at iteration %d" % it,
-                        report=SolveReport(u, it, flips_total, [],
-                                           {"grad_inf": gnorm},
-                                           LINE_SEARCH_FAILURE))
+        # Near the optimum the predicted decrease drops below the
+        # rounding noise of the energy value, so the sufficient-decrease
+        # test becomes meaningless; take the projected Newton step as is.
+        skip_test = -slope * alpha <= NOISE_REL * (1.0 + abs(f0))
+        while True:
+            trial = u.copy()
+            trial[free] = np.maximum(uf + alpha * step, lower)
+            if skip_test:
+                break
+            try:
+                f_trial = energy_value(trial)
+            except (OverflowError, TriangleInequalityViolated):
+                f_trial = math.inf
+            if f_trial <= f0 + opts.sufficient_decrease * alpha * slope:
+                break
+            alpha *= opts.shrink
+            if alpha < 1e-14:
+                raise failure(LINE_SEARCH_FAILURE, it,
+                              "line search stalled at iteration %d" % it)
         u = trial
-        ev = _energy.conformal_energy(metric, target, u)
+        ev = energy(u)
         flips_total += len(ev.delaunay.flips)
 
-    raise IterLimit(
-        "no convergence in %d iterations" % opts.max_iterations,
-        report=SolveReport(u, opts.max_iterations, flips_total, [],
-                           {"grad_inf": float(np.max(np.abs(ev.gradient)))},
-                           ITER_LIMIT))
+    raise failure(ITER_LIMIT, opts.max_iterations,
+                  "no convergence in %d iterations" % opts.max_iterations)
 
 
-def _apply_gauge(u, opts):
-    if opts.gauge == ZERO_MEAN:
-        return u - u.mean()
-    return u - u[opts.pin_vertex]
+def _bounds(metric, v_inf):
+    """(free vertices, their lower bounds -delta(v, v_inf))."""
+    deltas = _delaunay.horocycle_distances_to(metric, v_inf)
+    free = np.array([v for v in range(metric.triangulation.num_vertices)
+                     if v != v_inf])
+    return free, np.array([-deltas[v] for v in free])
 
 
 def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
@@ -234,117 +276,18 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
                          % (tri.genus, tri.num_vertices))
     t0 = time.perf_counter()
 
-    deltas = _delaunay.horocycle_distances_to(metric, v_inf)
-    n = tri.num_vertices
-    free = [v for v in range(n) if v != v_inf]
-    bounds = np.array([-deltas[v] for v in free])
-
-    u = np.zeros(n)
+    free, bounds = _bounds(metric, v_inf)
+    u = np.zeros(tri.num_vertices)
     if u0 is None:
         u[free] = bounds
     else:
-        u0 = np.asarray(u0, dtype=float)
-        u[free] = np.maximum(u0[free], bounds)
+        u[free] = np.maximum(np.asarray(u0, dtype=float)[free], bounds)
     u[v_inf] = np.inf
 
-    eps_act = 1e-10
-    tol = opts.gradient_tolerance
-    flips_total = 0
-    shifted_any = False
-    ev = _energy.punctured_energy(metric, v_inf, u)
-    flips_total += len(ev.delaunay.flips)
-
-    for it in range(opts.max_iterations + 1):
-        g = ev.gradient
-        uf = u[free]
-        at_bound = uf - bounds <= eps_act * np.maximum(1.0, np.abs(bounds))
-        active = at_bound & (g >= 0)
-        stat = 0.0
-        if np.any(~active):
-            stat = float(np.max(np.abs(g[~active])))
-        comp = float(max(0.0, np.max(-g[active]))) if np.any(active) else 0.0
-        feas = float(max(0.0, np.max(bounds - uf)))
-        resid = max(stat, comp, feas)
-        if resid <= tol:
-            act_verts = sorted(free[i] for i in np.nonzero(at_bound)[0])
-            return SolveReport(
-                u, it, flips_total, act_verts,
-                {"stationarity": stat, "complementarity": comp,
-                 "feasibility": feas},
-                CONVERGED, energy=ev.value, theta_tilde=ev.theta_tilde,
-                shifted_hessian=shifted_any,
-                seconds=time.perf_counter() - t0)
-        if it == opts.max_iterations:
-            break
-
-        fidx = np.nonzero(~active)[0]
-        if len(fidx) == 0:
-            raise LineSearchFailure(
-                "all variables active but KKT residual %g" % resid,
-                report=SolveReport(u, it, flips_total, [],
-                                   {"residual": resid},
-                                   LINE_SEARCH_FAILURE))
-        h_ff = ev.hessian[fidx][:, fidx]
-        s_f, shifted = _solve_spd(h_ff, -g[fidx])
-        shifted_any = shifted_any or shifted
-        step = np.zeros(len(free))
-        step[fidx] = s_f
-
-        slope = float(g @ step)
-        if slope >= 0:
-            step = np.where(active, 0.0, -g)
-            slope = float(g @ step)
-            if slope >= 0:
-                raise LineSearchFailure(
-                    "no descent direction at iteration %d" % it,
-                    report=SolveReport(u, it, flips_total, [],
-                                       {"residual": resid},
-                                       LINE_SEARCH_FAILURE))
-
-        # Ratio test: largest feasible step towards the bounds.
-        alpha_max = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(step < 0, (bounds - uf) / step, np.inf)
-        ratios[~np.isfinite(ratios)] = np.inf
-        ratios[ratios <= 0] = np.inf
-        alpha_max = min(1.0, float(np.min(ratios)))
-
-        alpha = alpha_max
-        f0 = ev.value
-        # Near the optimum the predicted decrease drops below the
-        # rounding noise of the energy value (which is recomputed
-        # through a long flip sequence), so the sufficient-decrease test
-        # becomes meaningless; take the projected Newton step as is.
-        noise = 1e-11 * (1.0 + abs(f0))
-        if -slope * alpha_max <= noise:
-            trial = u.copy()
-            trial[free] = np.maximum(uf + alpha_max * step, bounds)
-        else:
-            while True:
-                trial = u.copy()
-                trial[free] = np.maximum(uf + alpha * step, bounds)
-                try:
-                    f_trial = _energy.punctured_energy_value(metric, v_inf,
-                                                             trial)
-                except (OverflowError, TriangleInequalityViolated):
-                    f_trial = math.inf
-                if f_trial <= f0 + opts.sufficient_decrease * alpha * slope:
-                    break
-                alpha *= opts.shrink
-                if alpha < 1e-14:
-                    raise LineSearchFailure(
-                        "line search stalled at iteration %d" % it,
-                        report=SolveReport(u, it, flips_total, [],
-                                           {"residual": resid},
-                                           LINE_SEARCH_FAILURE))
-        u = trial
-        ev = _energy.punctured_energy(metric, v_inf, u)
-        flips_total += len(ev.delaunay.flips)
-
-    raise IterLimit(
-        "no convergence in %d iterations" % opts.max_iterations,
-        report=SolveReport(u, opts.max_iterations, flips_total, [],
-                           {"residual": resid}, ITER_LIMIT))
+    return _newton(
+        lambda x: _energy.punctured_energy(metric, v_inf, x),
+        lambda x: _energy.punctured_energy_value(metric, v_inf, x),
+        u, free, bounds, lambda step: step, None, opts, t0)
 
 
 class KKTReport:
@@ -365,25 +308,18 @@ def kkt_check(metric, problem, u, tolerance=1e-8):
     the conformal energy) or a vertex id (bounds-constrained punctured
     problem, with bounds recomputed from scratch).
     """
+    u = np.asarray(u, dtype=float)
     if isinstance(problem, ConeAngleTarget):
         ev = _energy.conformal_energy(metric, problem, u)
-        stat = float(np.max(np.abs(ev.gradient)))
-        return KKTReport(stat <= tolerance, stat, 0.0, 0.0, [],
-                         ev.gradient)
-
-    v_inf = int(problem)
-    deltas = _delaunay.horocycle_distances_to(metric, v_inf)
-    tri = metric.triangulation
-    free = [v for v in range(tri.num_vertices) if v != v_inf]
-    bounds = np.array([-deltas[v] for v in free])
-    ev = _energy.punctured_energy(metric, v_inf, u)
-    g = ev.gradient
-    uf = np.asarray(u, dtype=float)[free]
-    feas = float(max(0.0, np.max(bounds - uf)))
-    at_bound = uf - bounds <= tolerance * np.maximum(1.0, np.abs(bounds))
-    stat = float(np.max(np.abs(g[~at_bound]))) if np.any(~at_bound) else 0.0
-    comp = float(max(0.0, np.max(-g[at_bound]))) if np.any(at_bound) else 0.0
-    active_set = sorted(free[i] for i in np.nonzero(at_bound)[0])
-    passed = (feas <= tolerance and stat <= tolerance
-              and comp <= tolerance and len(active_set) > 0)
-    return KKTReport(passed, stat, feas, comp, active_set, g)
+        free = np.arange(len(u))
+        lower = np.full(len(u), -np.inf)
+    else:
+        v_inf = int(problem)
+        free, lower = _bounds(metric, v_inf)
+        ev = _energy.punctured_energy(metric, v_inf, u)
+    at_bound, stat, comp, feas = _kkt_residuals(ev.gradient, u[free], lower,
+                                                tolerance)
+    active_set = free[at_bound].tolist()
+    passed = (max(stat, comp, feas) <= tolerance
+              and (len(active_set) > 0 or not np.isfinite(lower).any()))
+    return KKTReport(passed, stat, feas, comp, active_set, ev.gradient)

@@ -150,12 +150,25 @@ def corner_arc(metric, k):
     return math.exp((lam[e_opp] - lam[e_in] - lam[e_out]) / 2.0)
 
 
+def _log_horocycle_lengths(metric):
+    """log c_v for every vertex v, c_v the total length of its
+    decorating horocycle: a log-sum-exp of the corner arcs at v."""
+    tri = metric.triangulation
+    n = tri.num_vertices
+    lam = metric.lam[np.reshape(tri.side_edge, (-1, 3))]
+    # The arc at corner s: (lambda opposite - the two lambdas at s) / 2.
+    x = (0.5 * (lam[:, [1, 2, 0]] - lam - lam[:, [2, 0, 1]])).ravel()
+    cv = np.asarray(tri.corner_vertex)
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, cv, x)
+    return top + np.log(np.bincount(cv, np.exp(x - top[cv]), minlength=n))
+
+
 def horocycle_length(metric, v):
     """Total length c_v of the decorating horocycle at vertex v."""
-    tri = metric.triangulation
-    if not (0 <= v < tri.num_vertices):
+    if not (0 <= v < metric.triangulation.num_vertices):
         raise UnknownVertex("no vertex %r" % (v,))
-    return sum(corner_arc(metric, k) for k in tri.vertex_corners[v])
+    return float(np.exp(_log_horocycle_lengths(metric)[v]))
 
 
 def fiber_shift(metric, u):
@@ -165,11 +178,9 @@ def fiber_shift(metric, u):
     structure; u must be finite at every vertex.
     """
     u = np.asarray(u, dtype=float)
-    tri = metric.triangulation
-    lam = metric.lam.copy()
-    for e, (a, b) in enumerate(tri.edge_verts):
-        lam[e] += u[a] + u[b]
-    return DecoratedMetric(tri, lam)
+    ends = np.reshape(metric.triangulation.edge_verts, (-1, 2))
+    return DecoratedMetric(metric.triangulation,
+                           metric.lam + (u[ends[:, 0]] + u[ends[:, 1]]))
 
 
 def shear_from_penner(metric):

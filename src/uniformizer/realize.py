@@ -10,13 +10,11 @@ unit sphere.  Layout positions use complex numbers internally.
 """
 
 import cmath
-import logging
 import math
 
 import numpy as np
 
 from . import mesh_core
-from . import delaunay as _delaunay
 from . import energy as _energy
 from . import optimize as _optimize
 from .errors import (
@@ -27,8 +25,6 @@ from .errors import (
     WrongGenus,
 )
 from .penner import ConeAngleTarget
-
-log = logging.getLogger(__name__)
 
 TWO_SIDED = "TwoSided"
 POLYHEDRAL = "Polyhedral"
@@ -54,9 +50,11 @@ class PlanarLayout:
             vertex, relative to the layout diameter.
         boundary_cycle: vertex ids around the disk boundary, ccw.
         sub: the Subcomplex that was laid out.
-        angles: dict triangle -> angle triple (opposite side order).
+        angles: (T, 3) array, the angles opposite sides 0, 1, 2 of each
+            kept triangle (NaN on the other triangles).
         theta_tilde: realized angle sums per vertex.
-        lengths: dict kept-edge -> euclidean length.
+        lengths: array of euclidean lengths per edge (inf on the edges
+            at v_inf).
     """
 
     def __init__(self, corner_pos, vertex_pos, residual, boundary_cycle,
@@ -84,36 +82,22 @@ class Realization:
             setattr(self, key, value)
 
 
-def _shifted_lambda(result, v_inf):
-    """(subcomplex, dict kept-edge -> u-shifted lambda) of an adjusted
-    Delaunay result."""
+def _disk_angles(result, v_inf):
+    """(sub, lengths, angles, theta_tilde) of the kept disk: lengths per
+    edge (inf on the edges at v_inf) and angles per triangle (NaN off the
+    disk)."""
     rtri = result.metric.triangulation
     sub = mesh_core.subcomplex_avoiding(rtri, v_inf)
     u = result.u.u
-    lam = {}
-    for e in sub.kept_edges:
-        a, b = rtri.edge_verts[e]
-        lam[e] = result.metric.lam[e] + u[a] + u[b]
-    return sub, lam
-
-
-def _disk_angles(result, v_inf):
-    """(sub, lengths, angles, theta_tilde) of the kept disk."""
-    rtri = result.metric.triangulation
-    sub, lam = _shifted_lambda(result, v_inf)
-    lengths = {e: math.exp(x / 2.0) for e, x in lam.items()}
-    se = rtri.side_edge
-    angles = {}
-    theta_tilde = np.zeros(rtri.num_vertices)
-    cv = rtri.corner_vertex
-    for t in sub.kept_triangles:
-        trip = _energy.euclidean_angles(lengths[se[3 * t]],
-                                        lengths[se[3 * t + 1]],
-                                        lengths[se[3 * t + 2]])
-        angles[t] = trip
-        for i in range(3):
-            theta_tilde[cv[3 * t + i]] += trip[(i + 1) % 3]
-    return sub, lengths, angles, theta_tilde
+    kept = np.array(sub.kept_triangles, dtype=int)
+    ends = np.reshape(rtri.edge_verts, (-1, 2))
+    lam = result.metric.lam + u[ends[:, 0]] + u[ends[:, 1]]
+    angles = np.full((rtri.num_triangles, 3), np.nan)
+    angles[kept] = _energy._triangle_angles(rtri.side_edge, lam, kept)
+    theta_tilde = np.bincount(
+        np.reshape(rtri.corner_vertex, (-1, 3))[kept].ravel(),
+        angles[kept][:, [1, 2, 0]].ravel(), minlength=rtri.num_vertices)
+    return sub, np.exp(lam / 2.0), angles, theta_tilde
 
 
 def classify_realizable(result, v_inf):
@@ -508,22 +492,17 @@ def uniformize_torus(metric, opts=None):
     met = ev.delaunay.metric
     rtri = met.triangulation
 
-    se = rtri.side_edge
-    lengths = {e: math.exp(x / 2.0) for e, x in enumerate(met.lam)}
-    angles = {}
-    for t in range(rtri.num_triangles):
-        angles[t] = _energy.euclidean_angles(lengths[se[3 * t]],
-                                             lengths[se[3 * t + 1]],
-                                             lengths[se[3 * t + 2]])
-
     all_tris = list(range(rtri.num_triangles))
-    corner_pos, crossed = _layout_triangles(rtri, all_tris, lengths, angles)
+    angles = _energy._triangle_angles(rtri.side_edge, met.lam, all_tris)
+    corner_pos, crossed = _layout_triangles(rtri, all_tris, met.lengths,
+                                            angles)
     crossed_set = set(crossed) | {rtri.glue[k] for k in crossed}
 
     # Deck transformations from the non-tree edges.  The holonomy is
     # translational because every angle sum is 2 pi; both endpoints of
     # the shared side must report the same translation.
     translations = []
+    mismatch = 0.0
     scale_len = max(abs(p) for p in corner_pos.values()) + 1.0
     for t in all_tris:
         for i in range(3):
@@ -543,6 +522,7 @@ def uniformize_torus(metric, opts=None):
                 raise LayoutInconsistent(
                     "holonomy across edge %d is not a translation (%g)"
                     % (rtri.side_edge[k], abs(d1 - d2)))
+            mismatch = max(mismatch, abs(d1 - d2))
             translations.append(d1)
 
     v1, v2 = _lattice_from_translations(translations)
@@ -554,6 +534,12 @@ def uniformize_torus(metric, opts=None):
     s = 1.0 / math.sqrt(area)
     v1, v2 = v1 * s, v2 * s
     tau = _normalize_tau(v2 / v1)
+    # Residual: holonomy mismatch or distance of a deck translation from
+    # the lattice, whichever is larger, at unit covolume.
+    deck = np.array(translations) * s
+    a, b = _coords(deck, v1, v2)
+    residual = float(max(mismatch * s, np.max(np.abs(
+        deck - np.round(a) * v1 - np.round(b) * v2))))
 
     vpos = {}
     cv = rtri.corner_vertex
@@ -562,7 +548,7 @@ def uniformize_torus(metric, opts=None):
     faces = [[cv[3 * t + i] for i in range(3)] for t in all_tris]
     return Realization(FLAT_TORUS, vpos, faces,
                        {"covolume": 1.0,
-                        "residual_lattice": 0.0},
+                        "residual_lattice": residual},
                        tau=tau, lattice=(v1, v2), report=report,
                        metric=met)
 
