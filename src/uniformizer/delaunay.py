@@ -23,6 +23,12 @@ partial decoration u; exp(-inf) = 0, so undecorated apexes force flips
 toward themselves.  Arcs are computed from the base lambda; Ptolemy
 updates commute with the fiber shift, so the algorithm tracks base
 lambda only, which keeps everything finite even with infinite u.
+
+Flips change the triangulation and lambda but not the decorated surface
+they describe, so any triangulation of that surface is as good a start
+as the input.  The solvers use this: each energy evaluation starts from
+the Delaunay triangulation of the previous one (a warm start) and flips
+only what the last step changed.
 """
 
 import logging

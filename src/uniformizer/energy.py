@@ -16,6 +16,14 @@ conformal_energy and punctured_energy evaluate the (adjusted) Delaunay
 retriangulation as functions of the per-vertex scale factors u.  These
 are C^2 and convex; gradients measure angle defects and Hessians are
 cotangent Laplacians.  Their *_value twins skip the derivatives.
+
+Both depend on their metric argument only through the decorated surface
+it carries: Ptolemy flips leave the surface and its horocycle lengths
+unchanged, its Delaunay decomposition is unique, and the energy is the
+same on every triangulation of that decomposition.
+EnergyEvaluation.surface is the evaluated surface in base lambda on its
+Delaunay triangulation; passed back as the metric it gives the same
+energy with fewer flips.
 """
 
 import math
@@ -192,16 +200,21 @@ class EnergyEvaluation:
     gradient and hessian are indexed by free_vertices (all vertices for
     the conformal energy, all but the distinguished vertex for the
     punctured energy).  theta_tilde holds the realized angle sums.
+    surface is the evaluated decorated surface in base lambda (the
+    shift by u taken out) on the Delaunay triangulation of this
+    evaluation: the same surface as the input metric, so it may stand
+    in for it in the next evaluation of the same energy.
     """
 
     def __init__(self, value, gradient, hessian, delaunay_result,
-                 theta_tilde, free_vertices):
+                 theta_tilde, free_vertices, surface):
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
         self.delaunay = delaunay_result
         self.theta_tilde = theta_tilde
         self.free_vertices = free_vertices
+        self.surface = surface
 
 
 def _conformal(metric, target, u, derivatives):
@@ -214,7 +227,8 @@ def _conformal(metric, target, u, derivatives):
     if not derivatives:
         return value
     return EnergyEvaluation(value, target.theta - theta_tilde, hessian,
-                            result, theta_tilde, list(range(n)))
+                            result, theta_tilde, list(range(n)),
+                            fiber_shift(met, -np.asarray(u, dtype=float)))
 
 
 def conformal_energy(metric, target, u):
@@ -254,7 +268,7 @@ def _punctured(metric, v_inf, u, derivatives):
         return value
     gradient = math.pi * (degree[free] + 2) - theta_tilde[free]
     return EnergyEvaluation(value, gradient, hessian, result, theta_tilde,
-                            free)
+                            free, result.metric)
 
 
 def punctured_energy(metric, v_inf, u):

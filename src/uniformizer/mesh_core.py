@@ -16,6 +16,7 @@ Self-glued edges (both endpoints the same vertex) and double edges are
 allowed; a side glued to itself is not (it would reverse orientation).
 """
 
+import functools
 from collections import deque
 
 from .errors import (
@@ -38,19 +39,28 @@ class Triangulation:
         side_edge: list, side_edge[k] = edge id of side k.
         edge_sides: list of (k1, k2) pairs, the two sides of each edge.
         corner_vertex: list, corner_vertex[k] = vertex id at corner k.
-        vertex_corners: tuple of tuples, the corner cycle around each
-            vertex in counterclockwise order.
+        num_vertices: number of vertices.
         edge_verts: list of (v1, v2) endpoint vertices per edge.
+        vertex_corners: tuple of tuples, the corner cycle around each
+            vertex in counterclockwise order, starting at its smallest
+            corner; built on first use, since flips never need it.
     """
 
     def __init__(self, glue, side_edge, edge_sides, corner_vertex,
-                 vertex_corners, edge_verts):
+                 num_vertices, edge_verts):
         self.glue = glue
         self.side_edge = side_edge
         self.edge_sides = edge_sides
         self.corner_vertex = corner_vertex
-        self.vertex_corners = vertex_corners
+        self.num_vertices = num_vertices
         self.edge_verts = edge_verts
+
+    @functools.cached_property
+    def vertex_corners(self):
+        cycles = [None] * self.num_vertices
+        for cycle in _corner_cycles(self.glue):
+            cycles[self.corner_vertex[cycle[0]]] = cycle
+        return tuple(cycles)
 
     @property
     def num_triangles(self):
@@ -59,10 +69,6 @@ class Triangulation:
     @property
     def num_edges(self):
         return len(self.edge_sides)
-
-    @property
-    def num_vertices(self):
-        return len(self.vertex_corners)
 
     @property
     def euler_characteristic(self):
@@ -90,6 +96,31 @@ class Triangulation:
             self.num_triangles, self.num_edges, self.num_vertices, self.genus)
 
 
+def _corner_cycles(glue):
+    """The corner cycles of a gluing, one per vertex, each starting at its
+    smallest corner and listed in the order of those corners.
+
+    Walking counterclockwise around the vertex at corner (t, s): cross
+    side (t, s) to its glued side (t', s'); the corner at the far end of
+    that side, (t', s'+1), is identified with (t, s) and is the next
+    corner in the cycle.
+    """
+    seen = [False] * len(glue)
+    cycles = []
+    for k0 in range(len(glue)):
+        if seen[k0]:
+            continue
+        cycle = []
+        k = k0
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            m = glue[k]
+            k = 3 * (m // 3) + (m % 3 + 1) % 3
+        cycles.append(tuple(cycle))
+    return cycles
+
+
 def _derive_tables(glue):
     """Edge and vertex tables from a validated gluing involution."""
     nsides = len(glue)
@@ -105,35 +136,19 @@ def _derive_tables(glue):
         side_edge[m] = len(edge_sides)
         edge_sides.append((k, m))
 
-    # Vertices: orbits of corners.  Walking counterclockwise around the
-    # vertex at corner (t, s): cross side (t, s) to its glued side
-    # (t', s'); the corner at the far end of that side, (t', s'+1), is
-    # identified with (t, s) and is the next corner in the cycle.
+    # Vertices: orbits of corners, numbered by their smallest corner.
+    cycles = _corner_cycles(glue)
     corner_vertex = [-1] * nsides
-    vertex_corners = []
-    for k0 in range(nsides):
-        if corner_vertex[k0] >= 0:
-            continue
-        v = len(vertex_corners)
-        cycle = []
-        k = k0
-        while True:
-            if corner_vertex[k] >= 0:
-                raise AssertionError("corner cycle at %d is inconsistent" % k0)
+    for v, cycle in enumerate(cycles):
+        for k in cycle:
             corner_vertex[k] = v
-            cycle.append(k)
-            m = glue[k]
-            k = 3 * (m // 3) + (m % 3 + 1) % 3
-            if k == k0:
-                break
-        vertex_corners.append(tuple(cycle))
 
     edge_verts = []
     for k, _ in edge_sides:
         t, s = divmod(k, 3)
         edge_verts.append((corner_vertex[k], corner_vertex[3 * t + (s + 1) % 3]))
 
-    return side_edge, edge_sides, corner_vertex, tuple(vertex_corners), edge_verts
+    return side_edge, edge_sides, corner_vertex, len(cycles), edge_verts
 
 
 def build_from_gluings(gluing_list, genus_hint=None):
@@ -174,10 +189,7 @@ def build_from_gluings(gluing_list, genus_hint=None):
         if glue[k] < 0:
             raise UnmatchedSide("side (%d, %d) never glued" % divmod(k, 3))
 
-    side_edge, edge_sides, corner_vertex, vertex_corners, edge_verts = \
-        _derive_tables(glue)
-    tri = Triangulation(glue, side_edge, edge_sides, corner_vertex,
-                        vertex_corners, edge_verts)
+    tri = Triangulation(glue, *_derive_tables(glue))
 
     chi = tri.euler_characteristic
     if chi % 2 != 0 or chi > 2:
@@ -267,35 +279,16 @@ def flip_edge(tri, e):
     cv[3 * t1:3 * t1 + 3] = [vr, vp, vrp]
     cv[3 * t2:3 * t2 + 3] = [vrp, vq, vr]
 
-    # Corner cycles changed only around the four quad vertices; rebuilding
-    # all cycles is cheap and keeps vertex ids (derived tables are keyed
-    # by the existing labels in cv).
-    nv = tri.num_vertices
-    vertex_corners = [None] * nv
-    seen = [False] * len(cv)
-    for k0 in range(len(cv)):
-        if seen[k0]:
-            continue
-        v = cv[k0]
-        cycle = []
-        k = k0
-        while True:
-            seen[k] = True
-            cycle.append(k)
-            m = glue[k]
-            k = 3 * (m // 3) + (m % 3 + 1) % 3
-            if k == k0:
-                break
-        vertex_corners[v] = tuple(cycle)
-
     edge_verts = list(tri.edge_verts)
     for eid in set(side_edge[3 * t1:3 * t1 + 3] + side_edge[3 * t2:3 * t2 + 3]):
         k = edge_sides[eid][0]
         t, s = divmod(k, 3)
         edge_verts[eid] = (cv[k], cv[3 * t + (s + 1) % 3])
 
-    return Triangulation(glue, side_edge, edge_sides, cv,
-                         tuple(vertex_corners), edge_verts)
+    # Vertex ids and edge ids outside the quad are unchanged, and the
+    # corner cycles are rebuilt only if someone asks for them.
+    return Triangulation(glue, side_edge, edge_sides, cv, tri.num_vertices,
+                         edge_verts)
 
 
 class Subcomplex:

@@ -7,6 +7,12 @@ vertex.  The conformal energy has no bounds (-inf) and is scale
 invariant when the target angles satisfy Gauss-Bonnet, so its steps are
 re-centred to zero mean and one vertex is pinned for the linear solve.
 The loop and kkt_check share the KKT residuals, _kkt_residuals.
+
+The loop warm-starts its evaluations from the surface of the last
+accepted one (EnergyEvaluation.surface).  This is exact, not an
+approximation: the energies depend only on the decorated surface, which
+the flips between two triangulations do not change.  kkt_check stays a
+cold evaluation from the input metric, independent of the solver's path.
 """
 
 import math
@@ -80,14 +86,12 @@ def _solve_spd(hessian, rhs):
     (x, shifted) where shifted flags a Tikhonov fallback."""
     n = hessian.shape[0]
     with warnings.catch_warnings():
-        # Singular systems are handled by the fallbacks below.
+        # spsolve returns NaN on a singular system (with this warning);
+        # the fallbacks below handle that.
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        try:
-            x = spla.spsolve(sp.csc_matrix(hessian), rhs)
-            if np.all(np.isfinite(x)):
-                return x, False
-        except Exception:
-            pass
+        x = spla.spsolve(sp.csc_matrix(hessian), rhs)
+        if np.all(np.isfinite(x)):
+            return x, False
         shift = 1e-10 * (hessian.diagonal().sum() / max(n, 1) + 1.0)
         x = spla.spsolve(sp.csc_matrix(hessian + shift * sp.eye(n)), rhs)
     if not np.all(np.isfinite(x)):
@@ -137,9 +141,9 @@ def minimize_conformal_energy(metric, target, opts=None, u0=None):
             % (e1 - e0))
 
     report = _newton(
-        lambda x: _energy.conformal_energy(metric, target, x),
-        lambda x: _energy.conformal_energy_value(metric, target, x),
-        u, np.arange(n), np.full(n, -np.inf),
+        lambda m, x: _energy.conformal_energy(m, target, x),
+        lambda m, x: _energy.conformal_energy_value(m, target, x),
+        metric, u, np.arange(n), np.full(n, -np.inf),
         lambda step: step - step.mean(), opts.pin_vertex, opts, t0)
     u = report.u_final
     report.u_final = u - (u.mean() if opts.gauge == ZERO_MEAN
@@ -159,17 +163,24 @@ def _kkt_residuals(g, u, lower, act_tol):
             float(np.max(lower - u, initial=0.0)))
 
 
-def _newton(energy, energy_value, u, free, lower, project, pin, opts, t0):
+def _newton(energy, energy_value, metric, u, free, lower, project, pin, opts,
+            t0):
     """Active-set projected Newton on u[free] under u[free] >= lower.
 
-    energy(u) is an EnergyEvaluation indexed like free, energy_value(u)
-    its value.  The inactive variables but pin take a Newton step, which
-    is gauge-projected, cut at the nearest bound (ratio test) and
-    backtracked to sufficient decrease.
+    energy(surface, u) is an EnergyEvaluation indexed like free,
+    energy_value(surface, u) its value.  The inactive variables but pin
+    take a Newton step, which is gauge-projected, cut at the nearest
+    bound (ratio test) and backtracked to sufficient decrease.
+
+    Evaluations are warm-started: the first starts from metric, every
+    later one (line-search trials included) from the surface of the last
+    accepted full evaluation, already Delaunay at the previous u, so the
+    flip algorithm only has to follow the step.
     """
     bounded = bool(np.any(np.isfinite(lower)))
     shifted_any = False
-    ev = energy(u)
+    ev = energy(metric, u)
+    # Flips of the full evaluations, each counted from its warm start.
     flips_total = len(ev.delaunay.flips)
 
     def failure(status, it, message):
@@ -233,7 +244,7 @@ def _newton(energy, energy_value, u, free, lower, project, pin, opts, t0):
             if skip_test:
                 break
             try:
-                f_trial = energy_value(trial)
+                f_trial = energy_value(ev.surface, trial)
             except (OverflowError, TriangleInequalityViolated):
                 f_trial = math.inf
             if f_trial <= f0 + opts.sufficient_decrease * alpha * slope:
@@ -243,7 +254,7 @@ def _newton(energy, energy_value, u, free, lower, project, pin, opts, t0):
                 raise failure(LINE_SEARCH_FAILURE, it,
                               "line search stalled at iteration %d" % it)
         u = trial
-        ev = energy(u)
+        ev = energy(ev.surface, u)
         flips_total += len(ev.delaunay.flips)
 
     raise failure(ITER_LIMIT, opts.max_iterations,
@@ -285,9 +296,9 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
     u[v_inf] = np.inf
 
     return _newton(
-        lambda x: _energy.punctured_energy(metric, v_inf, x),
-        lambda x: _energy.punctured_energy_value(metric, v_inf, x),
-        u, free, bounds, lambda step: step, None, opts, t0)
+        lambda m, x: _energy.punctured_energy(m, v_inf, x),
+        lambda m, x: _energy.punctured_energy_value(m, v_inf, x),
+        metric, u, free, bounds, lambda step: step, None, opts, t0)
 
 
 class KKTReport:

@@ -38,6 +38,9 @@ ANGLE_TOL = 1e-7
 PLANARITY_TOL = 1e-8
 CONVEXITY_TOL = 1e-8
 ON_SPHERE_TOL = 1e-9
+# The torus certificate holds tau to 1e-8, so a tau this close to the
+# boundary of the fundamental domain is taken to lie on it.
+TAU_BOUNDARY_TOL = 1e-8
 
 
 class PlanarLayout:
@@ -463,20 +466,22 @@ def _lagrange_reduce(v1, v2):
 
 def _normalize_tau(tau):
     """Move tau into the standard fundamental domain of the modular
-    group: |Re| <= 1/2, |tau| >= 1, upper half plane."""
+    group: Re in (-1/2, 1/2], |tau| >= 1, upper half plane, and Re >= 0
+    where |tau| = 1 (the two boundary arcs are identified by -1/tau)."""
     if tau.imag < 0:
         tau = tau.conjugate()
     for _ in range(200):
         tau = complex(tau.real - round(tau.real), tau.imag)
-        if abs(tau) < 1.0 - 1e-15:
+        if abs(tau) < 1.0 - TAU_BOUNDARY_TOL:
             tau = -1.0 / tau
         else:
             break
-    tau = complex(tau.real - round(tau.real), tau.imag)
-    # Boundary conventions: Re = +1/2 and |tau| = 1 with Re > 0 are
-    # mapped to their equivalents with Re <= 0 ... keep simple: fold
-    # Re = -1/2 to +1/2 is not needed for the tests.
-    return tau
+    re = tau.real
+    if re <= -0.5 + TAU_BOUNDARY_TOL:
+        re += 1.0
+    if re < 0 and abs(abs(tau) - 1.0) <= TAU_BOUNDARY_TOL:
+        re = -re
+    return complex(re, tau.imag)
 
 
 def uniformize_torus(metric, opts=None):

@@ -10,12 +10,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from uniformizer import mesh_core, surfaces
 from uniformizer.errors import GaussBonnetViolated, WrongGenus
 from uniformizer.optimize import (
     CONVERGED,
     SolveOptions,
+    _solve_spd,
     gauss_bonnet_defect,
     kkt_check,
     minimize_conformal_energy,
@@ -189,3 +191,13 @@ def test_energy_decreases_along_iterates():
     for v in range(1, n):
         u_start[v] = -deltas[v]
     assert report.energy <= punctured_energy_value(metric, 0, u_start) + 1e-9
+
+
+def test_solve_spd_zero_hessian_falls_back_to_finite_step():
+    # spsolve answers a singular system with NaN; the Tikhonov fallback
+    # must turn that into a finite, flagged step.
+    rhs = np.array([1.0, -2.0, 0.5])
+    x, shifted = _solve_spd(sp.csr_matrix((3, 3)), rhs)
+    assert shifted
+    assert np.all(np.isfinite(x))
+    assert float(x @ rhs) > 0.0

@@ -1,6 +1,7 @@
 """Tests for the geometric back-ends: inscribed polyhedra, two-sided
 polygons, flat tori, and cone metrics."""
 
+import cmath
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from uniformizer.realize import (
     FLAT_TORUS,
     INSCRIBED_POLYHEDRON,
     TWO_SIDED_POLYGON,
+    _normalize_tau,
     classify_realizable,
     prescribe_cone_angles,
     uniformize_sphere,
@@ -126,11 +128,34 @@ def test_uniformize_torus_rejects_genus_zero():
 
 def test_hexagonal_torus_modulus():
     # All-zero lambda on the one-vertex torus is the hexagonal torus
-    # (both triangles equilateral): tau = exp(i pi / 3).
+    # (both triangles equilateral): tau = exp(i pi / 3), the boundary
+    # representative with Re tau >= 0.
     real = uniformize_torus(surfaces.one_vertex_torus())
-    expect = complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
-    assert abs(real.tau - expect) < 1e-8 or \
-        abs(real.tau - complex(-expect.real, expect.imag)) < 1e-8
+    assert abs(real.tau - cmath.exp(1j * math.pi / 3)) < 1e-8
+
+
+@pytest.mark.parametrize("tau, expect", [
+    (-0.5 + 2j, 0.5 + 2j),
+    (0.5 + 2j, 0.5 + 2j),
+    (1.5 + 2j, 0.5 + 2j),
+    (-0.5 + 1e-12 + 2j, 0.5 + 2j),
+    (cmath.exp(2j * math.pi / 3), cmath.exp(1j * math.pi / 3)),
+    (cmath.exp(1.9j), cmath.exp(1.9j).conjugate() * -1),
+    (cmath.exp(1.2j), cmath.exp(1.2j)),
+    (1j, 1j),
+    (0.5j, 2j),
+    (0.3 + 1.7j, 0.3 + 1.7j),
+    (-0.3 - 1.7j, -0.3 + 1.7j),
+    (-0.49 + 1.7j, -0.49 + 1.7j),
+])
+def test_normalize_tau_boundary_convention(tau, expect):
+    # Folding moves a tau that is on a boundary up to round-off by a
+    # lattice step or a reflection, which keeps that round-off.
+    out = _normalize_tau(tau)
+    assert abs(out - expect) < 1e-11
+    assert -0.5 < out.real <= 0.5 + 1e-11 and abs(out) >= 1.0 - 1e-11
+    if abs(abs(out) - 1.0) < 1e-11:
+        assert out.real >= 0.0
 
 
 def test_prescribe_cone_angles_torus_flat():
