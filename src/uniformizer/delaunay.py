@@ -24,6 +24,23 @@ toward themselves.  Arcs are computed from the base lambda; Ptolemy
 updates commute with the fiber shift, so the algorithm tracks base
 lambda only, which keeps everything finite even with infinite u.
 
+One array kernel, _margins, computes the margin of every edge at once.
+Per triangle, let S be the sum of its three weighted corner arcs; side s
+then receives S - 2 A, with A the weighted arc at the apex opposite s.
+Summing over the two triangles of e gives the margin above, and the sum
+of their S is the margin's scale.
+
+make_delaunay flips in rounds.  A round scans every edge with the kernel,
+then flips, in edge order, the strictly violating edges whose quads share
+no triangle with a quad already flipped in that round.  A flip changes
+only the lambda of its own edge and its own two triangles, while a margin
+reads only the lambdas and vertices of its edge's two triangles, so the
+margins read at the start of the round are exact when each edge comes
+up.  The rounds stop when a scan finds no violation.  The Delaunay
+(Epstein-Penner) decomposition is unique, and any order of flips that fix
+strict violations reaches it; the order can change only the diagonals of
+cocircular cells.
+
 Flips change the triangulation and lambda but not the decorated surface
 they describe, so any triangulation of that surface is as good a start
 as the input.  The solvers use this: each energy evaluation starts from
@@ -38,13 +55,19 @@ import numpy as np
 
 from . import mesh_core
 from .errors import (
+    ArcOverflow,
     DegenerateQuad,
     FlipLimitExceeded,
     SameVertex,
     TriangleInequalityViolated,
     UnknownVertex,
 )
-from .penner import DecoratedMetric, PartialDecoration, ptolemy_update
+from .penner import (
+    DecoratedMetric,
+    PartialDecoration,
+    _log_corner_arcs,
+    ptolemy_update,
+)
 
 log = logging.getLogger(__name__)
 
@@ -94,45 +117,47 @@ def _quad(tri, e):
             (cv[k1], cv[ka], cv[kb], cv[kd]))
 
 
-def _margin_terms(tri, lam, e):
-    """Arc terms of the local Delaunay margin at e, before u-weighting.
+def _margins(tri, lam, uexp):
+    """Weighted local Delaunay margin and its scale at every edge.
 
-    Returns (incident_q, incident_p, opposite_r, opposite_rp) arc sums and
-    the vertex ids (vp, vq, vr, vrp).
+    Returns two arrays of length E.  The scale is the sum of the
+    magnitudes of the margin's four terms.  Edges whose two sides lie in
+    one triangle have no quad; their margin is +inf.  Raises ArcOverflow
+    when an arc, weighted by uexp, leaves the float range.
     """
-    (ka, kb, kc, kd), verts = _quad(tri, e)
-    se = tri.side_edge
-    le = lam[se[tri.edge_sides[e][0]]]
-    la, lb, lc, ld = lam[se[ka]], lam[se[kb]], lam[se[kc]], lam[se[kd]]
-    # Arcs at the four quad corners, from each adjacent triangle.
-    beta = math.exp((lb - le - la) / 2.0)      # at q in t1
-    beta2 = math.exp((lc - le - ld) / 2.0)     # at q in t2
-    gamma = math.exp((la - le - lb) / 2.0)     # at p in t1
-    gamma2 = math.exp((ld - le - lc) / 2.0)    # at p in t2
-    alpha = math.exp((le - la - lb) / 2.0)     # at r
-    alpha2 = math.exp((le - lc - ld) / 2.0)    # at r'
-    return (beta + beta2, gamma + gamma2, alpha, alpha2), verts
+    se = np.asarray(tri.side_edge)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arcs = np.exp(_log_corner_arcs(se, lam))
+        arcs *= uexp[np.reshape(tri.corner_vertex, (-1, 3))]
+        total = arcs.sum(axis=1)
+        scale = np.bincount(se, np.repeat(total, 3), minlength=tri.num_edges)
+    if not np.all(np.isfinite(scale)):
+        raise ArcOverflow("a horocyclic arc overflows: lambda spans too "
+                          "wide a range")
+    # Side s is incident with the arcs at corners s and s + 1 and
+    # opposite the arc at corner s + 2.
+    sides = total[:, None] - 2.0 * arcs[:, [2, 0, 1]]
+    margin = np.bincount(se, sides.ravel(), minlength=tri.num_edges)
+    se3 = se.reshape(-1, 3)
+    margin[se3[se3 == se3[:, [1, 2, 0]]]] = np.inf
+    return margin, scale
+
+
+def _edge_set(mask):
+    return set(np.flatnonzero(mask).tolist())
 
 
 def delaunay_margin(metric, u, e):
-    """Weighted local Delaunay margin at edge e; >= 0 means Delaunay."""
+    """Weighted local Delaunay margin at edge e; >= 0 means Delaunay.
+
+    Raises DegenerateQuad when both sides of e lie in one triangle.
+    """
     if u is None:
         u = PartialDecoration.zeros(metric.triangulation.num_vertices)
-    (inc_q, inc_p, opp_r, opp_rp), (vp, vq, vr, vrp) = \
-        _margin_terms(metric.triangulation, metric.lam, e)
-    w = np.exp(-u.u)
-    return inc_q * w[vq] + inc_p * w[vp] - opp_r * w[vr] - opp_rp * w[vrp]
-
-
-def _margin_and_scale(tri, lam, uexp, e):
-    """(margin, scale) with scale = sum of the term magnitudes."""
-    (inc_q, inc_p, opp_r, opp_rp), (vp, vq, vr, vrp) = \
-        _margin_terms(tri, lam, e)
-    tq = inc_q * uexp[vq]
-    tp = inc_p * uexp[vp]
-    tr = opp_r * uexp[vr]
-    trp = opp_rp * uexp[vrp]
-    return tq + tp - tr - trp, tq + tp + tr + trp
+    margin = _margins(metric.triangulation, metric.lam, np.exp(-u.u))[0][e]
+    if margin == np.inf:
+        raise DegenerateQuad("both sides of edge %d in one triangle" % e)
+    return margin
 
 
 def _flip(tri, lam, e):
@@ -146,23 +171,41 @@ def _flip(tri, lam, e):
     return new_tri, le, lf
 
 
-def _affected_edges(tri, e):
-    """Edge ids of the two triangles adjacent to e (post- or pre-flip)."""
-    k1, k2 = tri.edge_sides[e]
-    t1, t2 = k1 // 3, k2 // 3
-    se = tri.side_edge
-    out = set()
-    for t in (t1, t2):
-        out.update(se[3 * t:3 * t + 3])
-    return out
+def _flip_rounds(tri, lam, uexp, select, flips, max_flips):
+    """Flip edges in rounds until a scan selects none.
+
+    Each round scans all edges once and flips, in edge order, the edges
+    that select(tri, margin, tol) marks, skipping those whose quad shares
+    a triangle with a quad already flipped in the round (see the module
+    docstring).  Appends to flips and updates lam in place; returns the
+    final triangulation and its (margin, scale).
+    """
+    while True:
+        margin, scale = _margins(tri, lam, uexp)
+        marked = np.flatnonzero(select(tri, margin, NONESSENTIAL_REL * scale))
+        if not marked.size:
+            return tri, margin, scale
+        used = set()
+        for e in marked.tolist():
+            k1, k2 = tri.edge_sides[e]
+            t1, t2 = k1 // 3, k2 // 3
+            if t1 in used or t2 in used:
+                continue
+            used.update((t1, t2))
+            if len(flips) >= max_flips:
+                raise FlipLimitExceeded("more than %d flips" % max_flips)
+            tri, le, lf = _flip(tri, lam, e)
+            flips.append((e, le, lf))
 
 
 def make_delaunay(metric, u=None, mode=PLAIN):
     """Run the flip algorithm until every edge is Delaunay.
 
-    In adjusted mode additionally flips nonessential edges whose quad
-    apex is an undecorated vertex, so that every punctured face ends up
-    fanned from its undecorated center.
+    In adjusted mode then flips nonessential edges whose quad apex is an
+    undecorated vertex, so that every punctured face ends up fanned from
+    its undecorated center.  Flipping a nonessential edge keeps the
+    Delaunay decomposition, and each such flip raises the degree of an
+    undecorated center, so these rounds end.
 
     Only strict violations (margin < -tol) are flipped; equality cases
     are collected as nonessential edges.  Edges whose two sides lie in
@@ -176,82 +219,30 @@ def make_delaunay(metric, u=None, mode=PLAIN):
     max_flips = 1000 * tri.num_edges + 10000
     flips = []
 
-    from collections import deque
-    queue = deque(range(tri.num_edges))
-    queued = [True] * tri.num_edges
-
-    def enqueue(edges):
-        for a in edges:
-            if not queued[a]:
-                queued[a] = True
-                queue.append(a)
-
-    while queue:
-        e = queue.popleft()
-        queued[e] = False
-        k1, k2 = tri.edge_sides[e]
-        if k1 // 3 == k2 // 3:
-            continue
-        margin, scale = _margin_and_scale(tri, lam, uexp, e)
-        if margin >= -NONESSENTIAL_REL * scale:
-            continue
-        if len(flips) >= max_flips:
-            raise FlipLimitExceeded("more than %d flips" % max_flips)
-        tri, le, lf = _flip(tri, lam, e)
-        flips.append((e, le, lf))
-        enqueue(_affected_edges(tri, e))
-
-    if mode == ADJUSTED:
-        tri = _adjust(tri, lam, u, uexp, flips, max_flips)
-
-    nonessential = set()
-    for e in range(tri.num_edges):
-        k1, k2 = tri.edge_sides[e]
-        if k1 // 3 == k2 // 3:
-            continue
-        margin, scale = _margin_and_scale(tri, lam, uexp, e)
-        if abs(margin) <= NONESSENTIAL_REL * scale:
-            nonessential.add(e)
+    tri, margin, scale = _flip_rounds(
+        tri, lam, uexp, lambda tri, margin, tol: margin < -tol, flips,
+        max_flips)
 
     punctured = {}
     if mode == ADJUSTED:
-        for v in range(tri.num_vertices):
-            if not np.isfinite(u.u[v]):
-                punctured[v] = tuple(sorted({k // 3
-                                             for k in tri.vertex_corners[v]}))
+        undecorated = ~np.isfinite(u.u)
+
+        def fannable(tri, margin, tol):
+            apex = undecorated[np.reshape(tri.corner_vertex, (-1, 3))]
+            at_apex = np.bincount(tri.side_edge, apex[:, [2, 0, 1]].ravel(),
+                                  minlength=tri.num_edges)
+            return (np.abs(margin) <= tol) & (at_apex > 0)
+
+        tri, margin, scale = _flip_rounds(tri, lam, uexp, fannable, flips,
+                                          max_flips)
+        punctured = {v: tuple(sorted({k // 3 for k in tri.vertex_corners[v]}))
+                     for v in np.flatnonzero(undecorated).tolist()}
 
     if flips:
         log.debug("make_delaunay: %d flips on %r", len(flips), tri)
-    return DelaunayResult(DecoratedMetric(tri, lam), u, flips,
-                          nonessential, punctured)
-
-
-def _adjust(tri, lam, u, uexp, flips, max_flips):
-    """Fan punctured faces: flip nonessential edges with undecorated apex.
-
-    Flipping a nonessential edge keeps the Delaunay decomposition, so no
-    margins can go negative beyond round-off; each flip raises the degree
-    of the undecorated center, so the loop terminates.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for e in range(tri.num_edges):
-            k1, k2 = tri.edge_sides[e]
-            if k1 // 3 == k2 // 3:
-                continue
-            _, (vp, vq, vr, vrp) = _quad(tri, e)
-            if np.isfinite(u.u[vr]) and np.isfinite(u.u[vrp]):
-                continue
-            margin, scale = _margin_and_scale(tri, lam, uexp, e)
-            if abs(margin) > NONESSENTIAL_REL * scale:
-                continue
-            if len(flips) >= max_flips:
-                raise FlipLimitExceeded("more than %d flips" % max_flips)
-            tri, le, lf = _flip(tri, lam, e)
-            flips.append((e, le, lf))
-            changed = True
-    return tri
+    return DelaunayResult(
+        DecoratedMetric(tri, lam), u, flips,
+        _edge_set(np.abs(margin) <= NONESSENTIAL_REL * scale), punctured)
 
 
 class DelaunayCheck:
@@ -264,36 +255,27 @@ class DelaunayCheck:
 
 def check_delaunay(metric, u=None):
     """Exhaustive margin scan of all edges, independent of flip history."""
-    tri = metric.triangulation
     if u is None:
-        u = PartialDecoration.zeros(tri.num_vertices)
-    uexp = np.exp(-u.u)
-    violations = []
-    nonessential = set()
-    skipped = set()
-    for e in range(tri.num_edges):
-        k1, k2 = tri.edge_sides[e]
-        if k1 // 3 == k2 // 3:
-            skipped.add(e)
-            continue
-        margin, scale = _margin_and_scale(tri, metric.lam, uexp, e)
-        if margin < -NONESSENTIAL_REL * scale:
-            violations.append((e, margin))
-        elif abs(margin) <= NONESSENTIAL_REL * scale:
-            nonessential.add(e)
-    return DelaunayCheck(not violations, violations, nonessential, skipped)
+        u = PartialDecoration.zeros(metric.triangulation.num_vertices)
+    margin, scale = _margins(metric.triangulation, metric.lam, np.exp(-u.u))
+    tol = NONESSENTIAL_REL * scale
+    violations = [(e, margin[e])
+                  for e in np.flatnonzero(margin < -tol).tolist()]
+    return DelaunayCheck(not violations, violations,
+                         _edge_set(np.abs(margin) <= tol),
+                         _edge_set(np.isinf(margin)))
 
 
 def triangle_inequality_check(metric):
     """True iff ell = exp(lambda/2) satisfies the strict triangle
-    inequalities on every triangle."""
-    tri = metric.triangulation
-    for t in range(tri.num_triangles):
-        l1, l2, l3 = metric.triangle_lambdas(t)
-        a, b, c = math.exp(l1 / 2), math.exp(l2 / 2), math.exp(l3 / 2)
-        if a + b <= c or b + c <= a or c + a <= b:
-            return False
-    return True
+    inequalities on every triangle.
+
+    Each triangle is scaled so that its longest side is 1, so no lambda
+    is too large to test.
+    """
+    lam3 = metric.lam[np.reshape(metric.triangulation.side_edge, (-1, 3))]
+    ell = np.exp(0.5 * (lam3 - lam3.max(axis=1, keepdims=True)))
+    return bool(np.all(ell + ell[:, [1, 2, 0]] > ell[:, [2, 0, 1]]))
 
 
 def _cotan_weights(metric):
@@ -319,25 +301,17 @@ def euclidean_delaunay_crosscheck(metric, tol=1e-10):
         raise TriangleInequalityViolated(
             "euclidean cross-check requires the triangle inequalities")
     tri = metric.triangulation
-    uexp = np.ones(tri.num_vertices)
-    weights = _cotan_weights(metric)
-    mismatches = []
-    skipped = set()
-    for e in range(tri.num_edges):
-        k1, k2 = tri.edge_sides[e]
-        if k1 // 3 == k2 // 3:
-            skipped.add(e)
-            continue
-        margin, scale = _margin_and_scale(tri, metric.lam, uexp, e)
-        cot = float(weights[e])
-        m = margin / scale
-        m_zero = abs(m) <= tol
-        c_zero = abs(cot) <= math.sqrt(tol)
-        if m_zero and c_zero:
-            continue
-        if m_zero != c_zero or m * cot <= 0:
-            mismatches.append((e, margin, cot))
-    return CrosscheckResult(not mismatches, mismatches, skipped)
+    margin, scale = _margins(tri, metric.lam, np.ones(tri.num_vertices))
+    cot = _cotan_weights(metric)
+    skipped = np.isinf(margin)
+    m = np.where(skipped, 0.0, margin) / scale
+    m_zero = np.abs(m) <= tol
+    c_zero = np.abs(cot) <= math.sqrt(tol)
+    bad = (~skipped & ~(m_zero & c_zero)
+           & ((m_zero != c_zero) | (m * cot <= 0)))
+    mismatches = [(e, margin[e], float(cot[e]))
+                  for e in np.flatnonzero(bad).tolist()]
+    return CrosscheckResult(not mismatches, mismatches, _edge_set(skipped))
 
 
 def horocycle_distances_to(metric, v2):

@@ -310,16 +310,15 @@ def crossflip_c2_check(metric, target, e, margin_tol=1e-8,
     reported but not judged.
     """
     tri1 = metric.triangulation
-    margin = _delaunay.delaunay_margin(metric, None, e)
-    (inc_q, inc_p, opp_r, opp_rp), _ = _delaunay._margin_terms(
-        tri1, metric.lam, e)
-    scale = inc_q + inc_p + opp_r + opp_rp
-    if abs(margin) > margin_tol * scale:
+    (ka, kb, kc, kd), _ = _delaunay._quad(tri1, e)
+    margins, scales = _delaunay._margins(tri1, metric.lam,
+                                         np.ones(tri1.num_vertices))
+    margin = margins[e]
+    if abs(margin) > margin_tol * scales[e]:
         raise NotNeutral("edge %d has margin %g, not cocircular"
                          % (e, margin))
 
     tri2 = mesh_core.flip_edge(tri1, e)
-    (ka, kb, kc, kd), _ = _delaunay._quad(tri1, e)
     se = tri1.side_edge
     ea, eb, ec, ed = se[ka], se[kb], se[kc], se[kd]
 

@@ -39,6 +39,10 @@ class DegenerateQuad(UniformizerError):
     """Local Delaunay condition undefined: both sides of the edge in one triangle."""
 
 
+class ArcOverflow(UniformizerError, OverflowError):
+    """A horocyclic arc exceeds the float range: lambdas too far apart."""
+
+
 class FlipLimitExceeded(UniformizerError):
     """Flip count exceeded the safety cap; input is likely pathological."""
 

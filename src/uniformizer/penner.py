@@ -150,14 +150,19 @@ def corner_arc(metric, k):
     return math.exp((lam[e_opp] - lam[e_in] - lam[e_out]) / 2.0)
 
 
+def _log_corner_arcs(side_edge, lam):
+    """Log arc length at every corner, as a (T, 3) array: the arc at
+    corner s is (lambda opposite - the two lambdas at s) / 2."""
+    lam = lam[np.reshape(side_edge, (-1, 3))]
+    return 0.5 * (lam[:, [1, 2, 0]] - lam - lam[:, [2, 0, 1]])
+
+
 def _log_horocycle_lengths(metric):
     """log c_v for every vertex v, c_v the total length of its
     decorating horocycle: a log-sum-exp of the corner arcs at v."""
     tri = metric.triangulation
     n = tri.num_vertices
-    lam = metric.lam[np.reshape(tri.side_edge, (-1, 3))]
-    # The arc at corner s: (lambda opposite - the two lambdas at s) / 2.
-    x = (0.5 * (lam[:, [1, 2, 0]] - lam - lam[:, [2, 0, 1]])).ravel()
+    x = _log_corner_arcs(tri.side_edge, metric.lam).ravel()
     cv = np.asarray(tri.corner_vertex)
     top = np.full(n, -np.inf)
     np.maximum.at(top, cv, x)

@@ -14,9 +14,14 @@ import math
 import numpy as np
 import pytest
 
+import reference_margin as ref
 from uniformizer import surfaces
 from uniformizer.delaunay import (
     ADJUSTED,
+    NONESSENTIAL_REL,
+    PLAIN,
+    _margins,
+    _quad,
     check_delaunay,
     delaunay_margin,
     euclidean_delaunay_crosscheck,
@@ -26,6 +31,7 @@ from uniformizer.delaunay import (
     triangle_inequality_check,
 )
 from uniformizer.errors import (
+    ArcOverflow,
     DegenerateQuad,
     SameVertex,
     UnknownVertex,
@@ -55,7 +61,6 @@ def test_margin_undecorated_incident_vertices_force_flip():
     metric = surfaces.octahedron_sphere()
     tri = metric.triangulation
     e = 0
-    from uniformizer.delaunay import _quad
     _, (vp, vq, vr, vrp) = _quad(tri, e)
     u = np.zeros(tri.num_vertices)
     u[vp] = np.inf
@@ -74,6 +79,45 @@ def test_margin_degenerate_quad():
     assert degenerate
     with pytest.raises(DegenerateQuad):
         delaunay_margin(metric, None, degenerate[0])
+    assert check_delaunay(metric).skipped == set(degenerate)
+    margin, _ = _margins(tri, metric.lam, np.ones(3))
+    assert np.all(np.isinf(margin[degenerate]))
+
+
+def test_margins_match_scalar_reference():
+    # The array kernel against the edge-by-edge formula, with zero,
+    # finite and partial (+inf) decorations.
+    rng = np.random.default_rng(18)
+    metrics = [surfaces.random_sphere(6, rng), surfaces.random_sphere(40, rng),
+               surfaces.random_sphere(20, rng, (-12.0, 12.0)),
+               surfaces.random_torus(1, rng), surfaces.random_torus(25, rng),
+               surfaces.genus2_one_vertex()]
+    for metric in metrics:
+        tri = metric.triangulation
+        n = tri.num_vertices
+        partial = rng.uniform(-2.0, 2.0, n)
+        partial[rng.choice(n, size=n // 2, replace=False)] = np.inf
+        for u in (np.zeros(n), rng.uniform(-2.0, 2.0, n), partial):
+            uexp = np.exp(-u)
+            margin, scale = _margins(tri, metric.lam, uexp)
+            for e in range(tri.num_edges):
+                m, sc = ref.margin_and_scale(tri, metric.lam, uexp, e)
+                assert abs(margin[e] - m) <= 1e-12 * sc
+                assert abs(scale[e] - sc) <= 1e-12 * sc
+
+
+def test_arc_overflow_raises_uniformizer_error():
+    base = surfaces.tetrahedron_sphere()
+    lam = base.lam.copy()
+    lam[0] = 3000.0
+    metric = DecoratedMetric(base.triangulation, lam)
+    for call in (lambda: check_delaunay(metric),
+                 lambda: make_delaunay(metric),
+                 lambda: delaunay_margin(metric, None, 1)):
+        with pytest.raises(ArcOverflow) as info:
+            call()
+        assert isinstance(info.value, OverflowError)
+    assert triangle_inequality_check(metric) is False
 
 
 def test_make_delaunay_already_delaunay_is_no_op():
@@ -85,20 +129,61 @@ def test_make_delaunay_already_delaunay_is_no_op():
 
 
 def test_make_delaunay_random_oracle_and_idempotence():
+    # Plain and adjusted runs, on narrow and wide lambda ranges.
+    from uniformizer import mesh_core
     rng = np.random.default_rng(11)
-    for i in range(30):
+    for i in range(64):
+        lam_range = (-2.0, 2.0) if i % 4 < 2 else (-15.0, 15.0)
         if i % 2 == 0:
-            metric = surfaces.random_sphere(int(rng.integers(4, 20)), rng)
+            metric = surfaces.random_sphere(int(rng.integers(4, 20)), rng,
+                                            lam_range)
         else:
-            metric = surfaces.random_torus(int(rng.integers(1, 20)), rng)
-        result = make_delaunay(metric)
-        chk = check_delaunay(result.metric)
+            metric = surfaces.random_torus(int(rng.integers(1, 20)), rng,
+                                           lam_range)
+        n = metric.triangulation.num_vertices
+        u = np.zeros(n)
+        mode = PLAIN
+        if i % 8 >= 4 and n > 1:
+            # One undecorated vertex, or all but one as in
+            # horocycle_distances_to.
+            k = 1 if i % 8 < 6 else n - 1
+            u[rng.choice(n, size=k, replace=False)] = np.inf
+            mode = ADJUSTED
+        u = PartialDecoration(u)
+        result = make_delaunay(metric, u, mode=mode)
+        chk = check_delaunay(result.metric, u)
         assert chk.ok, chk.violations
-        rerun = make_delaunay(result.metric)
-        assert rerun.flips == []
-        assert triangle_inequality_check(result.metric)
-        cross = euclidean_delaunay_crosscheck(result.metric)
-        assert cross.consistent, cross.mismatches
+        assert result.nonessential_edges == chk.nonessential
+        assert make_delaunay(result.metric, u, mode=mode).flips == []
+
+        rtri = result.metric.triangulation
+        undecorated = set(np.flatnonzero(np.isinf(u.u)).tolist())
+        assert set(result.punctured_faces) == undecorated
+        for e in range(rtri.num_edges):
+            # Fanned: no edge joins an undecorated vertex to itself, and
+            # no nonessential edge is left with an undecorated apex.
+            assert not (set(rtri.edge_verts[e]) <= undecorated)
+            if e in chk.skipped:
+                continue
+            _, (_, _, vr, vrp) = _quad(rtri, e)
+            if {vr, vrp} & undecorated:
+                assert e not in chk.nonessential
+
+        tri, lam = rtri, result.metric.lam.copy()
+        for e, before, _ in reversed(result.flips):
+            tri = mesh_core.flip_edge(tri, e)
+            lam[e] = before
+            # Each flip was made on an edge that was violating or
+            # nonessential when it was flipped, not on stale margins.
+            margin, scale = _margins(tri, lam, np.exp(-u.u))
+            assert margin[e] <= NONESSENTIAL_REL * scale[e]
+        np.testing.assert_allclose(lam, metric.lam, rtol=0.0, atol=1e-9)
+        assert mesh_core.is_isomorphic(tri, metric.triangulation)
+
+        if mode == PLAIN:
+            assert triangle_inequality_check(result.metric)
+            cross = euclidean_delaunay_crosscheck(result.metric)
+            assert cross.consistent, cross.mismatches
 
 
 def test_flip_log_replay_reverses_exactly():
@@ -136,7 +221,6 @@ def test_shear_preserved_by_flip_sequence():
             continue
         # The quad around e may still have changed; only compare when
         # its four neighbouring edges also kept their triangulation.
-        from uniformizer.delaunay import _quad
         try:
             (ka, kb, kc, kd), _ = _quad(tri_a, e)
         except DegenerateQuad:

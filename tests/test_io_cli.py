@@ -221,6 +221,21 @@ def test_cli_energy(tmp_path, capsys):
     np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
 
+def test_cli_arc_overflow_exit_2(tmp_path, capsys):
+    # lambda = 3000 on one edge overflows a horocyclic arc; the CLI must
+    # report an error, not leak an OverflowError traceback.
+    base = surfaces.tetrahedron_sphere()
+    lam = base.lam.copy()
+    lam[0] = 3000.0
+    path = str(tmp_path / "big.surf")
+    io_cli.write_surface(path, DecoratedMetric(base.triangulation, lam))
+    for command in ("check", "delaunay"):
+        assert io_cli.cli_dispatch([command, path]) == 2
+        captured = capsys.readouterr()
+        assert "ArcOverflow" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_usage_errors_exit_1():
     assert io_cli.cli_dispatch(["no-such-command"]) == 1
     assert io_cli.cli_dispatch(["distance", "x.surf", "--from", "0"]) == 1
