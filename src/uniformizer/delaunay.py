@@ -31,12 +31,15 @@ Summing over the two triangles of e gives the margin above, and the sum
 of their S is the margin's scale.
 
 make_delaunay flips in rounds.  A round scans every edge with the kernel,
-then flips, in edge order, the strictly violating edges whose quads share
-no triangle with a quad already flipped in that round.  A flip changes
-only the lambda of its own edge and its own two triangles, while a margin
-reads only the lambdas and vertices of its edge's two triangles, so the
-margins read at the start of the round are exact when each edge comes
-up.  The rounds stop when a scan finds no violation.  The Delaunay
+then picks, in edge order, the strictly violating edges whose quads share
+no triangle with a quad already picked in that round, and flips them all
+at once: one array Ptolemy update and one mesh_core.flip_edges call.  A
+flip changes only the lambda of its own edge and its own two triangles,
+while a margin and a Ptolemy update read only the lambdas and vertices
+of the edge's two triangles, so the margins read at the start of the
+round are exact for every picked edge, and the batch gives the same
+triangulation and lambdas as flipping its edges one by one in edge
+order.  The rounds stop when a scan finds no violation.  The Delaunay
 (Epstein-Penner) decomposition is unique, and any order of flips that fix
 strict violations reaches it; the order can change only the diagonals of
 cocircular cells.
@@ -103,15 +106,10 @@ def _quad(tri, e):
     """Flat side indices (ka, kb, kc, kd) and corner vertices
     (vp, vq, vr, vrp) of the quad around edge e; raises DegenerateQuad
     when both sides of e lie in one triangle."""
-    k1, k2 = tri.edge_sides[e]
-    t1, s1 = divmod(k1, 3)
-    t2, s2 = divmod(k2, 3)
-    if t1 == t2:
-        raise DegenerateQuad("both sides of edge %d in triangle %d" % (e, t1))
-    ka = 3 * t1 + (s1 + 1) % 3
-    kb = 3 * t1 + (s1 + 2) % 3
-    kc = 3 * t2 + (s2 + 1) % 3
-    kd = 3 * t2 + (s2 + 2) % 3
+    k1, k2, ka, kb, kc, kd = mesh_core._quad_sides(tri, e)
+    if k1 // 3 == k2 // 3:
+        raise DegenerateQuad("both sides of edge %d in triangle %d"
+                             % (e, k1 // 3))
     cv = tri.corner_vertex
     return ((ka, kb, kc, kd),
             (cv[k1], cv[ka], cv[kb], cv[kd]))
@@ -125,10 +123,10 @@ def _margins(tri, lam, uexp):
     one triangle have no quad; their margin is +inf.  Raises ArcOverflow
     when an arc, weighted by uexp, leaves the float range.
     """
-    se = np.asarray(tri.side_edge)
+    se = tri.side_edge
     with np.errstate(over="ignore", invalid="ignore"):
         arcs = np.exp(_log_corner_arcs(se, lam))
-        arcs *= uexp[np.reshape(tri.corner_vertex, (-1, 3))]
+        arcs *= uexp[tri.corner_vertex.reshape(-1, 3)]
         total = arcs.sum(axis=1)
         scale = np.bincount(se, np.repeat(total, 3), minlength=tri.num_edges)
     if not np.all(np.isfinite(scale)):
@@ -160,25 +158,14 @@ def delaunay_margin(metric, u, e):
     return margin
 
 
-def _flip(tri, lam, e):
-    """Flip e, Ptolemy-update base lambda in place; returns new tri."""
-    (ka, kb, kc, kd), _ = _quad(tri, e)
-    se = tri.side_edge
-    le = lam[e]
-    lf = ptolemy_update(lam[se[ka]], lam[se[kb]], lam[se[kc]], lam[se[kd]], le)
-    new_tri = mesh_core.flip_edge(tri, e)
-    lam[e] = lf
-    return new_tri, le, lf
-
-
 def _flip_rounds(tri, lam, uexp, select, flips, max_flips):
     """Flip edges in rounds until a scan selects none.
 
-    Each round scans all edges once and flips, in edge order, the edges
-    that select(tri, margin, tol) marks, skipping those whose quad shares
-    a triangle with a quad already flipped in the round (see the module
-    docstring).  Appends to flips and updates lam in place; returns the
-    final triangulation and its (margin, scale).
+    Each round scans all edges once, picks in edge order the edges that
+    select(tri, margin, tol) marks, skipping those whose quad shares a
+    triangle with a quad already picked, and flips the picked edges in
+    one batch (see the module docstring).  Appends to flips and updates
+    lam in place; returns the final triangulation and its (margin, scale).
     """
     while True:
         margin, scale = _margins(tri, lam, uexp)
@@ -186,16 +173,22 @@ def _flip_rounds(tri, lam, uexp, select, flips, max_flips):
         if not marked.size:
             return tri, margin, scale
         used = set()
-        for e in marked.tolist():
-            k1, k2 = tri.edge_sides[e]
-            t1, t2 = k1 // 3, k2 // 3
-            if t1 in used or t2 in used:
-                continue
-            used.update((t1, t2))
-            if len(flips) >= max_flips:
-                raise FlipLimitExceeded("more than %d flips" % max_flips)
-            tri, le, lf = _flip(tri, lam, e)
-            flips.append((e, le, lf))
+        batch = []
+        for e, (t1, t2) in zip(marked.tolist(),
+                               (tri.edge_sides[marked] // 3).tolist()):
+            if t1 not in used and t2 not in used:
+                used.update((t1, t2))
+                batch.append(e)
+        if len(flips) + len(batch) > max_flips:
+            raise FlipLimitExceeded("more than %d flips" % max_flips)
+        _, _, ka, kb, kc, kd = mesh_core._quad_sides(tri, batch)
+        se = tri.side_edge
+        le = lam[batch]
+        lf = ptolemy_update(lam[se[ka]], lam[se[kb]], lam[se[kc]],
+                            lam[se[kd]], le)
+        tri = mesh_core.flip_edges(tri, batch)
+        lam[batch] = lf
+        flips.extend(zip(batch, le.tolist(), lf.tolist()))
 
 
 def make_delaunay(metric, u=None, mode=PLAIN):
@@ -228,15 +221,21 @@ def make_delaunay(metric, u=None, mode=PLAIN):
         undecorated = ~np.isfinite(u.u)
 
         def fannable(tri, margin, tol):
-            apex = undecorated[np.reshape(tri.corner_vertex, (-1, 3))]
+            apex = undecorated[tri.corner_vertex.reshape(-1, 3)]
             at_apex = np.bincount(tri.side_edge, apex[:, [2, 0, 1]].ravel(),
                                   minlength=tri.num_edges)
             return (np.abs(margin) <= tol) & (at_apex > 0)
 
         tri, margin, scale = _flip_rounds(tri, lam, uexp, fannable, flips,
                                           max_flips)
-        punctured = {v: tuple(sorted({k // 3 for k in tri.vertex_corners[v]}))
-                     for v in np.flatnonzero(undecorated).tolist()}
+        # (vertex, triangle) codes of the corners at undecorated vertices,
+        # sorted and without repeats: each vertex's triangles in order.
+        k = np.flatnonzero(undecorated[tri.corner_vertex])
+        nt = tri.num_triangles
+        code = np.unique(tri.corner_vertex[k] * nt + k // 3)
+        verts, start = np.unique(code // nt, return_index=True)
+        punctured = {v: tuple(faces.tolist()) for v, faces in zip(
+            verts.tolist(), np.split(code % nt, start[1:]))}
 
     if flips:
         log.debug("make_delaunay: %d flips on %r", len(flips), tri)
@@ -273,7 +272,7 @@ def triangle_inequality_check(metric):
     Each triangle is scaled so that its longest side is 1, so no lambda
     is too large to test.
     """
-    lam3 = metric.lam[np.reshape(metric.triangulation.side_edge, (-1, 3))]
+    lam3 = metric.lam[metric.triangulation.side_edge.reshape(-1, 3)]
     ell = np.exp(0.5 * (lam3 - lam3.max(axis=1, keepdims=True)))
     return bool(np.all(ell + ell[:, [1, 2, 0]] > ell[:, [2, 0, 1]]))
 
@@ -326,7 +325,7 @@ def horocycle_distances_to(metric, v2):
     rtri = result.metric.triangulation
     lam = result.metric.lam
     candidates = {}
-    for e, (a, b) in enumerate(rtri.edge_verts):
+    for e, (a, b) in enumerate(rtri.edge_verts.tolist()):
         if a == v2 and b != v2:
             candidates.setdefault(b, []).append(lam[e])
         elif b == v2 and a != v2:

@@ -151,7 +151,7 @@ def _evaluate(tri, lam, triangles=slice(None), edges=slice(None),
     per vertex.  The Hessian is 1/4 sum_e w_e (du_i - du_j)^2 taken twice,
     w_e the cotangent sum opposite e: w_e/2 [[1, -1], [-1, 1]] per edge.
     """
-    sides = np.reshape(tri.side_edge, (-1, 3))[triangles]
+    sides = tri.side_edge.reshape(-1, 3)[triangles]
     angles = _triangle_angles(sides, lam, slice(None))
     value = (float(np.sum(angles * lam[sides]))
              + 2.0 * float(np.sum(_lobachevsky(angles)))
@@ -160,8 +160,8 @@ def _evaluate(tri, lam, triangles=slice(None), edges=slice(None),
         return value, None, None, None
 
     n = tri.num_vertices
-    corners = np.reshape(tri.corner_vertex, (-1, 3))[triangles].ravel()
-    ends = np.reshape(tri.edge_verts, (-1, 2))[edges]
+    corners = tri.corner_vertex.reshape(-1, 3)[triangles].ravel()
+    ends = tri.edge_verts[edges]
     theta_tilde = np.bincount(corners, angles[:, _NEXT].ravel(),
                               minlength=n)
     degree = (np.bincount(corners, minlength=n)
@@ -256,7 +256,7 @@ def _punctured(metric, v_inf, u, derivatives):
     tri = result.metric.triangulation
     sub = mesh_core.subcomplex_avoiding(tri, v_inf)
     free = sub.kept_vertices
-    ends = np.reshape(tri.edge_verts, (-1, 2))
+    ends = tri.edge_verts
     # Shifted lambdas, finite on the kept edges (both ends decorated).
     lam = result.metric.lam + u_ext[ends[:, 0]] + u_ext[ends[:, 1]]
     value, theta_tilde, degree, hessian = _evaluate(

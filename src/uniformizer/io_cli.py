@@ -61,7 +61,7 @@ def _fmt(x):
 def write_surface(path, metric, theta=None, labels=None):
     tri = metric.triangulation
     lines = [FORMAT_LINE, "triangles %d" % tri.num_triangles]
-    for k1, k2 in tri.edge_sides:
+    for k1, k2 in tri.edge_sides.tolist():
         t1, s1 = divmod(k1, 3)
         t2, s2 = divmod(k2, 3)
         lines.append("glue %d %d %d %d" % (t1, s1, t2, s2))
@@ -115,9 +115,8 @@ def read_surface(path):
     # Edge i of the file is the edge the i-th glue line describes; the
     # derived tables may number edges differently, so remap per-edge
     # value lists through the gluing list.
-    edge_of_line = [tri.side_edge[3 * t1 + s1]
-                    for ((t1, s1), _) in gluing]
-    if sorted(edge_of_line) != list(range(tri.num_edges)):
+    edge_of_line = tri.side_edge[[3 * t1 + s1 for ((t1, s1), _) in gluing]]
+    if not np.array_equal(np.sort(edge_of_line), np.arange(tri.num_edges)):
         raise FormatError("glue lines do not enumerate the edges")
 
     lam = None
@@ -185,10 +184,8 @@ def ingest_obj(path):
         raise OpenMesh(str(exc))
 
     lam = np.zeros(tri.num_edges)
-    for e, (k1, _) in enumerate(tri.edge_sides):
-        t, s = divmod(k1, 3)
-        a = labels[tri.corner_vertex[k1]]
-        b = labels[tri.corner_vertex[3 * t + (s + 1) % 3]]
+    for e, (v1, v2) in enumerate(tri.edge_verts.tolist()):
+        a, b = labels[v1], labels[v2]
         length = float(np.linalg.norm(verts[a] - verts[b]))
         if length <= 0:
             raise ZeroLengthEdge("edge between obj vertices %d and %d"

@@ -14,10 +14,22 @@ oriented):
 
 Self-glued edges (both endpoints the same vertex) and double edges are
 allowed; a side glued to itself is not (it would reverse orientation).
+
+A Triangulation stores three int arrays over the flat slots, like the
+half-edge arrays of Sharp, Soliman & Crane ("Navigating intrinsic
+triangulations", 2019): glue, side_edge and corner_vertex.  Every other
+table is derived from them on first use.  A flip moves the sides of its
+two triangles between their six slots, so it is a permutation of slots:
+each side carries its gluing, its edge id and the vertex at its start to
+its new slot, and only the two slots of the new diagonal get new vertices.
+Flips of quads that share no triangle permute disjoint slots, so
+flip_edges applies a whole batch of them in one array pass.
 """
 
 import functools
 from collections import deque
+
+import numpy as np
 
 from .errors import (
     UnmatchedSide,
@@ -28,38 +40,66 @@ from .errors import (
 )
 
 
+def _next(k):
+    """The next corner (or side) of k's triangle; k may be an array."""
+    return k - k % 3 + (k + 1) % 3
+
+
+def _prev(k):
+    """The previous corner (or side) of k's triangle."""
+    return k - k % 3 + (k + 2) % 3
+
+
 class Triangulation:
     """Immutable triangulated closed oriented surface with marked points.
 
-    Do not call the constructor directly; use build_from_gluings.  All
-    tables use flat side/corner indices 3*t + s.
+    Do not call the constructor directly; use build_from_gluings.  The
+    three stored tables are read-only int arrays indexed by flat
+    side/corner index 3*t + s; the derived tables are built on first use.
 
     Attributes:
-        glue: list, glue[k] = flat index of the side glued to side k.
-        side_edge: list, side_edge[k] = edge id of side k.
-        edge_sides: list of (k1, k2) pairs, the two sides of each edge.
-        corner_vertex: list, corner_vertex[k] = vertex id at corner k.
+        glue: glue[k] = flat index of the side glued to side k.
+        side_edge: side_edge[k] = edge id of side k.
+        corner_vertex: corner_vertex[k] = vertex id at corner k.
         num_vertices: number of vertices.
-        edge_verts: list of (v1, v2) endpoint vertices per edge.
+        edge_sides: (E, 2) array, the two sides of each edge in
+            increasing order.
+        edge_verts: (E, 2) array, the vertices at the start and the end
+            of each edge's first side.
         vertex_corners: tuple of tuples, the corner cycle around each
             vertex in counterclockwise order, starting at its smallest
-            corner; built on first use, since flips never need it.
+            corner.
     """
 
-    def __init__(self, glue, side_edge, edge_sides, corner_vertex,
-                 num_vertices, edge_verts):
+    def __init__(self, glue, side_edge, corner_vertex, num_vertices):
+        for table in (glue, side_edge, corner_vertex):
+            table.flags.writeable = False
         self.glue = glue
         self.side_edge = side_edge
-        self.edge_sides = edge_sides
         self.corner_vertex = corner_vertex
         self.num_vertices = num_vertices
-        self.edge_verts = edge_verts
+
+    @functools.cached_property
+    def edge_sides(self):
+        # The smaller side k of each edge is the one with k < glue[k]; the
+        # rows equal np.argsort(side_edge, kind="stable").reshape(-1, 2).
+        first = np.flatnonzero(np.arange(len(self.glue)) < self.glue)
+        sides = np.empty((len(first), 2), dtype=np.intp)
+        sides[self.side_edge[first]] = np.stack([first, self.glue[first]], 1)
+        return sides
+
+    @functools.cached_property
+    def edge_verts(self):
+        k = self.edge_sides[:, 0]
+        return np.stack([self.corner_vertex[k], self.corner_vertex[_next(k)]],
+                        axis=1)
 
     @functools.cached_property
     def vertex_corners(self):
         cycles = [None] * self.num_vertices
-        for cycle in _corner_cycles(self.glue):
-            cycles[self.corner_vertex[cycle[0]]] = cycle
+        cv = self.corner_vertex.tolist()
+        for cycle in _corner_cycles(self.glue.tolist()):
+            cycles[cv[cycle[0]]] = cycle
         return tuple(cycles)
 
     @property
@@ -68,7 +108,7 @@ class Triangulation:
 
     @property
     def num_edges(self):
-        return len(self.edge_sides)
+        return len(self.side_edge) // 2
 
     @property
     def euler_characteristic(self):
@@ -78,27 +118,15 @@ class Triangulation:
     def genus(self):
         return (2 - self.euler_characteristic) // 2
 
-    def triangles(self):
-        """Vertex triples (v0, v1, v2) per triangle, for display only."""
-        cv = self.corner_vertex
-        return [tuple(cv[3 * t:3 * t + 3]) for t in range(self.num_triangles)]
-
-    def edge_endpoints(self, e):
-        return self.edge_verts[e]
-
-    def triangle_edges(self, t):
-        """Edge ids of sides 0, 1, 2 of triangle t."""
-        return (self.side_edge[3 * t], self.side_edge[3 * t + 1],
-                self.side_edge[3 * t + 2])
-
     def __repr__(self):
         return "Triangulation(T=%d, E=%d, V=%d, genus=%d)" % (
             self.num_triangles, self.num_edges, self.num_vertices, self.genus)
 
 
 def _corner_cycles(glue):
-    """The corner cycles of a gluing, one per vertex, each starting at its
-    smallest corner and listed in the order of those corners.
+    """The corner cycles of a gluing (a list), one per vertex, each
+    starting at its smallest corner and listed in the order of those
+    corners.
 
     Walking counterclockwise around the vertex at corner (t, s): cross
     side (t, s) to its glued side (t', s'); the corner at the far end of
@@ -115,40 +143,31 @@ def _corner_cycles(glue):
         while not seen[k]:
             seen[k] = True
             cycle.append(k)
-            m = glue[k]
-            k = 3 * (m // 3) + (m % 3 + 1) % 3
+            k = _next(glue[k])
         cycles.append(tuple(cycle))
     return cycles
 
 
 def _derive_tables(glue):
-    """Edge and vertex tables from a validated gluing involution."""
-    nsides = len(glue)
-    # Edges: indexed by first appearance, i.e. by the smaller flat index
-    # of the pair scanned in order.
-    side_edge = [-1] * nsides
-    edge_sides = []
-    for k in range(nsides):
-        if side_edge[k] >= 0:
-            continue
-        m = glue[k]
-        side_edge[k] = len(edge_sides)
-        side_edge[m] = len(edge_sides)
-        edge_sides.append((k, m))
-
-    # Vertices: orbits of corners, numbered by their smallest corner.
-    cycles = _corner_cycles(glue)
-    corner_vertex = [-1] * nsides
-    for v, cycle in enumerate(cycles):
-        for k in cycle:
-            corner_vertex[k] = v
-
-    edge_verts = []
-    for k, _ in edge_sides:
-        t, s = divmod(k, 3)
-        edge_verts.append((corner_vertex[k], corner_vertex[3 * t + (s + 1) % 3]))
-
-    return side_edge, edge_sides, corner_vertex, len(cycles), edge_verts
+    """(side_edge, corner_vertex, num_vertices) of a validated gluing
+    involution.  Edges are numbered in the order of their smaller side,
+    vertices in the order of their smallest corner."""
+    corners = np.arange(len(glue))
+    first = np.flatnonzero(corners < glue)
+    side_edge = np.empty_like(glue)
+    side_edge[first] = side_edge[glue[first]] = np.arange(len(first))
+    # The smallest corner of each vertex cycle (see _corner_cycles), by
+    # pointer doubling: after j steps low[k] is the smallest of the 2^j
+    # corners from k on.  It stops changing once 2^j covers every cycle.
+    step = _next(glue)
+    low = corners
+    while True:
+        new = np.minimum(low, low[step])
+        if np.array_equal(new, low):
+            break
+        low, step = new, step[step]
+    labels, corner_vertex = np.unique(low, return_inverse=True)
+    return side_edge, corner_vertex, len(labels)
 
 
 def build_from_gluings(gluing_list, genus_hint=None):
@@ -189,6 +208,7 @@ def build_from_gluings(gluing_list, genus_hint=None):
         if glue[k] < 0:
             raise UnmatchedSide("side (%d, %d) never glued" % divmod(k, 3))
 
+    glue = np.array(glue, dtype=np.intp)
     tri = Triangulation(glue, *_derive_tables(glue))
 
     chi = tri.euler_characteristic
@@ -201,10 +221,19 @@ def build_from_gluings(gluing_list, genus_hint=None):
     return tri
 
 
-def flip_edge(tri, e):
-    """Replace edge e by the opposite diagonal of its quadrilateral.
+def _quad_sides(tri, edges):
+    """Flat sides (k1, k2, ka, kb, kc, kd) of the quads around edges (one
+    id or an array of ids): k1 < k2 are the edge's own sides, ka and kb
+    follow k1 in its triangle, kc and kd follow k2."""
+    k1, k2 = tri.edge_sides[edges].T
+    return k1, k2, _next(k1), _prev(k1), _next(k2), _prev(k2)
 
-    The two triangles adjacent to e are retriangulated:
+
+def flip_edges(tri, edges):
+    """Replace each of the given edges by the opposite diagonal of its
+    quadrilateral, all at once; the quads must share no triangle.
+
+    For one edge e with sides k1 in triangle t1 and k2 in t2:
 
               r                           r
              / \\                        /|\\
@@ -216,79 +245,44 @@ def flip_edge(tri, e):
              \\ /                        \\|/
               r'                          r'
 
-    Sides a, b belong to the triangle (p, q, r) and c, d to (q', p', r')
-    where the gluing of e identifies p with q' and q with p'.  The new
-    edge f connects r and r' and reuses the edge id of e.  All other
-    edge ids, and all vertex ids, are preserved.
+    Sides a, b follow k1 in t1 = (p, q, r), and c, d follow k2 in
+    t2 = (q', p', r'), where the gluing of e identifies p with q' and q
+    with p'.  The new triangles reuse the slots of t1 and t2:
+    t1' = (r, p, r') with sides (b, c, f) and t2' = (r', q, r) with sides
+    (d, a, f).  Every side moves to its new slot with its gluing, its
+    edge id and the vertex at its start; the new edge f keeps the id of
+    e and starts at the apex opposite it.  All other edge ids, and all
+    vertex ids, are preserved.
 
-    Raises DegenerateFlip when both sides of e lie in the same triangle
-    (no quadrilateral to flip in).
+    Raises DegenerateFlip when both sides of an edge lie in one triangle
+    (no quadrilateral to flip in) or when two quads share a triangle.
     """
-    k1, k2 = tri.edge_sides[e]
-    t1, s1 = divmod(k1, 3)
-    t2, s2 = divmod(k2, 3)
-    if t1 == t2:
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1)
+    k1, k2, ka, kb, kc, kd = _quad_sides(tri, edges)
+    t1, t2 = k1 // 3, k2 // 3
+    folded = np.flatnonzero(t1 == t2)
+    if folded.size:
         raise DegenerateFlip("both sides of edge %d lie in triangle %d"
-                             % (e, t1))
+                             % (edges[folded[0]], t1[folded[0]]))
+    touched = np.concatenate([t1, t2])
+    if len(np.unique(touched)) < len(touched):
+        raise DegenerateFlip("two quads of the batch share a triangle")
 
-    # Flat indices of the quad sides.
-    ka = 3 * t1 + (s1 + 1) % 3
-    kb = 3 * t1 + (s1 + 2) % 3
-    kc = 3 * t2 + (s2 + 1) % 3
-    kd = 3 * t2 + (s2 + 2) % 3
+    pos = np.arange(len(tri.glue))
+    pos[np.concatenate([ka, kb, kc, kd, k1, k2])] = np.concatenate(
+        [3 * t2 + 1, 3 * t1, 3 * t1 + 1, 3 * t2, 3 * t1 + 2, 3 * t2 + 2])
+    glue, side_edge, cv = (np.empty_like(pos) for _ in range(3))
+    glue[pos] = pos[tri.glue]
+    side_edge[pos] = tri.side_edge
+    cv[pos] = tri.corner_vertex
+    cv[3 * t1 + 2] = tri.corner_vertex[kd]
+    cv[3 * t2 + 2] = tri.corner_vertex[kb]
+    return Triangulation(glue, side_edge, cv, tri.num_vertices)
 
-    # New triangles reuse slots t1 and t2:
-    #   t1' = (r, p, r') with sides (b, c, f)
-    #   t2' = (r', q, r) with sides (d, a, f)
-    # so the old quad sides move to these new flat indices.
-    new_pos = {ka: 3 * t2 + 1, kb: 3 * t1 + 0, kc: 3 * t1 + 1, kd: 3 * t2 + 0}
 
-    glue = list(tri.glue)
-    for old, new in new_pos.items():
-        partner = tri.glue[old]
-        # A quad side may be glued to another quad side (one-vertex
-        # torus); route through the relocation map in that case.
-        partner = new_pos.get(partner, partner)
-        glue[new] = partner
-        glue[partner] = new
-    glue[3 * t1 + 2] = 3 * t2 + 2
-    glue[3 * t2 + 2] = 3 * t1 + 2
-
-    side_edge = list(tri.side_edge)
-    for old, new in new_pos.items():
-        side_edge[new] = tri.side_edge[old]
-    side_edge[3 * t1 + 2] = e
-    side_edge[3 * t2 + 2] = e
-
-    edge_sides = list(tri.edge_sides)
-    for eid in set(side_edge[3 * t1:3 * t1 + 3] + side_edge[3 * t2:3 * t2 + 3]):
-        pos = [k for k in range(3 * t1, 3 * t1 + 3) if side_edge[k] == eid]
-        pos += [k for k in range(3 * t2, 3 * t2 + 3) if side_edge[k] == eid]
-        if len(pos) == 2:
-            edge_sides[eid] = (pos[0], pos[1])
-        else:
-            # Exactly one side in the quad; the partner is outside.
-            edge_sides[eid] = (pos[0], glue[pos[0]])
-
-    # Vertex labels: p, q, r from t1, r' from t2 (corner s2+2).
-    cv = list(tri.corner_vertex)
-    vp, vq, vr = (tri.corner_vertex[3 * t1 + s1],
-                  tri.corner_vertex[3 * t1 + (s1 + 1) % 3],
-                  tri.corner_vertex[3 * t1 + (s1 + 2) % 3])
-    vrp = tri.corner_vertex[3 * t2 + (s2 + 2) % 3]
-    cv[3 * t1:3 * t1 + 3] = [vr, vp, vrp]
-    cv[3 * t2:3 * t2 + 3] = [vrp, vq, vr]
-
-    edge_verts = list(tri.edge_verts)
-    for eid in set(side_edge[3 * t1:3 * t1 + 3] + side_edge[3 * t2:3 * t2 + 3]):
-        k = edge_sides[eid][0]
-        t, s = divmod(k, 3)
-        edge_verts[eid] = (cv[k], cv[3 * t + (s + 1) % 3])
-
-    # Vertex ids and edge ids outside the quad are unchanged, and the
-    # corner cycles are rebuilt only if someone asks for them.
-    return Triangulation(glue, side_edge, edge_sides, cv, tri.num_vertices,
-                         edge_verts)
+def flip_edge(tri, e):
+    """Flip the one edge e (see flip_edges); returns a new Triangulation."""
+    return flip_edges(tri, [e])
 
 
 class Subcomplex:
@@ -303,27 +297,20 @@ class Subcomplex:
 
     def __init__(self, parent, kept_vertices):
         self.parent = parent
-        keep = set(kept_vertices)
-        self.kept_vertices = sorted(keep)
-        self.kept_edges = [e for e, (a, b) in enumerate(parent.edge_verts)
-                           if a in keep and b in keep]
-        cv = parent.corner_vertex
-        self.kept_triangles = [
-            t for t in range(parent.num_triangles)
-            if all(cv[3 * t + i] in keep for i in range(3))]
-        tset = set(self.kept_triangles)
-
-        self.boundary_edges = set()
-        for e in self.kept_edges:
-            for k in parent.edge_sides[e]:
-                if k // 3 not in tset:
-                    self.boundary_edges.add(e)
-        self.boundary_vertices = set()
-        for v in self.kept_vertices:
-            for k in parent.vertex_corners[v]:
-                if k // 3 not in tset:
-                    self.boundary_vertices.add(v)
-                    break
+        keep = np.zeros(parent.num_vertices, dtype=bool)
+        keep[list(kept_vertices)] = True
+        kept_tris = keep[parent.corner_vertex].reshape(-1, 3).all(axis=1)
+        kept_edges = keep[parent.edge_verts].all(axis=1)
+        # Sides and corners of the triangles that are not kept.
+        outside = np.repeat(~kept_tris, 3)
+        self.kept_vertices = np.flatnonzero(keep).tolist()
+        self.kept_edges = np.flatnonzero(kept_edges).tolist()
+        self.kept_triangles = np.flatnonzero(kept_tris).tolist()
+        self.boundary_edges = set(np.flatnonzero(
+            kept_edges & outside[parent.edge_sides].any(axis=1)).tolist())
+        self.boundary_vertices = set(np.flatnonzero(keep & (np.bincount(
+            parent.corner_vertex, outside, minlength=parent.num_vertices)
+            > 0)).tolist())
 
 
 def subcomplex_avoiding(tri, v_inf):
@@ -343,15 +330,11 @@ def vertex_degrees(tri, sub, v):
         raise UnknownVertex("no vertex %r" % (v,))
     if sub is not None and v not in set(sub.kept_vertices):
         raise UnknownVertex("vertex %r not kept in subcomplex" % (v,))
-    edges = range(tri.num_edges) if sub is None else sub.kept_edges
-    deg1 = 0
-    for e in edges:
-        a, b = tri.edge_verts[e]
-        deg1 += (a == v) + (b == v)
-    tris = range(tri.num_triangles) if sub is None else sub.kept_triangles
-    cv = tri.corner_vertex
-    deg2 = sum(1 for t in tris for i in range(3) if cv[3 * t + i] == v)
-    return deg1, deg2
+    edges = slice(None) if sub is None else sub.kept_edges
+    tris = slice(None) if sub is None else sub.kept_triangles
+    return (int(np.count_nonzero(tri.edge_verts[edges] == v)),
+            int(np.count_nonzero(tri.corner_vertex.reshape(-1, 3)[tris]
+                                 == v)))
 
 
 LINEAR_GRAPH = "LinearGraph"
@@ -372,6 +355,8 @@ def classify_subcomplex(sub):
     if not sub.kept_triangles:
         return _is_path(sub) and LINEAR_GRAPH or OTHER
 
+    se = parent.side_edge.tolist()
+    cv = parent.corner_vertex.tolist()
     # Disk check.  Every kept vertex and edge must lie in a kept triangle.
     tset = set(sub.kept_triangles)
     used_edges = set()
@@ -379,10 +364,10 @@ def classify_subcomplex(sub):
     edge_tri_count = {}
     for t in sub.kept_triangles:
         for i in range(3):
-            e = parent.side_edge[3 * t + i]
+            e = se[3 * t + i]
             used_edges.add(e)
             edge_tri_count[e] = edge_tri_count.get(e, 0) + 1
-            used_verts.add(parent.corner_vertex[3 * t + i])
+            used_verts.add(cv[3 * t + i])
     if used_edges != set(sub.kept_edges) or used_verts != set(sub.kept_vertices):
         return OTHER
     if any(c > 2 for c in edge_tri_count.values()):
@@ -397,14 +382,14 @@ def classify_subcomplex(sub):
     edge_tris = {}
     for t in sub.kept_triangles:
         for i in range(3):
-            edge_tris.setdefault(parent.side_edge[3 * t + i], []).append(t)
+            edge_tris.setdefault(se[3 * t + i], []).append(t)
     start = sub.kept_triangles[0]
     seen = {start}
     queue = deque([start])
     while queue:
         t = queue.popleft()
         for i in range(3):
-            for t2 in edge_tris[parent.side_edge[3 * t + i]]:
+            for t2 in edge_tris[se[3 * t + i]]:
                 if t2 not in seen:
                     seen.add(t2)
                     queue.append(t2)
@@ -430,8 +415,9 @@ def classify_subcomplex(sub):
         return OTHER
     adj = {}
     ok = True
+    ev = parent.edge_verts.tolist()
     for e in bedges:
-        a, b = parent.edge_verts[e]
+        a, b = ev[e]
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     if any(len(nb) != 2 for nb in adj.values()):
@@ -455,9 +441,10 @@ def _is_path(sub):
     ne = len(sub.kept_edges)
     if ne != nv - 1:
         return False
+    ev = parent.edge_verts.tolist()
     deg = {v: 0 for v in sub.kept_vertices}
     for e in sub.kept_edges:
-        a, b = parent.edge_verts[e]
+        a, b = ev[e]
         if a == b:
             return False
         deg[a] += 1
@@ -469,7 +456,7 @@ def _is_path(sub):
         return True
     adj = {v: [] for v in sub.kept_vertices}
     for e in sub.kept_edges:
-        a, b = parent.edge_verts[e]
+        a, b = ev[e]
         adj[a].append(b)
         adj[b].append(a)
     seen = {sub.kept_vertices[0]}
@@ -514,9 +501,10 @@ def build_from_faces(faces, genus_hint=None):
             gluing.append(((t, s), (t2, s2)))
     tri = build_from_gluings(gluing, genus_hint=genus_hint)
     labels = [None] * tri.num_vertices
+    cv = tri.corner_vertex.tolist()
     for t, f in enumerate(faces):
         for s in range(3):
-            v = tri.corner_vertex[3 * t + s]
+            v = cv[3 * t + s]
             if labels[v] is None:
                 labels[v] = f[s]
             elif labels[v] != f[s]:
@@ -531,20 +519,16 @@ def subdivide_triangle(tri, t):
     corners.  Returns a new Triangulation (ids are rebuilt)."""
     nt = tri.num_triangles
     t1, t2 = nt, nt + 1  # triangle t keeps its slot for the first child
-
-    def outer(s):
-        """New home of the side formerly known as (t, s)."""
-        return ((t, 0), (t1, 0), (t2, 0))[s]
-
-    gluing = []
-    for k1, k2 in tri.edge_sides:
-        a = divmod(k1, 3)
-        b = divmod(k2, 3)
-        a = outer(a[1]) if a[0] == t else a
-        b = outer(b[1]) if b[0] == t else b
-        gluing.append((a, b))
-    gluing += [((t, 1), (t1, 2)), ((t1, 1), (t2, 2)), ((t2, 1), (t, 2))]
-    return build_from_gluings(gluing)
+    # Sides (t, 1) and (t, 2) move to side 0 of the children t1 and t2;
+    # the three new edges join the children around the new vertex.
+    slot = np.arange(3 * nt)
+    slot[3 * t + 1], slot[3 * t + 2] = 3 * t1, 3 * t2
+    glue = np.empty(3 * nt + 6, dtype=np.intp)
+    glue[slot] = slot[tri.glue]
+    inner = np.array([3 * t + 1, 3 * t1 + 1, 3 * t2 + 1])
+    glue[inner] = 3 * np.array([t1, t2, t]) + 2
+    glue[glue[inner]] = inner
+    return Triangulation(glue, *_derive_tables(glue))
 
 
 def canonical_form(tri):
@@ -555,6 +539,7 @@ def canonical_form(tri):
     are combinatorially isomorphic iff their canonical forms coincide.
     """
     nt = tri.num_triangles
+    glue = tri.glue.tolist()
     best = None
     for k0 in range(3 * nt):
         label = {}  # old triangle -> (new id, rotation)
@@ -568,7 +553,7 @@ def canonical_form(tri):
             qi += 1
             _, rot = label[t]
             for i in range(3):
-                m = tri.glue[3 * t + (rot + i) % 3]
+                m = glue[3 * t + (rot + i) % 3]
                 t2, s2 = divmod(m, 3)
                 if t2 not in label:
                     label[t2] = (len(order), s2)

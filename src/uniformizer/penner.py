@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from . import mesh_core
 from .errors import UnknownVertex, IncompatibleShear
 
 SHEAR_TOL = 1e-8
@@ -33,12 +34,6 @@ class DecoratedMetric:
     def lengths(self):
         """Euclidean edge lengths ell = exp(lambda / 2)."""
         return np.exp(self.lam / 2.0)
-
-    def triangle_lambdas(self, t):
-        """(lambda of side 0, side 1, side 2) of triangle t."""
-        se = self.triangulation.side_edge
-        return (self.lam[se[3 * t]], self.lam[se[3 * t + 1]],
-                self.lam[se[3 * t + 2]])
 
     def __repr__(self):
         return "DecoratedMetric(%r)" % (self.triangulation,)
@@ -110,11 +105,8 @@ class ShearCoordinates:
     def vertex_sums(self):
         """Sum of sigma over edge-ends at each vertex."""
         tri = self.triangulation
-        sums = np.zeros(tri.num_vertices)
-        for e, (a, b) in enumerate(tri.edge_verts):
-            sums[a] += self.sigma[e]
-            sums[b] += self.sigma[e]
-        return sums
+        return np.bincount(tri.edge_verts.ravel(), np.repeat(self.sigma, 2),
+                           minlength=tri.num_vertices)
 
 
 def arc_lengths(lam_triple):
@@ -163,7 +155,7 @@ def _log_horocycle_lengths(metric):
     tri = metric.triangulation
     n = tri.num_vertices
     x = _log_corner_arcs(tri.side_edge, metric.lam).ravel()
-    cv = np.asarray(tri.corner_vertex)
+    cv = tri.corner_vertex
     top = np.full(n, -np.inf)
     np.maximum.at(top, cv, x)
     return top + np.log(np.bincount(cv, np.exp(x - top[cv]), minlength=n))
@@ -183,7 +175,7 @@ def fiber_shift(metric, u):
     structure; u must be finite at every vertex.
     """
     u = np.asarray(u, dtype=float)
-    ends = np.reshape(metric.triangulation.edge_verts, (-1, 2))
+    ends = metric.triangulation.edge_verts
     return DecoratedMetric(metric.triangulation,
                            metric.lam + (u[ends[:, 0]] + u[ends[:, 1]]))
 
@@ -194,18 +186,9 @@ def shear_from_penner(metric):
     share a vertex with the head of e in their respective triangles).
     """
     tri = metric.triangulation
-    lam = metric.lam
-    se = tri.side_edge
-    sigma = np.zeros(tri.num_edges)
-    for e, (k1, k2) in enumerate(tri.edge_sides):
-        t1, s1 = divmod(k1, 3)
-        t2, s2 = divmod(k2, 3)
-        la = lam[se[3 * t1 + (s1 + 1) % 3]]
-        lb = lam[se[3 * t1 + (s1 + 2) % 3]]
-        lc = lam[se[3 * t2 + (s2 + 1) % 3]]
-        ld = lam[se[3 * t2 + (s2 + 2) % 3]]
-        sigma[e] = 0.5 * (la - lb + lc - ld)
-    return ShearCoordinates(tri, sigma, check=False)
+    _, _, ka, kb, kc, kd = mesh_core._quad_sides(tri, slice(None))
+    la, lb, lc, ld = metric.lam[tri.side_edge[[ka, kb, kc, kd]]]
+    return ShearCoordinates(tri, 0.5 * (la - lb + lc - ld), check=False)
 
 
 def penner_from_shear(shear, anchor_arcs):
@@ -228,21 +211,17 @@ def penner_from_shear(shear, anchor_arcs):
 
     # Log arc length per corner, chained around each vertex.
     log_arc = np.zeros(3 * tri.num_triangles)
+    sigma = shear.sigma[tri.side_edge].tolist()
     for v, cycle in enumerate(tri.vertex_corners):
         x = math.log(anchor_arcs[v])
         for k in cycle:
             log_arc[k] = x
-            x -= shear.sigma[tri.side_edge[k]]
+            x -= sigma[k]
 
-    # lam_e = -log(arc at one adjacent corner) - log(arc at the other),
-    # using the two corners of one adjacent triangle not opposite e.
-    lam = np.zeros(tri.num_edges)
-    for e, (k1, _) in enumerate(tri.edge_sides):
-        t, s = divmod(k1, 3)
-        # side s of triangle t joins corners s and s+1; the arcs at those
-        # corners determine lam of side s.
-        lam[e] = -log_arc[3 * t + s] - log_arc[3 * t + (s + 1) % 3]
-    return DecoratedMetric(tri, lam)
+    # lam_e = -log(arc at one adjacent corner) - log(arc at the other):
+    # side k1 joins corners k1 and the next one, whose arcs determine it.
+    k1 = tri.edge_sides[:, 0]
+    return DecoratedMetric(tri, -log_arc[k1] - log_arc[mesh_core._next(k1)])
 
 
 def ptolemy_update(la, lb, lc, ld, le):
@@ -250,9 +229,9 @@ def ptolemy_update(la, lb, lc, ld, le):
 
     (a, c) and (b, d) are the opposite side pairs of the quadrilateral
     around the old diagonal e.  Evaluated as a log-sum-exp so huge lambdas
-    cannot overflow.
+    cannot overflow; works elementwise on arrays.
     """
     p = (la + lc) / 2.0
     q = (lb + ld) / 2.0
-    m = max(p, q)
-    return 2.0 * (m + math.log(math.exp(p - m) + math.exp(q - m))) - le
+    m = np.maximum(p, q)
+    return 2.0 * (m + np.log(np.exp(p - m) + np.exp(q - m))) - le

@@ -93,12 +93,12 @@ def _disk_angles(result, v_inf):
     sub = mesh_core.subcomplex_avoiding(rtri, v_inf)
     u = result.u.u
     kept = np.array(sub.kept_triangles, dtype=int)
-    ends = np.reshape(rtri.edge_verts, (-1, 2))
+    ends = rtri.edge_verts
     lam = result.metric.lam + u[ends[:, 0]] + u[ends[:, 1]]
     angles = np.full((rtri.num_triangles, 3), np.nan)
     angles[kept] = _energy._triangle_angles(rtri.side_edge, lam, kept)
     theta_tilde = np.bincount(
-        np.reshape(rtri.corner_vertex, (-1, 3))[kept].ravel(),
+        rtri.corner_vertex.reshape(-1, 3)[kept].ravel(),
         angles[kept][:, [1, 2, 0]].ravel(), minlength=rtri.num_vertices)
     return sub, np.exp(lam / 2.0), angles, theta_tilde
 
@@ -141,8 +141,8 @@ def _place_third(pa, pb, angle_at_a, length_a_to_c):
 def _layout_triangles(tri, triangles, lengths, angles, seed=None):
     """Develop the given triangles in the plane by BFS over shared
     edges.  Returns (corner_pos, tree_crossed_sides)."""
-    se = tri.side_edge
-    glue = tri.glue
+    se = tri.side_edge.tolist()
+    glue = tri.glue.tolist()
     tset = set(triangles)
     if seed is None:
         # Largest-area triangle for a well-conditioned start.
@@ -190,14 +190,14 @@ def _layout_triangles(tri, triangles, lengths, angles, seed=None):
     return corner_pos, crossed
 
 
-def _region_boundary_walk(tri, region, start_side=None):
+def _region_boundary_walk(glue, region, start_side=None):
     """Directed boundary sides of a set of triangles, walked in order.
 
-    A side is a boundary side when its glued partner lies outside the
-    region.  Returns the list of flat side indices in cyclic order.
+    glue is the gluing as a list.  A side is a boundary side when its
+    glued partner lies outside the region.  Returns the list of flat side
+    indices in cyclic order.
     """
     tset = set(region)
-    glue = tri.glue
     boundary = [k for t in region for k in (3 * t, 3 * t + 1, 3 * t + 2)
                 if glue[k] // 3 not in tset]
     if not boundary:
@@ -234,7 +234,7 @@ def layout_disk(result, v_inf):
                                       angles)
 
     # First placement wins per vertex; record the worst mismatch.
-    cv = rtri.corner_vertex
+    cv = rtri.corner_vertex.tolist()
     vertex_pos = {}
     mismatch = 0.0
     for t in sub.kept_triangles:
@@ -246,15 +246,15 @@ def layout_disk(result, v_inf):
             else:
                 vertex_pos[v] = corner_pos[k]
 
-    pts = list(vertex_pos.values())
-    diameter = max(abs(p - q) for p in pts for q in pts) if len(pts) > 1 \
-        else 1.0
+    pts = np.array(list(vertex_pos.values()))
+    diameter = max(float(np.abs(pts - p).max()) for p in pts) \
+        if len(pts) > 1 else 1.0
     residual = mismatch / diameter
     if residual > 1e-8:
         raise LayoutInconsistent(
             "vertex stars fail to close (relative residual %g)" % residual)
 
-    walk = _region_boundary_walk(rtri, sub.kept_triangles)
+    walk = _region_boundary_walk(rtri.glue.tolist(), sub.kept_triangles)
     boundary_cycle = [cv[k] for k in walk]
     return PlanarLayout(corner_pos, vertex_pos, residual, boundary_cycle,
                         sub, angles, theta_tilde, lengths)
@@ -282,8 +282,7 @@ def _merged_bottom_faces(result, v_inf, sub):
 
     interior_kept = set(sub.kept_edges) - sub.boundary_edges
     for e in result.nonessential_edges & interior_kept:
-        k1, k2 = rtri.edge_sides[e]
-        t1, t2 = k1 // 3, k2 // 3
+        t1, t2 = (rtri.edge_sides[e] // 3).tolist()
         if t1 in keep and t2 in keep:
             parent[find(t1)] = find(t2)
     groups = {}
@@ -297,7 +296,7 @@ def polyhedron_from_layout(layout, result, v_inf):
     Moebius gauge, project to the unit sphere, and certify convexity."""
     rtri = result.metric.triangulation
     sub = layout.sub
-    cv = rtri.corner_vertex
+    cv = rtri.corner_vertex.tolist()
 
     # Moebius normalization: centroid zero, mean squared radius one.
     verts = sorted(layout.vertex_pos)
@@ -311,8 +310,9 @@ def polyhedron_from_layout(layout, result, v_inf):
         positions[v] = _to_sphere(z)
 
     faces = []
+    glue = rtri.glue.tolist()
     for group in _merged_bottom_faces(result, v_inf, sub):
-        walk = _region_boundary_walk(rtri, sorted(group))
+        walk = _region_boundary_walk(glue, sorted(group))
         faces.append([cv[k] for k in walk])
 
     # Side faces: chains of the disk boundary between genuine corners
@@ -374,8 +374,9 @@ def two_sided_polygon(result, v_inf):
 
     # Order the path vertices from one end to the other.
     adj = {v: [] for v in sub.kept_vertices}
+    ev = rtri.edge_verts.tolist()
     for e in sub.kept_edges:
-        a, b = rtri.edge_verts[e]
+        a, b = ev[e]
         adj[a].append(b)
         adj[b].append(a)
     ends = [v for v, nb in adj.items() if len(nb) <= 1]
@@ -501,7 +502,8 @@ def uniformize_torus(metric, opts=None):
     angles = _energy._triangle_angles(rtri.side_edge, met.lam, all_tris)
     corner_pos, crossed = _layout_triangles(rtri, all_tris, met.lengths,
                                             angles)
-    crossed_set = set(crossed) | {rtri.glue[k] for k in crossed}
+    glue = rtri.glue.tolist()
+    crossed_set = set(crossed) | {glue[k] for k in crossed}
 
     # Deck transformations from the non-tree edges.  The holonomy is
     # translational because every angle sum is 2 pi; both endpoints of
@@ -512,7 +514,7 @@ def uniformize_torus(metric, opts=None):
     for t in all_tris:
         for i in range(3):
             k = 3 * t + i
-            m = rtri.glue[k]
+            m = glue[k]
             if k in crossed_set or m < k:
                 continue
             t2, s2 = divmod(m, 3)
@@ -547,7 +549,7 @@ def uniformize_torus(metric, opts=None):
         deck - np.round(a) * v1 - np.round(b) * v2))))
 
     vpos = {}
-    cv = rtri.corner_vertex
+    cv = rtri.corner_vertex.tolist()
     for k, z in corner_pos.items():
         vpos.setdefault(cv[k], z * s)
     faces = [[cv[3 * t + i] for i in range(3)] for t in all_tris]

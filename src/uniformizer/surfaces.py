@@ -101,8 +101,7 @@ def square_torus_refined(u=None, rng=None):
     # Side (t, 0) of each triangle is a unit square side; the other two
     # sides are spokes of length sqrt(1/2).
     lam = np.full(tri.num_edges, -math.log(2.0))
-    for t in range(tri.num_triangles):
-        lam[tri.side_edge[3 * t]] = 0.0
+    lam[tri.side_edge[0::3]] = 0.0
     metric = DecoratedMetric(tri, lam)
 
     if rng is not None and u is None:

@@ -232,6 +232,21 @@ def test_shear_preserved_by_flip_sequence():
                                                  abs=1e-10)
 
 
+def test_punctured_faces_are_the_triangles_at_each_vertex():
+    # With several undecorated vertices, each punctured face lists the
+    # triangles around its vertex, in increasing order.
+    rng = np.random.default_rng(14)
+    metric = surfaces.random_sphere(20, rng)
+    n = metric.triangulation.num_vertices
+    for finite in ([0], [0, 5, 11], list(range(10))):
+        u = PartialDecoration.all_infinite_except(n, finite)
+        result = make_delaunay(metric, u, mode=ADJUSTED)
+        rtri = result.metric.triangulation
+        assert result.punctured_faces == {
+            v: tuple(sorted({k // 3 for k in rtri.vertex_corners[v]}))
+            for v in range(n) if v not in finite}
+
+
 def test_adjusted_mode_fans_punctured_faces():
     metric = surfaces.three_vertex_sphere()
     tri = metric.triangulation

@@ -1,11 +1,15 @@
 """Property tests of the flip kernel: the tables a chain of flips leaves
 behind, the lazily built vertex cycles included, must be the tables that
-build_from_gluings derives from the same gluing."""
+build_from_gluings derives from the same gluing, and a batch of flips
+must leave the tables that flipping its edges one by one leaves."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_flip as ref
 from uniformizer import mesh_core, surfaces
+from uniformizer.errors import DegenerateFlip
 
 START = {
     "random_sphere": lambda seed: surfaces.random_sphere(
@@ -63,9 +67,101 @@ def test_flip_chain_matches_rebuilt_triangulation(start, seed, picks):
     for e, (k1, k2) in enumerate(tri.edge_sides):
         assert tri.glue[k1] == k2
         assert tri.side_edge[k1] == tri.side_edge[k2] == e
-        assert tri.edge_verts[e] == (tri.corner_vertex[k1],
+        assert tuple(tri.edge_verts[e]) == (tri.corner_vertex[k1],
                                      tri.corner_vertex[_next_corner(k1)])
         assert (sorted(vmap[v] for v in tri.edge_verts[e])
                 == sorted(ref.edge_verts[ref.side_edge[k1]]))
 
     assert mesh_core.canonical_form(tri) == mesh_core.canonical_form(ref)
+
+
+BATCH_START = {
+    "random_sphere": START["random_sphere"],
+    "random_torus": START["random_torus"],
+    "genus2_one_vertex":
+        lambda seed: surfaces.genus2_one_vertex().triangulation,
+}
+
+
+def _flippable(tri):
+    return [e for e, (k1, k2) in enumerate(tri.edge_sides.tolist())
+            if k1 // 3 != k2 // 3]
+
+
+def _disjoint_batch(tri, order, size):
+    """Up to size flippable edges, taken in the given order, whose quads
+    share no triangle."""
+    used, batch = set(), []
+    for e in order:
+        k1, k2 = tri.edge_sides[e].tolist()
+        t1, t2 = k1 // 3, k2 // 3
+        if t1 != t2 and t1 not in used and t2 not in used \
+                and len(batch) < size:
+            used.update((t1, t2))
+            batch.append(e)
+    return batch
+
+
+@settings(max_examples=80, deadline=None)
+@given(start=st.sampled_from(sorted(BATCH_START)),
+       seed=st.integers(0, 2 ** 16),
+       warmup=st.lists(st.integers(0, 10 ** 6), max_size=20),
+       order_seed=st.integers(0, 2 ** 16), size=st.integers(1, 40))
+def test_flip_batch_matches_sequential_reference(start, seed, warmup,
+                                                 order_seed, size):
+    tri = BATCH_START[start](seed)
+    # Random flips first, so that the reference's edge_sides are no
+    # longer in increasing order.
+    for pick in warmup:
+        flippable = _flippable(tri)
+        tri = mesh_core.flip_edge(tri, flippable[pick % len(flippable)])
+    order = np.random.default_rng(order_seed).permutation(tri.num_edges)
+    batch = _disjoint_batch(tri, order.tolist(), size)
+
+    flipped = mesh_core.flip_edges(tri, batch)
+    tab = ref.ListTables.of(tri)
+    for e in batch:
+        tab = ref.flip_edge(tab, e)
+    assert flipped.glue.tolist() == tab.glue
+    assert flipped.side_edge.tolist() == tab.side_edge
+    assert flipped.corner_vertex.tolist() == tab.corner_vertex
+    assert ([set(p) for p in flipped.edge_sides.tolist()]
+            == [set(p) for p in tab.edge_sides])
+    assert ([sorted(p) for p in flipped.edge_verts.tolist()]
+            == [sorted(p) for p in tab.edge_verts])
+
+    # A second quad on a triangle of the batch, or a repeated edge.
+    ka = mesh_core._quad_sides(tri, batch[0])[2]
+    for extra in (batch[0], int(tri.side_edge[ka])):
+        with pytest.raises(DegenerateFlip):
+            mesh_core.flip_edges(tri, batch + [extra])
+
+
+def test_flip_batch_with_quads_glued_to_each_other():
+    # On the one-vertex genus-2 surface (6 triangles) a batch of three
+    # quads covers every triangle, so every outer quad side is glued to
+    # a side of a quad of the batch, its own included.
+    tri = surfaces.genus2_one_vertex().triangulation
+    for order_seed in range(20):
+        order = np.random.default_rng(order_seed).permutation(tri.num_edges)
+        batch = _disjoint_batch(tri, order.tolist(), 3)
+        tab = ref.ListTables.of(tri)
+        for e in batch:
+            tab = ref.flip_edge(tab, e)
+        flipped = mesh_core.flip_edges(tri, batch)
+        assert flipped.glue.tolist() == tab.glue
+        assert flipped.side_edge.tolist() == tab.side_edge
+        assert flipped.corner_vertex.tolist() == tab.corner_vertex
+        if len(batch) == 3:
+            break
+    assert len(batch) == 3
+
+
+def test_flip_batch_rejects_folded_quad():
+    tri = mesh_core.flip_edge(surfaces.three_vertex_sphere().triangulation, 0)
+    folded = [e for e, (k1, k2) in enumerate(tri.edge_sides.tolist())
+              if k1 // 3 == k2 // 3]
+    assert folded
+    for e in folded:
+        with pytest.raises(DegenerateFlip):
+            mesh_core.flip_edges(tri, [e])

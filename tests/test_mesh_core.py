@@ -259,6 +259,38 @@ def test_subcomplex_closed_cell_rule_brute_force():
         assert sub.kept_triangles == tris
 
 
+def test_subcomplex_masks_match_cell_scan():
+    # Oracle: every attribute recomputed cell by cell from the
+    # definition, for random kept sets on flipped random surfaces.
+    rng = np.random.default_rng(8)
+    for metric in (surfaces.random_sphere(15, rng),
+                   surfaces.random_torus(9, rng)):
+        tri = metric.triangulation
+        for e in rng.integers(tri.num_edges, size=10).tolist():
+            k1, k2 = tri.edge_sides[e].tolist()
+            if k1 // 3 != k2 // 3:
+                tri = mesh_core.flip_edge(tri, e)
+        cv = tri.corner_vertex.tolist()
+        for _ in range(5):
+            keep = set(rng.choice(tri.num_vertices, rng.integers(
+                1, tri.num_vertices + 1), replace=False).tolist())
+            sub = mesh_core.Subcomplex(tri, keep)
+            edges = [e for e, (a, b) in enumerate(tri.edge_verts.tolist())
+                     if a in keep and b in keep]
+            tris = [t for t in range(tri.num_triangles)
+                    if all(cv[3 * t + i] in keep for i in range(3))]
+            out = set(range(tri.num_triangles)) - set(tris)
+            assert sub.kept_vertices == sorted(keep)
+            assert sub.kept_edges == edges
+            assert sub.kept_triangles == tris
+            assert sub.boundary_edges == {
+                e for e in edges
+                if {k // 3 for k in tri.edge_sides[e].tolist()} & out}
+            assert sub.boundary_vertices == {
+                v for v in keep
+                if {k // 3 for k in tri.vertex_corners[v]} & out}
+
+
 def test_build_from_faces_tetrahedron():
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
     tri, labels = mesh_core.build_from_faces(faces, genus_hint=0)
@@ -285,6 +317,52 @@ def test_subdivide_triangle_counts():
     assert fine.num_edges == tri.num_edges + 3
     assert fine.num_vertices == tri.num_vertices + 1
     assert fine.genus == 0
+
+
+def test_derived_tables_match_corner_cycle_walk():
+    # Oracle: vertices are the corner cycles of the walk, numbered in the
+    # order of their smallest corners; edges in the order of their
+    # smaller sides.
+    rng = np.random.default_rng(9)
+    for metric in (surfaces.random_sphere(30, rng),
+                   surfaces.random_torus(20, rng),
+                   surfaces.genus2_one_vertex(), surfaces.one_vertex_torus()):
+        tri = metric.triangulation
+        glue = tri.glue.tolist()
+        cycles = mesh_core._corner_cycles(glue)
+        cv = [None] * len(glue)
+        for v, cycle in enumerate(cycles):
+            for k in cycle:
+                cv[k] = v
+        assert tri.corner_vertex.tolist() == cv
+        assert tri.num_vertices == len(cycles)
+        assert tri.edge_sides.tolist() == [[k, m] for k, m in enumerate(glue)
+                                           if k < m]
+        for e, (k1, k2) in enumerate(tri.edge_sides.tolist()):
+            assert tri.side_edge[k1] == tri.side_edge[k2] == e
+
+
+def test_subdivide_triangle_matches_gluing_list():
+    # Oracle: the subdivided surface built from its gluing list.
+    rng = np.random.default_rng(10)
+    for metric in (surfaces.random_sphere(12, rng),
+                   surfaces.random_torus(6, rng),
+                   surfaces.genus2_one_vertex()):
+        tri = metric.triangulation
+        for t in rng.integers(tri.num_triangles, size=4).tolist():
+            nt = tri.num_triangles
+            outer = {(t, 1): (nt, 0), (t, 2): (nt + 1, 0)}
+            gluing = [tuple(outer.get(divmod(k, 3), divmod(k, 3))
+                            for k in pair)
+                      for pair in tri.edge_sides.tolist()]
+            gluing += [((t, 1), (nt, 2)), ((nt, 1), (nt + 1, 2)),
+                       ((nt + 1, 1), (t, 2))]
+            ref = mesh_core.build_from_gluings(gluing)
+            tri = mesh_core.subdivide_triangle(tri, t)
+            assert tri.glue.tolist() == ref.glue.tolist()
+            assert tri.side_edge.tolist() == ref.side_edge.tolist()
+            assert tri.corner_vertex.tolist() == ref.corner_vertex.tolist()
+            assert tri.num_vertices == ref.num_vertices
 
 
 def test_canonical_form_detects_isomorphism():
