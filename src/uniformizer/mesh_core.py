@@ -27,9 +27,10 @@ flip_edges applies a whole batch of them in one array pass.
 """
 
 import functools
-from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import (
     UnmatchedSide,
@@ -342,6 +343,16 @@ DISK_TRIANGULATION = "DiskTriangulation"
 OTHER = "Other"
 
 
+def _graph(n, a, b):
+    """The undirected graph on nodes 0..n-1 with the edges a[i] -- b[i]."""
+    return sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+
+
+def _components(n, a, b):
+    """The connected-component label of each node of _graph(n, a, b)."""
+    return csgraph.connected_components(_graph(n, a, b), directed=False)[1]
+
+
 def classify_subcomplex(sub):
     """LinearGraph, DiskTriangulation, or Other.
 
@@ -349,125 +360,40 @@ def classify_subcomplex(sub):
     (possibly a single vertex).  DiskTriangulation: the kept triangles
     form a triangulated closed disk containing every kept cell.
     """
-    if not sub.kept_vertices:
-        return OTHER
     parent = sub.parent
-    if not sub.kept_triangles:
-        return _is_path(sub) and LINEAR_GRAPH or OTHER
-
-    se = parent.side_edge.tolist()
-    cv = parent.corner_vertex.tolist()
-    # Disk check.  Every kept vertex and edge must lie in a kept triangle.
-    tset = set(sub.kept_triangles)
-    used_edges = set()
-    used_verts = set()
-    edge_tri_count = {}
-    for t in sub.kept_triangles:
-        for i in range(3):
-            e = se[3 * t + i]
-            used_edges.add(e)
-            edge_tri_count[e] = edge_tri_count.get(e, 0) + 1
-            used_verts.add(cv[3 * t + i])
-    if used_edges != set(sub.kept_edges) or used_verts != set(sub.kept_vertices):
+    verts, edges, tris = (np.asarray(cells, dtype=np.intp) for cells in (
+        sub.kept_vertices, sub.kept_edges, sub.kept_triangles))
+    if not verts.size:
         return OTHER
-    if any(c > 2 for c in edge_tri_count.values()):
+    if not tris.size:
+        # nv - 1 edges that connect nv vertices form a tree, so there is
+        # no loop edge; a tree with all degrees at most 2 is a path.
+        ends = parent.edge_verts[edges]
+        labels = _components(parent.num_vertices, *ends.T)[verts]
+        deg = np.bincount(ends.ravel(), minlength=parent.num_vertices)
+        is_path = (len(edges) == len(verts) - 1 and deg.max() <= 2
+                   and (labels == labels[0]).all())
+        return LINEAR_GRAPH if is_path else OTHER
+
+    # Three checks suffice: every kept vertex lies in a kept triangle,
+    # chi = 1, and the kept triangles are connected across their glued
+    # sides.  Cut each vertex into its fans of kept corners: the kept
+    # triangles become a connected oriented surface S with
+    # chi(S) = 1 + (extra fans) + (kept edges in no kept triangle).
+    # chi(S) >= 2 only if S is a closed sphere, a whole component of the
+    # parent, which has no cut fan and no edge outside it.  So chi(S) = 1
+    # and S is a disk: a pinched vertex link, a stray edge or a second
+    # boundary cycle needs no check, nor an edge in three triangles (an
+    # edge has two sides).
+    corners = (3 * tris[:, None] + np.arange(3)).ravel()
+    if (len(np.unique(parent.corner_vertex[corners])) < len(verts)
+            or len(verts) - len(edges) + len(tris) != 1):
         return OTHER
-
-    chi = (len(sub.kept_vertices) - len(sub.kept_edges)
-           + len(sub.kept_triangles))
-    if chi != 1:
-        return OTHER
-
-    # Connectivity over triangles via shared edges.
-    edge_tris = {}
-    for t in sub.kept_triangles:
-        for i in range(3):
-            edge_tris.setdefault(se[3 * t + i], []).append(t)
-    start = sub.kept_triangles[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        t = queue.popleft()
-        for i in range(3):
-            for t2 in edge_tris[se[3 * t + i]]:
-                if t2 not in seen:
-                    seen.add(t2)
-                    queue.append(t2)
-    if len(seen) != len(sub.kept_triangles):
-        return OTHER
-
-    # Vertex links: the kept corners around each vertex must be contiguous
-    # in the parent corner cycle (one fan), ruling out pinched vertices.
-    for v in sub.kept_vertices:
-        cycle = parent.vertex_corners[v]
-        flags = [k // 3 in tset for k in cycle]
-        runs = sum(1 for i in range(len(flags))
-                   if flags[i] and not flags[i - 1])
-        if all(flags):
-            runs = 1 if flags else 0
-        if runs != 1:
-            return OTHER
-
-    # Single boundary cycle follows from chi = 1 once links are fans, but
-    # check it anyway: boundary edges with exactly one kept triangle.
-    bedges = [e for e, c in edge_tri_count.items() if c == 1]
-    if not bedges:
-        return OTHER
-    adj = {}
-    ok = True
-    ev = parent.edge_verts.tolist()
-    for e in bedges:
-        a, b = ev[e]
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if any(len(nb) != 2 for nb in adj.values()):
-        ok = False
-    if ok:
-        walk = {list(adj)[0]}
-        prev, cur = None, list(adj)[0]
-        for _ in range(len(bedges)):
-            nxt = [w for w in adj[cur] if w != prev]
-            nxt = nxt[0] if nxt else adj[cur][0]
-            prev, cur = cur, nxt
-            walk.add(cur)
-        ok = len(walk) == len(adj)
-    return DISK_TRIANGULATION if ok else OTHER
-
-
-def _is_path(sub):
-    """True when the kept vertices and edges form a simple path."""
-    parent = sub.parent
-    nv = len(sub.kept_vertices)
-    ne = len(sub.kept_edges)
-    if ne != nv - 1:
-        return False
-    ev = parent.edge_verts.tolist()
-    deg = {v: 0 for v in sub.kept_vertices}
-    for e in sub.kept_edges:
-        a, b = ev[e]
-        if a == b:
-            return False
-        deg[a] += 1
-        deg[b] += 1
-    if any(d > 2 for d in deg.values()):
-        return False
-    # ne = nv - 1 and max degree 2: a path iff connected.
-    if nv == 1:
-        return True
-    adj = {v: [] for v in sub.kept_vertices}
-    for e in sub.kept_edges:
-        a, b = ev[e]
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {sub.kept_vertices[0]}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == nv
+    # A triangle that is not kept has a vertex that is not kept, so it
+    # borders at most one kept triangle and joins no two of them.
+    labels = _components(parent.num_triangles, corners // 3,
+                         parent.glue[corners] // 3)[tris]
+    return DISK_TRIANGULATION if (labels == labels[0]).all() else OTHER
 
 
 def build_from_faces(faces, genus_hint=None):

@@ -13,6 +13,7 @@ import cmath
 import math
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from . import mesh_core
 from . import energy as _energy
@@ -85,12 +86,11 @@ class Realization:
             setattr(self, key, value)
 
 
-def _disk_angles(result, v_inf):
-    """(sub, lengths, angles, theta_tilde) of the kept disk: lengths per
+def _disk_angles(result, sub):
+    """(lengths, angles, theta_tilde) of the kept disk sub: lengths per
     edge (inf on the edges at v_inf) and angles per triangle (NaN off the
     disk)."""
     rtri = result.metric.triangulation
-    sub = mesh_core.subcomplex_avoiding(rtri, v_inf)
     u = result.u.u
     kept = np.array(sub.kept_triangles, dtype=int)
     ends = rtri.edge_verts
@@ -100,35 +100,40 @@ def _disk_angles(result, v_inf):
     theta_tilde = np.bincount(
         rtri.corner_vertex.reshape(-1, 3)[kept].ravel(),
         angles[kept][:, [1, 2, 0]].ravel(), minlength=rtri.num_vertices)
-    return sub, np.exp(lam / 2.0), angles, theta_tilde
+    return np.exp(lam / 2.0), angles, theta_tilde
+
+
+def _realizable(result, v_inf):
+    """(kind, sub, disk) for classify_realizable: sub is the Subcomplex
+    avoiding v_inf and disk is its _disk_angles (None when TwoSided)."""
+    sub = mesh_core.subcomplex_avoiding(result.metric.triangulation, v_inf)
+    cls = mesh_core.classify_subcomplex(sub)
+    if cls == mesh_core.LINEAR_GRAPH:
+        return TWO_SIDED, sub, None
+    if cls != mesh_core.DISK_TRIANGULATION:
+        raise NotRealizable(
+            "cells avoiding vertex %d form neither a path nor a disk"
+            % v_inf)
+    disk = _disk_angles(result, sub)
+    verts = np.array(sub.kept_vertices)
+    theta = disk[2][verts]
+    boundary = np.isin(verts, list(sub.boundary_vertices))
+    bad = np.flatnonzero(np.where(boundary, theta > math.pi + ANGLE_TOL,
+                                  np.abs(theta - 2.0 * math.pi) > ANGLE_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NotRealizable(
+            ("boundary vertex %d has angle sum %.12g > pi" if boundary[i]
+             else "interior vertex %d has angle sum %.12g != 2 pi")
+            % (verts[i], theta[i]))
+    return POLYHEDRAL, sub, disk
 
 
 def classify_realizable(result, v_inf):
     """TwoSided or Polyhedral; raises NotRealizable with a diagnostic
     when the adjusted Delaunay data fails the realizability conditions
     (which signals an optimizer failure upstream)."""
-    rtri = result.metric.triangulation
-    sub = mesh_core.subcomplex_avoiding(rtri, v_inf)
-    cls = mesh_core.classify_subcomplex(sub)
-    if cls == mesh_core.LINEAR_GRAPH:
-        return TWO_SIDED
-    if cls != mesh_core.DISK_TRIANGULATION:
-        raise NotRealizable(
-            "cells avoiding vertex %d form neither a path nor a disk"
-            % v_inf)
-    _, _, _, theta_tilde = _disk_angles(result, v_inf)
-    for v in sub.kept_vertices:
-        if v in sub.boundary_vertices:
-            if theta_tilde[v] > math.pi + ANGLE_TOL:
-                raise NotRealizable(
-                    "boundary vertex %d has angle sum %.12g > pi"
-                    % (v, theta_tilde[v]))
-        else:
-            if abs(theta_tilde[v] - 2.0 * math.pi) > ANGLE_TOL:
-                raise NotRealizable(
-                    "interior vertex %d has angle sum %.12g != 2 pi"
-                    % (v, theta_tilde[v]))
-    return POLYHEDRAL
+    return _realizable(result, v_inf)[0]
 
 
 def _place_third(pa, pb, angle_at_a, length_a_to_c):
@@ -224,11 +229,11 @@ def _region_boundary_walk(glue, region, start_side=None):
 
 def layout_disk(result, v_inf):
     """Planar development of the triangles avoiding v_inf."""
-    kind = classify_realizable(result, v_inf)
+    kind, sub, disk = _realizable(result, v_inf)
     if kind != POLYHEDRAL:
         raise WrongKind("layout_disk requires the polyhedral case")
     rtri = result.metric.triangulation
-    sub, lengths, angles, theta_tilde = _disk_angles(result, v_inf)
+    lengths, angles, theta_tilde = disk
 
     corner_pos, _ = _layout_triangles(rtri, sub.kept_triangles, lengths,
                                       angles)
@@ -267,28 +272,24 @@ def _to_sphere(z):
     return np.array([2.0 * x, 2.0 * y, r2 - 1.0]) / (r2 + 1.0)
 
 
-def _merged_bottom_faces(result, v_inf, sub):
-    """Kept triangles merged across nonessential kept edges; returns a
-    list of triangle sets."""
+def _merged_bottom_faces(result, sub):
+    """Kept triangles merged across nonessential kept edges: a list of
+    sorted triangle lists, ordered by their smallest triangle."""
     rtri = result.metric.triangulation
-    keep = set(sub.kept_triangles)
-    parent = {t: t for t in keep}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    interior_kept = set(sub.kept_edges) - sub.boundary_edges
-    for e in result.nonessential_edges & interior_kept:
-        t1, t2 = (rtri.edge_sides[e] // 3).tolist()
-        if t1 in keep and t2 in keep:
-            parent[find(t1)] = find(t2)
-    groups = {}
-    for t in keep:
-        groups.setdefault(find(t), set()).add(t)
-    return list(groups.values())
+    tris = np.array(sub.kept_triangles, dtype=np.intp)
+    kept = np.zeros(rtri.num_triangles, dtype=bool)
+    kept[tris] = True
+    pairs = rtri.edge_sides[sorted(result.nonessential_edges)] // 3
+    pairs = pairs[kept[pairs].all(axis=1)]
+    labels = mesh_core._components(rtri.num_triangles, *pairs.T)[tris]
+    # Each triangle's key is the index in tris of its group's smallest.
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    key = first[inverse]
+    order = np.argsort(key, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(key)]
+    tris = tris[order].tolist()
+    return [tris[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def polyhedron_from_layout(layout, result, v_inf):
@@ -311,8 +312,8 @@ def polyhedron_from_layout(layout, result, v_inf):
 
     faces = []
     glue = rtri.glue.tolist()
-    for group in _merged_bottom_faces(result, v_inf, sub):
-        walk = _region_boundary_walk(glue, sorted(group))
+    for group in _merged_bottom_faces(result, sub):
+        walk = _region_boundary_walk(glue, group)
         faces.append([cv[k] for k in walk])
 
     # Side faces: chains of the disk boundary between genuine corners
@@ -366,24 +367,18 @@ def _certify_polyhedron(positions, faces):
 
 def two_sided_polygon(result, v_inf):
     """Degenerate realization: all ideal vertices on one circle."""
-    kind = classify_realizable(result, v_inf)
+    kind, sub, _ = _realizable(result, v_inf)
     if kind != TWO_SIDED:
         raise WrongKind("two_sided_polygon requires the two-sided case")
     rtri = result.metric.triangulation
-    sub = mesh_core.subcomplex_avoiding(rtri, v_inf)
 
-    # Order the path vertices from one end to the other.
-    adj = {v: [] for v in sub.kept_vertices}
-    ev = rtri.edge_verts.tolist()
-    for e in sub.kept_edges:
-        a, b = ev[e]
-        adj[a].append(b)
-        adj[b].append(a)
-    ends = [v for v, nb in adj.items() if len(nb) <= 1]
-    path = [min(ends)]
-    while len(path) < len(sub.kept_vertices):
-        nxt = [w for w in adj[path[-1]] if len(path) < 2 or w != path[-2]]
-        path.append(nxt[0])
+    # Order the path vertices from its smaller end to the other.
+    ends = rtri.edge_verts[sub.kept_edges]
+    deg = np.bincount(ends.ravel(), minlength=rtri.num_vertices)
+    start = min(v for v in sub.kept_vertices if deg[v] <= 1)
+    path = csgraph.breadth_first_order(
+        mesh_core._graph(rtri.num_vertices, *ends.T), start,
+        directed=False, return_predecessors=False).tolist()
 
     order = [v_inf] + path
     n = len(order)

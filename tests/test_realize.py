@@ -4,11 +4,16 @@ polygons, flat tori, and cone metrics."""
 import cmath
 import itertools
 import math
+import re
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from uniformizer import surfaces
+from uniformizer import mesh_core, realize, surfaces
+from uniformizer.delaunay import DelaunayResult
+from uniformizer.energy import punctured_energy
 from uniformizer.errors import (
     GaussBonnetViolated,
     NotRealizable,
@@ -23,6 +28,7 @@ from uniformizer.realize import (
     _normalize_tau,
     classify_realizable,
     prescribe_cone_angles,
+    two_sided_polygon,
     uniformize_sphere,
     uniformize_torus,
 )
@@ -88,6 +94,145 @@ def test_classify_rejects_tampered_angles():
                               result.punctured_faces)
     with pytest.raises(NotRealizable):
         classify_realizable(tampered, 0)
+
+
+def test_classify_rejects_boundary_angle_sum_over_pi():
+    metric = surfaces.octahedron_sphere()
+    report = minimize_punctured_energy(metric, 0)
+    result = punctured_energy(metric, 0, report.u_final).delaunay
+    rtri = result.metric.triangulation
+    sub = mesh_core.subcomplex_avoiding(rtri, 0)
+    b = min(sub.boundary_vertices)
+    # Lengthen the sides opposite b in its kept triangles, within the
+    # triangle inequality, so that each angle at b passes pi / 2.
+    at_b = [divmod(k, 3)
+            for k in np.flatnonzero(rtri.corner_vertex == b).tolist()
+            if k // 3 in sub.kept_triangles]
+    bad_lam = result.metric.lam.copy()
+    for t, i in at_b:
+        bad_lam[rtri.side_edge[3 * t + (i + 1) % 3]] += 1.3
+    lengths = np.exp(
+        (bad_lam + result.u.u[rtri.edge_verts].sum(axis=1)) / 2.0)
+    angle_sum = 0.0
+    for t, i in at_b:
+        # Side i of t starts at b, side i + 1 is opposite b.
+        c, opp, d = lengths[rtri.side_edge[[3 * t + (i + j) % 3
+                                            for j in range(3)]]]
+        angle_sum += math.acos((c * c + d * d - opp * opp) / (2 * c * d))
+    assert angle_sum > math.pi
+    tampered = DelaunayResult(DecoratedMetric(rtri, bad_lam), result.u,
+                              result.flips, result.nonessential_edges,
+                              result.punctured_faces)
+    with pytest.raises(NotRealizable) as err:
+        classify_realizable(tampered, 0)
+    found = re.fullmatch(r"boundary vertex (\d+) has angle sum (\S+) > pi",
+                         str(err.value))
+    assert found and int(found[1]) == b
+    assert float(found[2]) == pytest.approx(angle_sum, abs=1e-9)
+
+
+def test_sphere_realization_derives_the_disk_twice(monkeypatch):
+    # classify_realizable and layout_disk each build, classify and
+    # measure the kept disk once; nothing else in realize does.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    core = types.SimpleNamespace(**vars(mesh_core))
+    for name in ("subcomplex_avoiding", "classify_subcomplex"):
+        setattr(core, name, counted(name, getattr(mesh_core, name)))
+    monkeypatch.setattr(realize, "mesh_core", core)
+    monkeypatch.setattr(realize, "_disk_angles",
+                        counted("_disk_angles", realize._disk_angles))
+    real = uniformize_sphere(surfaces.octahedron_sphere(), 0)
+    assert real.kind == INSCRIBED_POLYHEDRON
+    assert calls == {"subcomplex_avoiding": 2, "classify_subcomplex": 2,
+                     "_disk_angles": 2}
+
+
+def test_merged_bottom_faces_match_pairwise_merging():
+    # Oracle: merge the kept triangles pairwise across each nonessential
+    # edge, for random edge sets that include edges at v_inf.
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        tri = surfaces.random_sphere(12, rng).triangulation
+        v_inf = int(rng.integers(tri.num_vertices))
+        sub = mesh_core.subcomplex_avoiding(tri, v_inf)
+        ness = set(rng.choice(tri.num_edges, tri.num_edges // 2,
+                              replace=False).tolist())
+        groups = [{t} for t in sub.kept_triangles]
+        for e in ness:
+            t1, t2 = (tri.edge_sides[e] // 3).tolist()
+            g1 = next((g for g in groups if t1 in g), None)
+            g2 = next((g for g in groups if t2 in g), None)
+            if g1 is not None and g2 is not None and g1 is not g2:
+                g1 |= g2
+                groups.remove(g2)
+        result = types.SimpleNamespace(
+            metric=types.SimpleNamespace(triangulation=tri),
+            nonessential_edges=ness)
+        merged = realize._merged_bottom_faces(result, sub)
+        assert merged == sorted(map(sorted, groups))
+
+
+def test_cube_faces_merge_across_nonessential_diagonals():
+    # A euclidean cube with each square split by a diagonal: the
+    # diagonals are nonessential, so every square is one face.
+    quads = [(0, 2, 3, 1), (4, 5, 7, 6), (0, 1, 5, 4), (2, 6, 7, 3),
+             (0, 4, 6, 2), (1, 3, 7, 5)]
+    tri, labels = mesh_core.build_from_faces(
+        [t for a, b, c, d in quads for t in ((a, b, c), (a, c, d))],
+        genus_hint=0)
+    xyz = np.array([[v & 1, v >> 1 & 1, v >> 2 & 1] for v in labels],
+                   dtype=float)
+    ends = tri.edge_verts
+    lam = 2.0 * np.log(np.linalg.norm(xyz[ends[:, 0]] - xyz[ends[:, 1]],
+                                      axis=1))
+    real = uniformize_sphere(DecoratedMetric(tri, lam), 0)
+    assert real.kind == INSCRIBED_POLYHEDRON
+    assert sorted(sorted(labels[v] for v in f) for f in real.faces) \
+        == sorted(map(sorted, quads))
+    # The three squares of the disk come first, ordered by their smallest
+    # triangle; the three at vertex 0 follow.
+    bottom = real.faces[:3]
+    assert all(0 not in f for f in bottom)
+    assert all(0 in f for f in real.faces[3:])
+    cv = real.delaunay.metric.triangulation.corner_vertex.reshape(-1, 3)
+    smallest = [min(t for t, c in enumerate(cv.tolist()) if set(c) <= set(f))
+                for f in bottom]
+    assert smallest == sorted(smallest)
+
+
+def test_two_sided_polygon_orders_a_long_path():
+    # The sphere doubled from the polygon 0, 1, ..., k fanned from 0, with
+    # its triangles in shuffled slots: every triangle has a corner at 0,
+    # so the cells avoiding 0 are the path 1, ..., k.
+    k = 7
+    slot = np.random.default_rng(5).permutation(2 * (k - 1)).tolist()
+    top = {i: slot[i - 1] for i in range(1, k)}        # (0, i, i + 1)
+    bottom = {i: slot[k + i - 2] for i in range(1, k)}  # (0, i + 1, i)
+    gluing = [((top[1], 0), (bottom[1], 2)),
+              ((top[k - 1], 2), (bottom[k - 1], 0))]
+    for i in range(1, k):
+        gluing.append(((top[i], 1), (bottom[i], 1)))
+        if i < k - 1:
+            gluing.append(((top[i], 2), (top[i + 1], 0)))
+            gluing.append(((bottom[i], 0), (bottom[i + 1], 2)))
+    tri = mesh_core.build_from_gluings(gluing, genus_hint=0)
+    cv = tri.corner_vertex.tolist()
+    label = [cv[3 * top[1]]] + [cv[3 * top[i] + 1] for i in range(1, k)] \
+        + [cv[3 * top[k - 1] + 2]]
+    path = label[1:] if label[1] < label[k] else label[:0:-1]
+    result = types.SimpleNamespace(
+        metric=types.SimpleNamespace(triangulation=tri))
+    real = two_sided_polygon(result, label[0])
+    assert real.kind == TWO_SIDED_POLYGON
+    assert real.cyclic_order == [label[0]] + path
+    assert real.faces == [real.cyclic_order, real.cyclic_order[::-1]]
 
 
 def test_random_sphere_pipeline_certifies():

@@ -92,7 +92,10 @@ def test_conformal_warm_evaluation_matches_cold(monkeypatch):
 
 def test_stalling_sphere_certifies_or_raises():
     # random_sphere(50, default_rng(1)), 5th draw: the punctured solver
-    # stalls in its line search on this input (an open defect).  Either
+    # converges on this input, but the cold re-evaluation in
+    # uniformize_sphere then raises TriangleInequalityViolated (sides
+    # 2.143, 6.458, 4.315): a Delaunay tie at an active bound puts a
+    # degenerate triangle in the kept disk (an open defect).  Either
     # outcome below is within contract; a raw exception or a warning is
     # not, and the warm start keeps the run short.
     rng = np.random.default_rng(1)
