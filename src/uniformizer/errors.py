@@ -16,7 +16,8 @@ class NonOrientable(UniformizerError):
 
 
 class EulerMismatch(UniformizerError):
-    """Computed genus disagrees with the caller's genus hint."""
+    """The gluing is not one closed oriented surface, or its genus
+    disagrees with the caller's genus hint."""
 
 
 class DegenerateFlip(UniformizerError):

@@ -182,7 +182,8 @@ def build_from_gluings(gluing_list, genus_hint=None):
             genus differs.
 
     Returns:
-        a validated Triangulation.
+        a validated Triangulation; raises EulerMismatch unless the
+        gluing is one connected closed oriented surface.
     """
     records = [((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
                for a, b in gluing_list]
@@ -212,6 +213,9 @@ def build_from_gluings(gluing_list, genus_hint=None):
     glue = np.array(glue, dtype=np.intp)
     tri = Triangulation(glue, *_derive_tables(glue))
 
+    parts = _components(nt, *(tri.edge_sides // 3).T).max() + 1
+    if parts > 1:
+        raise EulerMismatch("gluing has %d connected components" % parts)
     chi = tri.euler_characteristic
     if chi % 2 != 0 or chi > 2:
         raise EulerMismatch("Euler characteristic %d is not that of a "

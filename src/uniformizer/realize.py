@@ -9,7 +9,6 @@ model (distinguished vertex at infinity), and project everything to the
 unit sphere.  Layout positions use complex numbers internally.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -39,17 +38,29 @@ ANGLE_TOL = 1e-7
 PLANARITY_TOL = 1e-8
 CONVEXITY_TOL = 1e-8
 ON_SPHERE_TOL = 1e-9
+# Round-off bound on a vertex's corner mismatch, over the disk diameter.
+LAYOUT_TOL = 1e-8
+# Round-off bound on the two holonomies of a side, over the layout extent.
+HOLONOMY_TOL = 1e-8
+# Deck translations this short are zero, this little apart collinear.
+LATTICE_TOL = 1e-8
+# Lattice coordinates this close to integers are integers up to round-off.
+INTEGER_TOL = 1e-6
 # The torus certificate holds tau to 1e-8, so a tau this close to the
 # boundary of the fundamental domain is taken to lie on it.
 TAU_BOUNDARY_TOL = 1e-8
+# Rows per block of the pairwise reductions, which hold (points, BLOCK).
+BLOCK = 256
 
 
 class PlanarLayout:
     """Planar development of the disk of triangles avoiding v_inf.
 
     Attributes:
-        corner_pos: dict flat-corner-index -> complex position.
-        vertex_pos: dict vertex-id -> complex position (first placement).
+        corner_pos: (3T,) complex array, the position of each corner of
+            the disk by flat corner index (NaN on the other corners).
+        vertex_pos: dict vertex-id -> complex position, that of the
+            vertex's first corner in kept-triangle order.
         residual: worst position mismatch between corners at the same
             vertex, relative to the layout diameter.
         boundary_cycle: vertex ids around the disk boundary, ccw.
@@ -136,95 +147,72 @@ def classify_realizable(result, v_inf):
     return _realizable(result, v_inf)[0]
 
 
-def _place_third(pa, pb, angle_at_a, length_a_to_c):
-    """Third corner of a ccw triangle with corners a, b placed."""
-    d = pb - pa
-    d /= abs(d)
-    return pa + length_a_to_c * d * cmath.exp(1j * angle_at_a)
+def _develop(tri, kept, lengths, angles):
+    """Develop the triangles of the mask kept in the plane, one level of
+    a breadth-first tree over glued sides at a time, from the largest
+    triangle (the first on ties).  A triangle's parent is the first of
+    the level above to reach it, by its first side that does.
 
-
-def _layout_triangles(tri, triangles, lengths, angles, seed=None):
-    """Develop the given triangles in the plane by BFS over shared
-    edges.  Returns (corner_pos, tree_crossed_sides)."""
-    se = tri.side_edge.tolist()
-    glue = tri.glue.tolist()
-    tset = set(triangles)
-    if seed is None:
-        # Largest-area triangle for a well-conditioned start.
-        def area(t):
-            a, b, c = (lengths[se[3 * t]], lengths[se[3 * t + 1]],
-                       lengths[se[3 * t + 2]])
-            s = 0.5 * (a + b + c)
-            return math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0))
-        seed = max(triangles, key=area)
-
-    corner_pos = {}
-
-    def place_from_base(t, s, pa, pb):
-        """Place triangle t given corner s at pa and corner s+1 at pb."""
-        corner_pos[3 * t + s] = pa
-        corner_pos[3 * t + (s + 1) % 3] = pb
-        # Angle at corner s is opposite side (s+1); the side from corner
-        # s to corner s+2 is side (s+2).
-        corner_pos[3 * t + (s + 2) % 3] = _place_third(
-            pa, pb, angles[t][(s + 1) % 3], lengths[se[3 * t + (s + 2) % 3]])
-
-    place_from_base(seed, 0, 0.0 + 0.0j, lengths[se[3 * seed]] + 0.0j)
-    placed = {seed}
-    from collections import deque
-    queue = deque([seed])
-    crossed = []
-    while queue:
-        t = queue.popleft()
-        for i in range(3):
-            k = 3 * t + i
-            m = glue[k]
-            t2, s2 = divmod(m, 3)
-            if t2 not in tset or t2 in placed:
-                continue
-            # Side (t, i) runs corner i -> i+1; the glued side runs the
-            # other way, so corner s2 of t2 sits at corner i+1 of t.
-            pa = corner_pos[3 * t + (i + 1) % 3]
-            pb = corner_pos[3 * t + i]
-            place_from_base(t2, s2, pa, pb)
-            placed.add(t2)
-            crossed.append(k)
-            queue.append(t2)
-    if placed != tset:
-        raise LayoutInconsistent("layout region is not edge-connected")
-    return corner_pos, crossed
-
-
-def _region_boundary_walk(glue, region, start_side=None):
-    """Directed boundary sides of a set of triangles, walked in order.
-
-    glue is the gluing as a list.  A side is a boundary side when its
-    glued partner lies outside the region.  Returns the list of flat side
-    indices in cyclic order.
+    Returns (pos, base): pos[k] is the position of corner k (NaN off
+    kept), base the first corner placed of each triangle in order.
     """
-    tset = set(region)
-    boundary = [k for t in region for k in (3 * t, 3 * t + 1, 3 * t + 2)
-                if glue[k] // 3 not in tset]
-    if not boundary:
-        return []
-    bset = set(boundary)
-    if start_side is None:
-        start_side = min(boundary)
-    walk = [start_side]
-    k = start_side
-    for _ in range(len(boundary)):
-        # Advance to the next boundary side around the head vertex of k.
-        j = 3 * (k // 3) + (k % 3 + 1) % 3
-        while j not in bset:
-            m = glue[j]
-            j = 3 * (m // 3) + (m % 3 + 1) % 3
-        if j == start_side:
-            break
-        walk.append(j)
-        k = j
-    if len(walk) != len(boundary):
-        raise LayoutInconsistent("region boundary is not a single cycle")
-    return walk
+    se = tri.side_edge
+    flat_angles = np.ravel(angles)
+    tris = np.flatnonzero(kept)
+    a, b, c = lengths[se.reshape(-1, 3)[tris]].T
+    s = 0.5 * (a + b + c)
+    seed = tris[np.argmax(np.sqrt(np.maximum(
+        s * (s - a) * (s - b) * (s - c), 0.0)))]
+    pos = np.full(len(se), np.nan, dtype=complex)
+
+    def place(base, pa, pb):
+        # The angle at the base corner is opposite the next side; the
+        # previous side runs from the third corner to the base corner.
+        d = pb - pa
+        pos[base] = pa
+        pos[mesh_core._next(base)] = pb
+        third = mesh_core._prev(base)
+        pos[third] = pa + lengths[se[third]] * (d / np.abs(d)) * np.exp(
+            1j * flat_angles[mesh_core._next(base)])
+
+    level = np.array([3 * seed])
+    place(level, 0j, lengths[se[level]] + 0j)
+    todo = kept.copy()
+    todo[seed] = False
+    bases = [level]
+    while level.size:
+        sides = (level[:, None] - level[:, None] % 3 + np.arange(3)).ravel()
+        sides = sides[todo[tri.glue[sides] // 3]]
+        _, first = np.unique(tri.glue[sides] // 3, return_index=True)
+        sides = sides[np.sort(first)]
+        # Side k runs corner k to corner k+1; its glued side runs the
+        # other way, so that side's base corner sits at corner k+1.
+        level = tri.glue[sides]
+        todo[level // 3] = False
+        place(level, pos[mesh_core._next(sides)], pos[sides])
+        bases.append(level)
+    unplaced = ~np.isfinite(pos[np.repeat(kept, 3)])
+    if unplaced.any():
+        raise LayoutInconsistent(
+            "layout leaves %d corners unplaced (region not edge-connected "
+            "or a side of zero length)" % np.count_nonzero(unplaced))
+    return pos, np.concatenate(bases)
+
+
+def _polygons(group, z, sides):
+    """(sides, count): the boundary sides of convex regions 0, 1, ...,
+    each region's ccw from its smallest side, and their number per
+    region; sides[i] bounds region group[i] and its tail sits at z[i].
+    Ccw, the tails turn about their centroid in increasing angle."""
+    count = np.bincount(group)
+    centre = (np.bincount(group, z.real)
+              + 1j * np.bincount(group, z.imag)) / count
+    order = np.lexsort((np.angle(z - centre[group]), group))
+    sides, group = sides[order], group[order]
+    offset = np.cumsum(count) - count
+    shift = np.lexsort((sides, group))[offset] - offset
+    rank = np.arange(len(sides)) - offset[group]
+    return sides[offset[group] + (rank + shift[group]) % count[group]], count
 
 
 def layout_disk(result, v_inf):
@@ -234,47 +222,49 @@ def layout_disk(result, v_inf):
         raise WrongKind("layout_disk requires the polyhedral case")
     rtri = result.metric.triangulation
     lengths, angles, theta_tilde = disk
+    kept = np.zeros(rtri.num_triangles, dtype=bool)
+    kept[sub.kept_triangles] = True
+    pos, _ = _develop(rtri, kept, lengths, angles)
 
-    corner_pos, _ = _layout_triangles(rtri, sub.kept_triangles, lengths,
-                                      angles)
+    # Each vertex sits at its first kept corner; record the worst mismatch
+    # of the others.
+    corners = np.flatnonzero(np.repeat(kept, 3))
+    cv = rtri.corner_vertex[corners]
+    verts, first = np.unique(cv, return_index=True)
+    vpos = np.empty(rtri.num_vertices, dtype=complex)
+    vpos[verts] = pos[corners[first]]
+    mismatch = float(np.abs(pos[corners] - vpos[cv]).max())
 
-    # First placement wins per vertex; record the worst mismatch.
-    cv = rtri.corner_vertex.tolist()
-    vertex_pos = {}
-    mismatch = 0.0
-    for t in sub.kept_triangles:
-        for i in range(3):
-            k = 3 * t + i
-            v = cv[k]
-            if v in vertex_pos:
-                mismatch = max(mismatch, abs(corner_pos[k] - vertex_pos[v]))
-            else:
-                vertex_pos[v] = corner_pos[k]
-
-    pts = np.array(list(vertex_pos.values()))
-    diameter = max(float(np.abs(pts - p).max()) for p in pts) \
-        if len(pts) > 1 else 1.0
+    # The disk is convex (its boundary angle sums are at most pi), so its
+    # boundary is a convex polygon, and its diameter is that polygon's.
+    sides = corners[~kept[rtri.glue[corners] // 3]]
+    sides, _ = _polygons(np.zeros(len(sides), dtype=np.intp), pos[sides],
+                         sides)
+    cycle = rtri.corner_vertex[sides]
+    zb = vpos[cycle]
+    diameter = max(float(np.abs(zb[i:i + BLOCK, None] - zb).max())
+                   for i in range(0, len(zb), BLOCK))
     residual = mismatch / diameter
-    if residual > 1e-8:
+    if residual > LAYOUT_TOL:
         raise LayoutInconsistent(
             "vertex stars fail to close (relative residual %g)" % residual)
-
-    walk = _region_boundary_walk(rtri.glue.tolist(), sub.kept_triangles)
-    boundary_cycle = [cv[k] for k in walk]
-    return PlanarLayout(corner_pos, vertex_pos, residual, boundary_cycle,
-                        sub, angles, theta_tilde, lengths)
+    return PlanarLayout(pos, dict(zip(verts.tolist(), vpos[verts].tolist())),
+                        residual, cycle.tolist(), sub, angles, theta_tilde,
+                        lengths)
 
 
 def _to_sphere(z):
-    """Inverse stereographic projection from the north pole."""
+    """Inverse stereographic projection from the north pole, of an array
+    of points; one (x, y, z) row per point."""
     x, y = z.real, z.imag
     r2 = x * x + y * y
-    return np.array([2.0 * x, 2.0 * y, r2 - 1.0]) / (r2 + 1.0)
+    return np.stack([2.0 * x, 2.0 * y, r2 - 1.0], axis=1) / (r2 + 1.0)[:, None]
 
 
 def _merged_bottom_faces(result, sub):
-    """Kept triangles merged across nonessential kept edges: a list of
-    sorted triangle lists, ordered by their smallest triangle."""
+    """The kept triangles merged across nonessential kept edges:
+    face[t] is the face of kept triangle t, faces numbered in the order
+    of their smallest triangle, and -1 on the other triangles."""
     rtri = result.metric.triangulation
     tris = np.array(sub.kept_triangles, dtype=np.intp)
     kept = np.zeros(rtri.num_triangles, dtype=bool)
@@ -282,81 +272,87 @@ def _merged_bottom_faces(result, sub):
     pairs = rtri.edge_sides[sorted(result.nonessential_edges)] // 3
     pairs = pairs[kept[pairs].all(axis=1)]
     labels = mesh_core._components(rtri.num_triangles, *pairs.T)[tris]
-    # Each triangle's key is the index in tris of its group's smallest.
+    # first[inverse] is the index in tris of the group's smallest.
     _, first, inverse = np.unique(labels, return_index=True,
                                   return_inverse=True)
-    key = first[inverse]
-    order = np.argsort(key, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(key)]
-    tris = tris[order].tolist()
-    return [tris[a:b] for a, b in zip(cuts, cuts[1:])]
+    face = np.full(rtri.num_triangles, -1)
+    face[tris] = np.unique(first[inverse], return_inverse=True)[1]
+    return face
 
 
 def polyhedron_from_layout(layout, result, v_inf):
     """Read the layout as ideal points (v_inf at infinity), normalize the
     Moebius gauge, project to the unit sphere, and certify convexity."""
     rtri = result.metric.triangulation
-    sub = layout.sub
-    cv = rtri.corner_vertex.tolist()
 
     # Moebius normalization: centroid zero, mean squared radius one.
-    verts = sorted(layout.vertex_pos)
-    zs = np.array([layout.vertex_pos[v] for v in verts])
+    verts = np.fromiter(layout.vertex_pos, dtype=np.intp)
+    zs = np.fromiter(layout.vertex_pos.values(), dtype=complex)
     zs = zs - zs.mean()
-    scale = math.sqrt(float(np.mean(np.abs(zs) ** 2)))
-    zs = zs / scale
+    zs = zs / math.sqrt(float(np.mean(np.abs(zs) ** 2)))
+    pts = np.empty((rtri.num_vertices, 3))
+    pts[v_inf] = 0.0, 0.0, 1.0
+    pts[verts] = _to_sphere(zs)
+    order = [v_inf, *layout.vertex_pos]
+    positions = dict(zip(order, pts[order]))
 
-    positions = {v_inf: np.array([0.0, 0.0, 1.0])}
-    for v, z in zip(verts, zs):
-        positions[v] = _to_sphere(z)
+    # Bottom faces: the merged kept triangles, each a cyclic polygon.
+    face = _merged_bottom_faces(result, layout.sub)
+    sides = np.flatnonzero(np.repeat(face >= 0, 3))
+    sides = sides[face[sides // 3] != face[rtri.glue[sides] // 3]]
+    sides, bottom_size = _polygons(face[sides // 3],
+                                   layout.corner_pos[sides], sides)
 
-    faces = []
-    glue = rtri.glue.tolist()
-    for group in _merged_bottom_faces(result, sub):
-        walk = _region_boundary_walk(glue, group)
-        faces.append([cv[k] for k in walk])
-
-    # Side faces: chains of the disk boundary between genuine corners
-    # (boundary vertices with angle sum < pi are corners; angle sum pi
-    # means two collinear boundary edges merging into one face).
-    cycle = layout.boundary_cycle
+    # Side faces: v_inf and the chain of the disk boundary between two
+    # genuine corners (boundary vertices with angle sum < pi are corners;
+    # angle sum pi means two collinear boundary edges merging into one
+    # face).  Each chain holds both of its end corners.
+    cycle = np.array(layout.boundary_cycle)
     m = len(cycle)
-    corner_idx = [i for i in range(m)
-                  if layout.theta_tilde[cycle[i]] < math.pi - ANGLE_TOL]
-    if not corner_idx:
+    corner = np.flatnonzero(layout.theta_tilde[cycle] < math.pi - ANGLE_TOL)
+    if not corner.size:
         raise NotRealizable("disk boundary has no convex corner")
-    for a, b in zip(corner_idx, corner_idx[1:] + [corner_idx[0] + m]):
-        chain = [cycle[i % m] for i in range(a, b + 1)]
-        faces.append([v_inf] + chain)
+    side_size = np.diff(corner, append=corner[0] + m) + 2
+    step = np.arange(side_size.sum()) - np.repeat(
+        np.cumsum(side_size) - side_size, side_size)
+    chains = np.where(step == 0, v_inf,
+                      cycle[(np.repeat(corner, side_size) + step - 1) % m])
 
-    diagnostics = _certify_polyhedron(positions, faces)
+    size = np.concatenate([bottom_size, side_size])
+    vert = np.concatenate([rtri.corner_vertex[sides], chains])
+    faces = list(map(np.ndarray.tolist, np.split(vert, np.cumsum(size)[:-1])))
+    diagnostics = _certify_polyhedron(pts, vert, size)
     return Realization(INSCRIBED_POLYHEDRON, positions, faces, diagnostics,
                        layout=layout)
 
 
-def _certify_polyhedron(positions, faces):
-    """On-sphere, planarity, and convexity certification."""
-    pts = np.array([positions[v] for v in sorted(positions)])
+def _certify_polyhedron(pts, vert, size):
+    """On-sphere, planarity, and convexity certification.
+
+    pts[v] is the position of vertex v; the faces list their vertices
+    one after the other in vert, size[f] of them for face f.
+    """
     on_sphere = float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)))
     if on_sphere > ON_SPHERE_TOL:
         raise ConvexityViolated("vertex leaves the sphere by %g" % on_sphere)
 
-    planarity = 0.0
+    offset = np.cumsum(size) - size
+    face = np.repeat(np.arange(len(size)), size)
+    p = pts[vert]
+    centroid = np.add.reduceat(p, offset) / size[:, None]
+    d = p - centroid[face]
+    # Best-fit plane normal: the eigenvector of the smallest eigenvalue
+    # of the face's scatter matrix.
+    normal = np.linalg.eigh(np.add.reduceat(
+        d[:, :, None] * d[:, None, :], offset))[1][:, :, 0]
+    planarity = float(np.abs(np.einsum("ij,ij->i", d, normal[face])).max())
+    level = np.einsum("ij,ij->i", centroid, normal)
     convexity = np.inf
-    for face in faces:
-        fp = np.array([positions[v] for v in face])
-        centroid = fp.mean(axis=0)
-        # Best-fit plane normal: smallest singular vector.
-        _, svals, vt = np.linalg.svd(fp - centroid)
-        normal = vt[-1]
-        planarity = max(planarity,
-                        float(np.max(np.abs((fp - centroid) @ normal))))
-        dots = (pts - centroid) @ normal
-        # Orient the normal so the polyhedron lies on the negative side.
-        if dots.max() > -dots.min():
-            normal = -normal
-            dots = -dots
-        convexity = min(convexity, float(-dots.max()))
+    for i in range(0, len(size), BLOCK):
+        dots = normal[i:i + BLOCK] @ pts.T - level[i:i + BLOCK, None]
+        # Orient each normal so the polyhedron lies on its negative side.
+        convexity = min(convexity, float(-np.minimum(
+            dots.max(axis=1), -dots.min(axis=1)).max()))
     if planarity > PLANARITY_TOL:
         raise ConvexityViolated("face planarity residual %g" % planarity)
     if convexity < -CONVEXITY_TOL:
@@ -409,30 +405,29 @@ def uniformize_sphere(metric, v_inf, opts=None):
     return realization
 
 
-def _lattice_from_translations(translations, tol=1e-8):
-    """Basis of the rank-2 lattice generated by (near-lattice) vectors."""
-    vecs = [t for t in translations if abs(t) > tol]
-    if not vecs:
+def _lattice_from_translations(translations):
+    """Basis of the rank-2 lattice generated by an array of (near-lattice)
+    vectors."""
+    vecs = translations[np.abs(translations) > LATTICE_TOL]
+    if not vecs.size:
         raise LayoutInconsistent("no nonzero deck translations found")
-    v1 = min(vecs, key=abs)
-    indep = [t for t in vecs
-             if abs((t / v1).imag) * abs(v1) > tol]
-    if not indep:
+    v1 = complex(vecs[np.argmin(np.abs(vecs))])
+    indep = vecs[np.abs((vecs / v1).imag) * abs(v1) > LATTICE_TOL]
+    if not indep.size:
         raise LayoutInconsistent("deck translations are collinear")
-    v2 = min(indep, key=abs)
-    v1, v2 = _lagrange_reduce(v1, v2)
+    v1, v2 = _lagrange_reduce(v1, complex(indep[np.argmin(np.abs(indep))]))
 
-    # Absorb any translation that is not an integer combination yet.
+    # Absorb the first translation that is not an integer combination
+    # yet, until none is left.
     for _ in range(100):
-        worst = None
-        for t in vecs:
-            a, b = _coords(t, v1, v2)
-            fa, fb = a - round(a), b - round(b)
-            if abs(fa) > 1e-6 or abs(fb) > 1e-6:
-                worst = t - round(a) * v1 - round(b) * v2
-                break
-        if worst is None:
+        a, b = _coords(vecs, v1, v2)
+        off = np.flatnonzero(np.maximum(np.abs(a - np.round(a)),
+                                        np.abs(b - np.round(b)))
+                             > INTEGER_TOL)
+        if not off.size:
             break
+        i = off[0]
+        worst = complex(vecs[i] - np.round(a[i]) * v1 - np.round(b[i]) * v2)
         if abs(worst) < abs(v1):
             v2, v1 = v1, worst
         else:
@@ -493,39 +488,25 @@ def uniformize_torus(metric, opts=None):
     met = ev.delaunay.metric
     rtri = met.triangulation
 
-    all_tris = list(range(rtri.num_triangles))
-    angles = _energy._triangle_angles(rtri.side_edge, met.lam, all_tris)
-    corner_pos, crossed = _layout_triangles(rtri, all_tris, met.lengths,
-                                            angles)
-    glue = rtri.glue.tolist()
-    crossed_set = set(crossed) | {glue[k] for k in crossed}
+    angles = _energy._triangle_angles(rtri.side_edge, met.lam, slice(None))
+    pos, base = _develop(rtri, np.ones(rtri.num_triangles, dtype=bool),
+                         met.lengths, angles)
 
-    # Deck transformations from the non-tree edges.  The holonomy is
-    # translational because every angle sum is 2 pi; both endpoints of
-    # the shared side must report the same translation.
-    translations = []
-    mismatch = 0.0
-    scale_len = max(abs(p) for p in corner_pos.values()) + 1.0
-    for t in all_tris:
-        for i in range(3):
-            k = 3 * t + i
-            m = glue[k]
-            if k in crossed_set or m < k:
-                continue
-            t2, s2 = divmod(m, 3)
-            # Where triangle t2's side would land if developed across k.
-            pa = corner_pos[3 * t + (i + 1) % 3]
-            pb = corner_pos[3 * t + i]
-            qa = corner_pos[3 * t2 + s2]
-            qb = corner_pos[3 * t2 + (s2 + 1) % 3]
-            d1 = pa - qa
-            d2 = pb - qb
-            if abs(d1 - d2) > 1e-8 * scale_len:
-                raise LayoutInconsistent(
-                    "holonomy across edge %d is not a translation (%g)"
-                    % (rtri.side_edge[k], abs(d1 - d2)))
-            mismatch = max(mismatch, abs(d1 - d2))
-            translations.append(d1)
+    # Deck transformations from the sides off the development tree, each
+    # edge once.  The holonomy is translational because every angle sum
+    # is 2 pi; both ends of a side must see the same translation.
+    glue = rtri.glue
+    tree = np.zeros(len(glue), dtype=bool)
+    tree[base[1:]] = tree[glue[base[1:]]] = True
+    k = np.flatnonzero(~tree & (np.arange(len(glue)) < glue))
+    m = glue[k]
+    translations = pos[mesh_core._next(k)] - pos[m]
+    gap = np.abs(translations - (pos[k] - pos[mesh_core._next(m)]))
+    bad = np.flatnonzero(gap > HOLONOMY_TOL * (np.abs(pos).max() + 1.0))
+    if bad.size:
+        raise LayoutInconsistent(
+            "holonomy across edge %d is not a translation (%g)"
+            % (rtri.side_edge[k[bad[0]]], gap[bad[0]]))
 
     v1, v2 = _lattice_from_translations(translations)
     # Unit covolume, orientation with positive area.
@@ -538,16 +519,17 @@ def uniformize_torus(metric, opts=None):
     tau = _normalize_tau(v2 / v1)
     # Residual: holonomy mismatch or distance of a deck translation from
     # the lattice, whichever is larger, at unit covolume.
-    deck = np.array(translations) * s
+    deck = translations * s
     a, b = _coords(deck, v1, v2)
-    residual = float(max(mismatch * s, np.max(np.abs(
+    residual = float(max(gap.max() * s, np.max(np.abs(
         deck - np.round(a) * v1 - np.round(b) * v2))))
 
-    vpos = {}
-    cv = rtri.corner_vertex.tolist()
-    for k, z in corner_pos.items():
-        vpos.setdefault(cv[k], z * s)
-    faces = [[cv[3 * t + i] for i in range(3)] for t in all_tris]
+    # Each vertex sits at its first corner in placement order.
+    corners = np.stack([base, mesh_core._next(base), mesh_core._prev(base)],
+                       axis=1).ravel()
+    verts, first = np.unique(rtri.corner_vertex[corners], return_index=True)
+    vpos = dict(zip(verts.tolist(), (pos[corners[first]] * s).tolist()))
+    faces = rtri.corner_vertex.reshape(-1, 3).tolist()
     return Realization(FLAT_TORUS, vpos, faces,
                        {"covolume": 1.0,
                         "residual_lattice": residual},

@@ -2,6 +2,14 @@
 
 import numpy as np
 
+from uniformizer import mesh_core
+from uniformizer.penner import DecoratedMetric
+
+# The squares of a unit cube on the vertices v = (v & 1, v >> 1 & 1,
+# v >> 2 & 1), each ccw seen from outside.
+CUBE_QUADS = [(0, 2, 3, 1), (4, 5, 7, 6), (0, 1, 5, 4), (2, 6, 7, 3),
+              (0, 4, 6, 2), (1, 3, 7, 5)]
+
 
 def fd_gradient(fun, x, h=1e-6):
     """Central-difference gradient of a scalar function."""
@@ -33,3 +41,18 @@ def fd_hessian(grad_fun, x, h=1e-5):
 
 def dense(mat):
     return mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
+
+
+def cube_sphere():
+    """(metric, labels): the euclidean unit cube with each square split by
+    a diagonal, and the cube vertex of each surface vertex.  The
+    diagonals are nonessential, so every square is one face."""
+    tri, labels = mesh_core.build_from_faces(
+        [t for a, b, c, d in CUBE_QUADS for t in ((a, b, c), (a, c, d))],
+        genus_hint=0)
+    xyz = np.array([[v & 1, v >> 1 & 1, v >> 2 & 1] for v in labels],
+                   dtype=float)
+    ends = tri.edge_verts
+    lam = 2.0 * np.log(np.linalg.norm(xyz[ends[:, 0]] - xyz[ends[:, 1]],
+                                      axis=1))
+    return DecoratedMetric(tri, lam), labels

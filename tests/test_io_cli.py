@@ -139,6 +139,19 @@ def test_cli_check(tmp_path, capsys):
     assert "delaunay: ok" in out
 
 
+def test_cli_check_rejects_disconnected_surface(tmp_path, capsys):
+    # Two disjoint one-vertex tori in one file.
+    path = tmp_path / "two.surf"
+    path.write_text(
+        "uniformizer-surface 1\n"
+        "triangles 4\n"
+        "glue 0 0 1 1\nglue 0 1 1 2\nglue 0 2 1 0\n"
+        "glue 2 0 3 1\nglue 2 1 3 2\nglue 2 2 3 0\n"
+        "lambda\n0\n0\n0\n0\n0\n0\n")
+    assert io_cli.cli_dispatch(["check", str(path)]) == 2
+    assert "connected components" in capsys.readouterr().err
+
+
 def test_cli_delaunay_writes_output(tmp_path, capsys):
     rng = np.random.default_rng(62)
     metric = surfaces.random_sphere(8, rng)

@@ -99,6 +99,25 @@ def test_build_rejects_wrong_genus_hint():
             genus_hint=1)
 
 
+# Two disjoint one-vertex tori, and a tetrahedron beside a one-vertex
+# torus: each count of cells passes the Euler check of one surface.
+TWO_TORI = [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0)),
+            ((2, 0), (3, 1)), ((2, 1), (3, 2)), ((2, 2), (3, 0))]
+
+
+def _tetrahedron_and_torus():
+    tri, _ = mesh_core.build_from_faces(
+        [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
+    return [(divmod(a, 3), divmod(b, 3)) for a, b in tri.edge_sides.tolist()] \
+        + [((4, 0), (5, 1)), ((4, 1), (5, 2)), ((4, 2), (5, 0))]
+
+
+@pytest.mark.parametrize("gluing", [TWO_TORI, _tetrahedron_and_torus()])
+def test_build_rejects_disconnected_gluing(gluing):
+    with pytest.raises(EulerMismatch, match="2 connected components"):
+        mesh_core.build_from_gluings(gluing)
+
+
 def test_build_rejects_out_of_range_side():
     with pytest.raises(UnmatchedSide):
         mesh_core.build_from_gluings([((0, 0), (0, 3)),

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import CUBE_QUADS, cube_sphere
 from uniformizer import mesh_core, realize, surfaces
 from uniformizer.delaunay import DelaunayResult
 from uniformizer.energy import punctured_energy
@@ -175,27 +176,20 @@ def test_merged_bottom_faces_match_pairwise_merging():
         result = types.SimpleNamespace(
             metric=types.SimpleNamespace(triangulation=tri),
             nonessential_edges=ness)
-        merged = realize._merged_bottom_faces(result, sub)
+        face = realize._merged_bottom_faces(result, sub)
+        merged = [np.flatnonzero(face == f).tolist()
+                  for f in range(face.max() + 1)]
         assert merged == sorted(map(sorted, groups))
+        assert (face[sub.kept_triangles] >= 0).all()
+        assert np.count_nonzero(face >= 0) == len(sub.kept_triangles)
 
 
 def test_cube_faces_merge_across_nonessential_diagonals():
-    # A euclidean cube with each square split by a diagonal: the
-    # diagonals are nonessential, so every square is one face.
-    quads = [(0, 2, 3, 1), (4, 5, 7, 6), (0, 1, 5, 4), (2, 6, 7, 3),
-             (0, 4, 6, 2), (1, 3, 7, 5)]
-    tri, labels = mesh_core.build_from_faces(
-        [t for a, b, c, d in quads for t in ((a, b, c), (a, c, d))],
-        genus_hint=0)
-    xyz = np.array([[v & 1, v >> 1 & 1, v >> 2 & 1] for v in labels],
-                   dtype=float)
-    ends = tri.edge_verts
-    lam = 2.0 * np.log(np.linalg.norm(xyz[ends[:, 0]] - xyz[ends[:, 1]],
-                                      axis=1))
-    real = uniformize_sphere(DecoratedMetric(tri, lam), 0)
+    metric, labels = cube_sphere()
+    real = uniformize_sphere(metric, 0)
     assert real.kind == INSCRIBED_POLYHEDRON
     assert sorted(sorted(labels[v] for v in f) for f in real.faces) \
-        == sorted(map(sorted, quads))
+        == sorted(map(sorted, CUBE_QUADS))
     # The three squares of the disk come first, ordered by their smallest
     # triangle; the three at vertex 0 follow.
     bottom = real.faces[:3]
