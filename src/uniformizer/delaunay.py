@@ -24,22 +24,29 @@ toward themselves.  Arcs are computed from the base lambda; Ptolemy
 updates commute with the fiber shift, so the algorithm tracks base
 lambda only, which keeps everything finite even with infinite u.
 
-One array kernel, _margins, computes the margin of every edge at once.
-Per triangle, let S be the sum of its three weighted corner arcs; side s
-then receives S - 2 A, with A the weighted arc at the apex opposite s.
-Summing over the two triangles of e gives the margin above, and the sum
-of their S is the margin's scale.
+One formula gives every margin.  Per triangle, let S be the sum of its
+three weighted corner arcs (_triangle_terms); side s then receives
+S - 2 A, with A the weighted arc at the apex opposite s.  Summing over
+the two triangles of e gives the margin above, and the sum of their S is
+the margin's scale (_edge_terms).  _margins applies the two to every
+triangle and edge.
 
-make_delaunay flips in rounds.  A round scans every edge with the kernel,
-then picks, in edge order, the strictly violating edges whose quads share
-no triangle with a quad already picked in that round, and flips them all
-at once: one array Ptolemy update and one mesh_core.flip_edges call.  A
-flip changes only the lambda of its own edge and its own two triangles,
-while a margin and a Ptolemy update read only the lambdas and vertices
-of the edge's two triangles, so the margins read at the start of the
-round are exact for every picked edge, and the batch gives the same
-triangulation and lambdas as flipping its edges one by one in edge
-order.  The rounds stop when a scan finds no violation.  The Delaunay
+make_delaunay copies the triangulation's tables once into a working
+state (_FlipState) that also holds lambda, the per-triangle terms and
+every edge's margin, and flips in rounds.  A round picks, in edge order,
+the strictly violating edges whose quads share no triangle with a quad
+already picked in that round, and flips them all at once: one array
+Ptolemy update and one in-place slot permutation
+(mesh_core._flip_in_place).  A flip changes only the lambda of its own
+edge and its own two triangles, while a margin and a Ptolemy update read
+only the lambdas and vertices of the edge's two triangles, so the
+margins read at the start of the round are exact for every picked edge,
+and the batch gives the same triangulation and lambdas as flipping its
+edges one by one in edge order.  For the same reason the round then
+recomputes only the terms of the flipped triangles and the margins of
+their edges; every other margin is unchanged.  The rounds stop when no
+edge is violating.  The adjusted pass continues on the same state, and
+the result's Triangulation is built once, at the end.  The Delaunay
 (Epstein-Penner) decomposition is unique, and any order of flips that fix
 strict violations reaches it; the order can change only the diagonals of
 cocircular cells.
@@ -76,6 +83,11 @@ log = logging.getLogger(__name__)
 
 # An edge is nonessential when |margin| <= NONESSENTIAL_REL * (arc scale).
 NONESSENTIAL_REL = 1e-9
+# A run may make MAX_FLIPS_PER_EDGE flips per edge plus MAX_FLIPS_EXTRA
+# before it raises FlipLimitExceeded: a safety net far above the flip
+# counts of terminating runs, which stays linear in the mesh size.
+MAX_FLIPS_PER_EDGE = 1000
+MAX_FLIPS_EXTRA = 10000
 
 PLAIN = "plain"
 ADJUSTED = "adjusted"
@@ -115,6 +127,40 @@ def _quad(tri, e):
             (cv[k1], cv[ka], cv[kb], cv[kd]))
 
 
+def _triangle_terms(tri, lam, uexp, triangles=slice(None)):
+    """(opposite, total) of the given triangles: the weighted arc at the
+    apex opposite each side, a (t, 3) array, and the sum S of the three
+    weighted corner arcs per triangle.  tri is anything with the
+    side_edge and corner_vertex tables of a triangulation."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arcs = np.exp(_log_corner_arcs(
+            tri.side_edge.reshape(-1, 3)[triangles], lam))
+        arcs *= uexp[tri.corner_vertex.reshape(-1, 3)[triangles]]
+        # Side s is incident with the arcs at corners s and s + 1 and
+        # opposite the arc at corner s + 2.
+        return arcs[:, [2, 0, 1]], arcs.sum(axis=1)
+
+
+def _edge_terms(edge_sides, opposite, total, edges=slice(None)):
+    """(margin, scale) of the given edges from the _triangle_terms of all
+    triangles: each side contributes S - 2 A to the margin and S to the
+    scale.  Edges whose two sides lie in one triangle have no quad;
+    their margin is +inf.  Raises ArcOverflow when a scale leaves the
+    float range."""
+    sides = edge_sides[edges]
+    tris = sides // 3
+    total = total[tris]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = total[:, 0] + total[:, 1]
+    if not np.all(np.isfinite(scale)):
+        raise ArcOverflow("a horocyclic arc overflows: lambda spans too "
+                          "wide a range")
+    terms = total - 2.0 * opposite.reshape(-1)[sides]
+    margin = terms[:, 0] + terms[:, 1]
+    margin[tris[:, 0] == tris[:, 1]] = np.inf
+    return margin, scale
+
+
 def _margins(tri, lam, uexp):
     """Weighted local Delaunay margin and its scale at every edge.
 
@@ -123,22 +169,7 @@ def _margins(tri, lam, uexp):
     one triangle have no quad; their margin is +inf.  Raises ArcOverflow
     when an arc, weighted by uexp, leaves the float range.
     """
-    se = tri.side_edge
-    with np.errstate(over="ignore", invalid="ignore"):
-        arcs = np.exp(_log_corner_arcs(se, lam))
-        arcs *= uexp[tri.corner_vertex.reshape(-1, 3)]
-        total = arcs.sum(axis=1)
-        scale = np.bincount(se, np.repeat(total, 3), minlength=tri.num_edges)
-    if not np.all(np.isfinite(scale)):
-        raise ArcOverflow("a horocyclic arc overflows: lambda spans too "
-                          "wide a range")
-    # Side s is incident with the arcs at corners s and s + 1 and
-    # opposite the arc at corner s + 2.
-    sides = total[:, None] - 2.0 * arcs[:, [2, 0, 1]]
-    margin = np.bincount(se, sides.ravel(), minlength=tri.num_edges)
-    se3 = se.reshape(-1, 3)
-    margin[se3[se3 == se3[:, [1, 2, 0]]]] = np.inf
-    return margin, scale
+    return _edge_terms(tri.edge_sides, *_triangle_terms(tri, lam, uexp))
 
 
 def _edge_set(mask):
@@ -158,36 +189,75 @@ def delaunay_margin(metric, u, e):
     return margin
 
 
-def _flip_rounds(tri, lam, uexp, select, flips, max_flips):
-    """Flip edges in rounds until a scan selects none.
+class _FlipState:
+    """The flip algorithm's working copy of a decorated triangulation.
 
-    Each round scans all edges once, picks in edge order the edges that
-    select(tri, margin, tol) marks, skipping those whose quad shares a
+    Holds mutable copies of the tables glue, side_edge, corner_vertex and
+    edge_sides (so it can stand in for a Triangulation where only these
+    are read), lambda, the per-triangle terms of _triangle_terms and the
+    (margin, scale) of every edge.  flip keeps them all current, touching
+    only the flipped quads.
+    """
+
+    def __init__(self, tri, lam, uexp):
+        self.glue = tri.glue.copy()
+        self.side_edge = tri.side_edge.copy()
+        self.corner_vertex = tri.corner_vertex.copy()
+        self.edge_sides = tri.edge_sides.copy()
+        self.lam = lam
+        self.uexp = uexp
+        self.opposite, self.total = _triangle_terms(self, lam, uexp)
+        self.margin, self.scale = _edge_terms(self.edge_sides,
+                                              self.opposite, self.total)
+
+    def flip(self, batch):
+        """Flip the edges of batch, whose quads share no triangle; returns
+        their lambdas before and after."""
+        batch = np.asarray(batch, dtype=np.intp)
+        tris = (self.edge_sides[batch] // 3).T.ravel()
+        mesh_core._flip_in_place(self.glue, self.side_edge,
+                                 self.corner_vertex, self.edge_sides, batch)
+        # The flipped quads keep the slots of their triangles: t1 now has
+        # the sides (b, c, f) and t2 the sides (d, a, f) of
+        # mesh_core.flip_edges.  Every edge whose margin changed has a
+        # side in them.
+        edges = self.side_edge.reshape(-1, 3)[tris]
+        n = len(batch)
+        lam = self.lam
+        le = lam[batch]
+        lf = ptolemy_update(lam[edges[n:, 1]], lam[edges[:n, 0]],
+                            lam[edges[:n, 1]], lam[edges[n:, 0]], le)
+        lam[batch] = lf
+        self.opposite[tris], self.total[tris] = _triangle_terms(
+            self, lam, self.uexp, tris)
+        edges = edges.ravel()
+        self.margin[edges], self.scale[edges] = _edge_terms(
+            self.edge_sides, self.opposite, self.total, edges)
+        return le, lf
+
+
+def _flip_rounds(state, select, flips, max_flips):
+    """Flip edges in rounds until none is selected.
+
+    Each round picks in edge order the edges that select(state, tol)
+    returns (increasing edge ids), skipping those whose quad shares a
     triangle with a quad already picked, and flips the picked edges in
-    one batch (see the module docstring).  Appends to flips and updates
-    lam in place; returns the final triangulation and its (margin, scale).
+    one batch (see the module docstring).  Appends to flips.
     """
     while True:
-        margin, scale = _margins(tri, lam, uexp)
-        marked = np.flatnonzero(select(tri, margin, NONESSENTIAL_REL * scale))
+        marked = select(state, NONESSENTIAL_REL * state.scale)
         if not marked.size:
-            return tri, margin, scale
+            return
         used = set()
         batch = []
         for e, (t1, t2) in zip(marked.tolist(),
-                               (tri.edge_sides[marked] // 3).tolist()):
+                               (state.edge_sides[marked] // 3).tolist()):
             if t1 not in used and t2 not in used:
                 used.update((t1, t2))
                 batch.append(e)
         if len(flips) + len(batch) > max_flips:
             raise FlipLimitExceeded("more than %d flips" % max_flips)
-        _, _, ka, kb, kc, kd = mesh_core._quad_sides(tri, batch)
-        se = tri.side_edge
-        le = lam[batch]
-        lf = ptolemy_update(lam[se[ka]], lam[se[kb]], lam[se[kc]],
-                            lam[se[kd]], le)
-        tri = mesh_core.flip_edges(tri, batch)
-        lam[batch] = lf
+        le, lf = state.flip(batch)
         flips.extend(zip(batch, le.tolist(), lf.tolist()))
 
 
@@ -207,41 +277,42 @@ def make_delaunay(metric, u=None, mode=PLAIN):
     tri = metric.triangulation
     if u is None:
         u = PartialDecoration.zeros(tri.num_vertices)
-    lam = metric.lam.copy()
-    uexp = np.exp(-u.u)
-    max_flips = 1000 * tri.num_edges + 10000
+    state = _FlipState(tri, metric.lam.copy(), np.exp(-u.u))
+    max_flips = MAX_FLIPS_PER_EDGE * tri.num_edges + MAX_FLIPS_EXTRA
     flips = []
 
-    tri, margin, scale = _flip_rounds(
-        tri, lam, uexp, lambda tri, margin, tol: margin < -tol, flips,
-        max_flips)
+    _flip_rounds(state, lambda st, tol: np.flatnonzero(st.margin < -tol),
+                 flips, max_flips)
 
     punctured = {}
     if mode == ADJUSTED:
         undecorated = ~np.isfinite(u.u)
 
-        def fannable(tri, margin, tol):
-            apex = undecorated[tri.corner_vertex.reshape(-1, 3)]
-            at_apex = np.bincount(tri.side_edge, apex[:, [2, 0, 1]].ravel(),
-                                  minlength=tri.num_edges)
-            return (np.abs(margin) <= tol) & (at_apex > 0)
+        def fannable(st, tol):
+            near = np.flatnonzero(np.abs(st.margin) <= tol)
+            apex = st.corner_vertex[mesh_core._prev(st.edge_sides[near])]
+            return near[undecorated[apex].any(axis=1)]
 
-        tri, margin, scale = _flip_rounds(tri, lam, uexp, fannable, flips,
-                                          max_flips)
+        _flip_rounds(state, fannable, flips, max_flips)
         # (vertex, triangle) codes of the corners at undecorated vertices,
         # sorted and without repeats: each vertex's triangles in order.
-        k = np.flatnonzero(undecorated[tri.corner_vertex])
+        cv = state.corner_vertex
+        k = np.flatnonzero(undecorated[cv])
         nt = tri.num_triangles
-        code = np.unique(tri.corner_vertex[k] * nt + k // 3)
+        code = np.unique(cv[k] * nt + k // 3)
         verts, start = np.unique(code // nt, return_index=True)
         punctured = {v: tuple(faces.tolist()) for v, faces in zip(
             verts.tolist(), np.split(code % nt, start[1:]))}
 
     if flips:
+        tri = mesh_core.Triangulation(state.glue, state.side_edge,
+                                      state.corner_vertex, tri.num_vertices,
+                                      state.edge_sides)
         log.debug("make_delaunay: %d flips on %r", len(flips), tri)
     return DelaunayResult(
-        DecoratedMetric(tri, lam), u, flips,
-        _edge_set(np.abs(margin) <= NONESSENTIAL_REL * scale), punctured)
+        DecoratedMetric(tri, state.lam), u, flips,
+        _edge_set(np.abs(state.margin) <= NONESSENTIAL_REL * state.scale),
+        punctured)
 
 
 class DelaunayCheck:

@@ -7,15 +7,17 @@ vectorized evaluation path:
   set of triangles from side->edge ids and lambdas (ell = exp(lambda/2)).
 * _evaluate, the evaluator: twice the potential at the half-lambdas
   summed over a set of triangles, minus pi times the lambda sum over a
-  set of edges; on request also the angle sums, the vertex degrees and
-  the cotangent Hessian.
+  set of edges, with the angles it used; from those angles _derivatives
+  gives the angle sums, the vertex degrees and the cotangent Hessian.
 
 lobachevsky, euclidean_angles and triangle_potential are scalar views of
 the kernel.  fixed_triangulation_energy evaluates a fixed triangulation;
 conformal_energy and punctured_energy evaluate the (adjusted) Delaunay
 retriangulation as functions of the per-vertex scale factors u.  These
 are C^2 and convex; gradients measure angle defects and Hessians are
-cotangent Laplacians.  Their *_value twins skip the derivatives.
+cotangent Laplacians.  An EnergyEvaluation computes its value at once and
+its derivatives on first use, so a line-search trial that is rejected
+costs no derivatives.  The *_value names return the value alone.
 
 Both depend on their metric argument only through the decorated surface
 it carries: Ptolemy flips leave the surface and its horocycle lengths
@@ -26,6 +28,7 @@ Delaunay triangulation; passed back as the metric it gives the same
 energy with fewer flips.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -142,24 +145,27 @@ def triangle_potential(x1, x2, x3):
     return value, a, hess
 
 
-def _evaluate(tri, lam, triangles=slice(None), edges=slice(None),
-              free=None):
-    """(value, theta_tilde, degree, hessian) over the given cells (default:
-    all); the last three only when free, the Hessian rows, is given.
-
-    theta_tilde is the angle sum and degree the corners minus edge-ends
-    per vertex.  The Hessian is 1/4 sum_e w_e (du_i - du_j)^2 taken twice,
-    w_e the cotangent sum opposite e: w_e/2 [[1, -1], [-1, 1]] per edge.
-    """
+def _evaluate(tri, lam, triangles=slice(None), edges=slice(None)):
+    """(value, angles) over the given cells (default: all): the value,
+    and the (T, 3) angles of the triangles for _derivatives."""
     sides = tri.side_edge.reshape(-1, 3)[triangles]
     angles = _triangle_angles(sides, lam, slice(None))
     value = (float(np.sum(angles * lam[sides]))
              + 2.0 * float(np.sum(_lobachevsky(angles)))
              - math.pi * float(np.sum(lam[edges])))
-    if free is None:
-        return value, None, None, None
+    return value, angles
 
+
+def _derivatives(tri, triangles, edges, angles, free):
+    """(theta_tilde, degree, hessian) over the cells _evaluate summed,
+    from its angles; the Hessian has the rows free.
+
+    theta_tilde is the angle sum and degree the corners minus edge-ends
+    per vertex.  The Hessian is 1/4 sum_e w_e (du_i - du_j)^2 taken twice,
+    w_e the cotangent sum opposite e: w_e/2 [[1, -1], [-1, 1]] per edge.
+    """
     n = tri.num_vertices
+    sides = tri.side_edge.reshape(-1, 3)[triangles]
     corners = tri.corner_vertex.reshape(-1, 3)[triangles].ravel()
     ends = tri.edge_verts[edges]
     theta_tilde = np.bincount(corners, angles[:, _NEXT].ravel(),
@@ -179,7 +185,7 @@ def _evaluate(tri, lam, triangles=slice(None), edges=slice(None),
         (np.stack([q, q, -q, -q], 1).ravel(),
          (np.stack([i, j, i, j], 1).ravel(),
           np.stack([i, j, j, i], 1).ravel())), shape=(m, m)))
-    return value, theta_tilde, degree, hessian
+    return theta_tilde, degree, hessian
 
 
 def fixed_triangulation_energy(metric, target):
@@ -197,38 +203,45 @@ def fixed_triangulation_energy(metric, target):
 class EnergyEvaluation:
     """Value, gradient, and sparse Hessian of an energy at a point.
 
-    gradient and hessian are indexed by free_vertices (all vertices for
-    the conformal energy, all but the distinguished vertex for the
-    punctured energy).  theta_tilde holds the realized angle sums.
-    surface is the evaluated decorated surface in base lambda (the
-    shift by u taken out) on the Delaunay triangulation of this
-    evaluation: the same surface as the input metric, so it may stand
-    in for it in the next evaluation of the same energy.
+    The value is computed at once; gradient, hessian and theta_tilde on
+    first use, from the same Delaunay result.  gradient and hessian are
+    indexed by free_vertices (all vertices for the conformal energy, all
+    but the distinguished vertex for the punctured energy).  theta_tilde
+    holds the realized angle sums.  surface is the evaluated decorated
+    surface in base lambda (the shift by u taken out) on the Delaunay
+    triangulation of this evaluation: the same surface as the input
+    metric, so it may stand in for it in the next evaluation of the same
+    energy.
     """
 
-    def __init__(self, value, gradient, hessian, delaunay_result,
-                 theta_tilde, free_vertices, surface):
+    def __init__(self, value, delaunay_result, free_vertices, surface,
+                 cells, angles, gradient_of):
         self.value = value
-        self.gradient = gradient
-        self.hessian = hessian
         self.delaunay = delaunay_result
-        self.theta_tilde = theta_tilde
         self.free_vertices = free_vertices
         self.surface = surface
+        # (triangulation, triangles, edges) that _evaluate summed over,
+        # its angles, and the gradient as a function of theta_tilde and
+        # the vertex degrees.
+        self._cells = cells
+        self._angles = angles
+        self._gradient_of = gradient_of
 
+    @functools.cached_property
+    def _derivatives(self):
+        return _derivatives(*self._cells, self._angles, self.free_vertices)
 
-def _conformal(metric, target, u, derivatives):
-    result = _delaunay.make_delaunay(fiber_shift(metric, u))
-    met = result.metric
-    n = met.triangulation.num_vertices
-    value, theta_tilde, _, hessian = _evaluate(
-        met.triangulation, met.lam, free=range(n) if derivatives else None)
-    value -= float(target.theta @ _log_horocycle_lengths(met))
-    if not derivatives:
-        return value
-    return EnergyEvaluation(value, target.theta - theta_tilde, hessian,
-                            result, theta_tilde, list(range(n)),
-                            fiber_shift(met, -np.asarray(u, dtype=float)))
+    @property
+    def theta_tilde(self):
+        return self._derivatives[0]
+
+    @functools.cached_property
+    def gradient(self):
+        return self._gradient_of(*self._derivatives[:2])
+
+    @property
+    def hessian(self):
+        return self._derivatives[2]
 
 
 def conformal_energy(metric, target, u):
@@ -240,35 +253,21 @@ def conformal_energy(metric, target, u):
     cotangent Laplacian of the Delaunay triangulation (kernel: constant
     vectors).
     """
-    return _conformal(metric, target, u, True)
+    result = _delaunay.make_delaunay(fiber_shift(metric, u))
+    met = result.metric
+    tri = met.triangulation
+    value, angles = _evaluate(tri, met.lam)
+    value -= float(target.theta @ _log_horocycle_lengths(met))
+    return EnergyEvaluation(
+        value, result, list(range(tri.num_vertices)),
+        fiber_shift(met, -np.asarray(u, dtype=float)),
+        (tri, slice(None), slice(None)), angles,
+        lambda theta_tilde, degree: target.theta - theta_tilde)
 
 
 def conformal_energy_value(metric, target, u):
-    """Value-only fast path for line searches."""
-    return _conformal(metric, target, u, False)
-
-
-def _punctured(metric, v_inf, u, derivatives):
-    u_ext = np.array(u, dtype=float)
-    u_ext[v_inf] = np.inf
-    result = _delaunay.make_delaunay(metric, PartialDecoration(u_ext),
-                                     mode=_delaunay.ADJUSTED)
-    tri = result.metric.triangulation
-    sub = mesh_core.subcomplex_avoiding(tri, v_inf)
-    free = sub.kept_vertices
-    ends = tri.edge_verts
-    # Shifted lambdas, finite on the kept edges (both ends decorated).
-    lam = result.metric.lam + u_ext[ends[:, 0]] + u_ext[ends[:, 1]]
-    value, theta_tilde, degree, hessian = _evaluate(
-        tri, lam, np.array(sub.kept_triangles, dtype=int),
-        np.array(sub.kept_edges, dtype=int), free if derivatives else None)
-    value -= 2.0 * math.pi * float(np.sum(
-        _log_horocycle_lengths(metric)[free] - u_ext[free]))
-    if not derivatives:
-        return value
-    gradient = math.pi * (degree[free] + 2) - theta_tilde[free]
-    return EnergyEvaluation(value, gradient, hessian, result, theta_tilde,
-                            free, result.metric)
+    """The value of conformal_energy alone."""
+    return conformal_energy(metric, target, u).value
 
 
 def punctured_energy(metric, v_inf, u):
@@ -279,12 +278,30 @@ def punctured_energy(metric, v_inf, u):
     then sums over the subcomplex avoiding v_inf.  Gradient and Hessian
     are indexed by the free vertices (all but v_inf, in id order).
     """
-    return _punctured(metric, v_inf, u, True)
+    u_ext = np.array(u, dtype=float)
+    u_ext[v_inf] = np.inf
+    result = _delaunay.make_delaunay(metric, PartialDecoration(u_ext),
+                                     mode=_delaunay.ADJUSTED)
+    tri = result.metric.triangulation
+    sub = mesh_core.subcomplex_avoiding(tri, v_inf)
+    free = sub.kept_vertices
+    ends = tri.edge_verts
+    # Shifted lambdas, finite on the kept edges (both ends decorated).
+    lam = result.metric.lam + u_ext[ends[:, 0]] + u_ext[ends[:, 1]]
+    triangles = np.array(sub.kept_triangles, dtype=int)
+    edges = np.array(sub.kept_edges, dtype=int)
+    value, angles = _evaluate(tri, lam, triangles, edges)
+    value -= 2.0 * math.pi * float(np.sum(
+        _log_horocycle_lengths(metric)[free] - u_ext[free]))
+    return EnergyEvaluation(
+        value, result, free, result.metric, (tri, triangles, edges), angles,
+        lambda theta_tilde, degree:
+            math.pi * (degree[free] + 2) - theta_tilde[free])
 
 
 def punctured_energy_value(metric, v_inf, u):
-    """Value-only fast path for line searches."""
-    return _punctured(metric, v_inf, u, False)
+    """The value of punctured_energy alone."""
+    return punctured_energy(metric, v_inf, u).value
 
 
 class CrossflipReport:

@@ -456,7 +456,7 @@ def cli_dispatch(argv):
     except SolverFailure as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 3
-    except (UniformizerError, OSError, ValueError) as exc:
+    except (UniformizerError, OSError, ValueError, ArithmeticError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 

@@ -23,7 +23,10 @@ two triangles between their six slots, so it is a permutation of slots:
 each side carries its gluing, its edge id and the vertex at its start to
 its new slot, and only the two slots of the new diagonal get new vertices.
 Flips of quads that share no triangle permute disjoint slots, so
-flip_edges applies a whole batch of them in one array pass.
+_flip_in_place applies a whole batch of them in one array pass over the
+slots of the batch, on mutable copies of the tables; flip_edges wraps it
+for immutable Triangulations, and the flip algorithm of delaunay keeps
+one set of copies for all of its rounds.
 """
 
 import functools
@@ -72,13 +75,18 @@ class Triangulation:
             corner.
     """
 
-    def __init__(self, glue, side_edge, corner_vertex, num_vertices):
-        for table in (glue, side_edge, corner_vertex):
-            table.flags.writeable = False
+    def __init__(self, glue, side_edge, corner_vertex, num_vertices,
+                 edge_sides=None):
+        for table in (glue, side_edge, corner_vertex, edge_sides):
+            if table is not None:
+                table.flags.writeable = False
         self.glue = glue
         self.side_edge = side_edge
         self.corner_vertex = corner_vertex
         self.num_vertices = num_vertices
+        if edge_sides is not None:
+            # Handed over by a flip, which keeps it up to date.
+            self.__dict__["edge_sides"] = edge_sides
 
     @functools.cached_property
     def edge_sides(self):
@@ -263,8 +271,7 @@ def flip_edges(tri, edges):
     (no quadrilateral to flip in) or when two quads share a triangle.
     """
     edges = np.asarray(edges, dtype=np.intp).reshape(-1)
-    k1, k2, ka, kb, kc, kd = _quad_sides(tri, edges)
-    t1, t2 = k1 // 3, k2 // 3
+    t1, t2 = tri.edge_sides[edges].T // 3
     folded = np.flatnonzero(t1 == t2)
     if folded.size:
         raise DegenerateFlip("both sides of edge %d lie in triangle %d"
@@ -273,16 +280,41 @@ def flip_edges(tri, edges):
     if len(np.unique(touched)) < len(touched):
         raise DegenerateFlip("two quads of the batch share a triangle")
 
-    pos = np.arange(len(tri.glue))
-    pos[np.concatenate([ka, kb, kc, kd, k1, k2])] = np.concatenate(
-        [3 * t2 + 1, 3 * t1, 3 * t1 + 1, 3 * t2, 3 * t1 + 2, 3 * t2 + 2])
-    glue, side_edge, cv = (np.empty_like(pos) for _ in range(3))
-    glue[pos] = pos[tri.glue]
-    side_edge[pos] = tri.side_edge
-    cv[pos] = tri.corner_vertex
-    cv[3 * t1 + 2] = tri.corner_vertex[kd]
-    cv[3 * t2 + 2] = tri.corner_vertex[kb]
-    return Triangulation(glue, side_edge, cv, tri.num_vertices)
+    tables = [tri.glue.copy(), tri.side_edge.copy(),
+              tri.corner_vertex.copy(), tri.edge_sides.copy()]
+    _flip_in_place(*tables, edges)
+    return Triangulation(*tables[:3], tri.num_vertices, tables[3])
+
+
+def _flip_in_place(glue, side_edge, corner_vertex, edge_sides, edges):
+    """flip_edges on the four mutable tables of a triangulation, which it
+    permutes in place; the edges must be flippable and their quads must
+    share no triangle (not checked).  Only the slots of the batch's
+    triangles, the slots glued to them and the rows of edge_sides of
+    their edges are written."""
+    sides = edge_sides[edges]  # k1, k2
+    base = sides - sides % 3  # 3 t1, 3 t2
+    prev = base + (sides + 2) % 3  # kb, kd
+    # Sides a, c, b, d, k1, k2 move to slots 3 t2 + 1, 3 t1 + 1, 3 t1,
+    # 3 t2, 3 t1 + 2, 3 t2 + 2.
+    src = np.concatenate([base + (sides + 1) % 3, prev, sides], axis=1)
+    dst = np.concatenate([base[:, ::-1] + 1, base, base + 2], axis=1)
+    src, dst = src.ravel(), dst.ravel()
+    partner = glue[src]
+    apex = corner_vertex[prev[:, ::-1]]  # at d, b
+    side_edge[dst] = side_edge[src]
+    corner_vertex[dst] = corner_vertex[src]
+    corner_vertex[base + 2] = apex
+    # Mark each moved slot with its new slot (as -1 - slot) to move the
+    # partners that are themselves moved; then glue both ways.
+    glue[src] = -1 - dst
+    moved = glue[partner]
+    partner = np.where(moved < 0, -1 - moved, partner)
+    glue[dst] = partner
+    glue[partner] = dst
+    rows = side_edge[dst]
+    edge_sides[rows, 0] = np.minimum(dst, partner)
+    edge_sides[rows, 1] = np.maximum(dst, partner)
 
 
 def flip_edge(tri, e):

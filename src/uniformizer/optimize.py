@@ -11,8 +11,12 @@ The loop and kkt_check share the KKT residuals, _kkt_residuals.
 The loop warm-starts its evaluations from the surface of the last
 accepted one (EnergyEvaluation.surface).  This is exact, not an
 approximation: the energies depend only on the decorated surface, which
-the flips between two triangulations do not change.  kkt_check stays a
-cold evaluation from the input metric, independent of the solver's path.
+the flips between two triangulations do not change.  Each line-search
+trial is a full evaluation whose derivatives are computed only if they
+are read, and the accepted trial is the next iterate, so the flip
+algorithm runs once per trial and never again for the accepted point.
+kkt_check stays a cold evaluation from the input metric, independent of
+the solver's path.
 """
 
 import math
@@ -141,10 +145,9 @@ def minimize_conformal_energy(metric, target, opts=None, u0=None):
             % (e1 - e0))
 
     report = _newton(
-        lambda m, x: _energy.conformal_energy(m, target, x),
-        lambda m, x: _energy.conformal_energy_value(m, target, x),
-        metric, u, np.arange(n), np.full(n, -np.inf),
-        lambda step: step - step.mean(), opts.pin_vertex, opts, t0)
+        lambda m, x: _energy.conformal_energy(m, target, x), metric, u,
+        np.arange(n), np.full(n, -np.inf), lambda step: step - step.mean(),
+        opts.pin_vertex, opts, t0)
     u = report.u_final
     report.u_final = u - (u.mean() if opts.gauge == ZERO_MEAN
                           else u[opts.pin_vertex])
@@ -163,24 +166,24 @@ def _kkt_residuals(g, u, lower, act_tol):
             float(np.max(lower - u, initial=0.0)))
 
 
-def _newton(energy, energy_value, metric, u, free, lower, project, pin, opts,
-            t0):
+def _newton(energy, metric, u, free, lower, project, pin, opts, t0):
     """Active-set projected Newton on u[free] under u[free] >= lower.
 
-    energy(surface, u) is an EnergyEvaluation indexed like free,
-    energy_value(surface, u) its value.  The inactive variables but pin
-    take a Newton step, which is gauge-projected, cut at the nearest
-    bound (ratio test) and backtracked to sufficient decrease.
+    energy(surface, u) is an EnergyEvaluation indexed like free.  The
+    inactive variables but pin take a Newton step, which is
+    gauge-projected, cut at the nearest bound (ratio test) and
+    backtracked to sufficient decrease.  An accepted step that does not
+    lower the energy raises LineSearchFailure: the search has stalled.
 
     Evaluations are warm-started: the first starts from metric, every
-    later one (line-search trials included) from the surface of the last
-    accepted full evaluation, already Delaunay at the previous u, so the
-    flip algorithm only has to follow the step.
+    later one (line-search trials) from the surface of the current
+    iterate, already Delaunay at its u, so the flip algorithm only has to
+    follow the step.  The accepted trial becomes the next iterate.
     """
     bounded = bool(np.any(np.isfinite(lower)))
     shifted_any = False
     ev = energy(metric, u)
-    # Flips of the full evaluations, each counted from its warm start.
+    # Flips of the iterates' evaluations, each counted from its warm start.
     flips_total = len(ev.delaunay.flips)
 
     def failure(status, it, message):
@@ -242,19 +245,27 @@ def _newton(energy, energy_value, metric, u, free, lower, project, pin, opts,
             trial = u.copy()
             trial[free] = np.maximum(uf + alpha * step, lower)
             if skip_test:
+                trial_ev = energy(ev.surface, trial)
                 break
             try:
-                f_trial = energy_value(ev.surface, trial)
+                trial_ev = energy(ev.surface, trial)
+                f_trial = trial_ev.value
             except (OverflowError, TriangleInequalityViolated):
                 f_trial = math.inf
             if f_trial <= f0 + opts.sufficient_decrease * alpha * slope:
+                if f_trial >= f0:
+                    # The required decrease is below the rounding of f0,
+                    # so the test accepted a step that lowers nothing;
+                    # the next iterations would only repeat it.
+                    raise failure(LINE_SEARCH_FAILURE, it,
+                                  "accepted step of length %g makes no "
+                                  "decrease at iteration %d" % (alpha, it))
                 break
             alpha *= opts.shrink
             if alpha < 1e-14:
                 raise failure(LINE_SEARCH_FAILURE, it,
                               "line search stalled at iteration %d" % it)
-        u = trial
-        ev = energy(ev.surface, u)
+        u, ev = trial, trial_ev
         flips_total += len(ev.delaunay.flips)
 
     raise failure(ITER_LIMIT, opts.max_iterations,
@@ -296,9 +307,8 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
     u[v_inf] = np.inf
 
     return _newton(
-        lambda m, x: _energy.punctured_energy(m, v_inf, x),
-        lambda m, x: _energy.punctured_energy_value(m, v_inf, x),
-        metric, u, free, bounds, lambda step: step, None, opts, t0)
+        lambda m, x: _energy.punctured_energy(m, v_inf, x), metric, u, free,
+        bounds, lambda step: step, None, opts, t0)
 
 
 class KKTReport:

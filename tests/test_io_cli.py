@@ -249,6 +249,22 @@ def test_cli_arc_overflow_exit_2(tmp_path, capsys):
         assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("error", [ZeroDivisionError, FloatingPointError])
+def test_cli_numeric_error_exit_2(tmp_path, capsys, monkeypatch, error):
+    # A raw numeric error from any command is reported on one line with
+    # exit code 2, without a traceback.
+    def fail(args):
+        raise error("numbers went wrong")
+
+    monkeypatch.setitem(io_cli._COMMANDS, "check", fail)
+    path = str(tmp_path / "t.surf")
+    io_cli.write_surface(path, surfaces.tetrahedron_sphere())
+    assert io_cli.cli_dispatch(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s: numbers went wrong\n" % error.__name__
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_usage_errors_exit_1():
     assert io_cli.cli_dispatch(["no-such-command"]) == 1
     assert io_cli.cli_dispatch(["distance", "x.surf", "--from", "0"]) == 1

@@ -7,15 +7,21 @@ faces flat squares.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from uniformizer import mesh_core, surfaces
-from uniformizer.errors import GaussBonnetViolated, WrongGenus
+from uniformizer.errors import (
+    GaussBonnetViolated,
+    LineSearchFailure,
+    WrongGenus,
+)
 from uniformizer.optimize import (
     CONVERGED,
+    LINE_SEARCH_FAILURE,
     SolveOptions,
     _solve_spd,
     gauss_bonnet_defect,
@@ -191,6 +197,22 @@ def test_energy_decreases_along_iterates():
     for v in range(1, n):
         u_start[v] = -deltas[v]
     assert report.energy <= punctured_energy_value(metric, 0, u_start) + 1e-9
+
+
+def test_stalled_line_search_fails_fast():
+    # From some iteration on, the sufficient-decrease test on this input
+    # accepts tiny steps that leave the energy unchanged; without a stop
+    # the solver spends 475 such iterations and about 15 s before
+    # IterLimit.
+    rng = np.random.default_rng(2)
+    for _ in range(6):
+        metric = surfaces.random_sphere(30, rng, (-6.0, 6.0))
+    t0 = time.perf_counter()
+    with pytest.raises(LineSearchFailure) as info:
+        minimize_punctured_energy(metric, 0)
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.report.status == LINE_SEARCH_FAILURE
+    assert "no decrease" in str(info.value)
 
 
 def test_solve_spd_zero_hessian_falls_back_to_finite_step():
