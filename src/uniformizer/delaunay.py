@@ -393,28 +393,35 @@ def horocycle_distances_to(metric, v2):
                             % (v2, tri.num_vertices))
     u = PartialDecoration.all_infinite_except(tri.num_vertices, [v2])
     result = make_delaunay(metric, u, mode=ADJUSTED)
-    rtri = result.metric.triangulation
+    ends = result.metric.triangulation.edge_verts
     lam = result.metric.lam
-    candidates = {}
-    for e, (a, b) in enumerate(rtri.edge_verts.tolist()):
-        if a == v2 and b != v2:
-            candidates.setdefault(b, []).append(lam[e])
-        elif b == v2 and a != v2:
-            candidates.setdefault(a, []).append(lam[e])
-    out = {}
-    for w, vals in candidates.items():
-        spread = max(vals) - min(vals)
-        if spread > 1e-9 * max(1.0, max(abs(x) for x in vals)):
-            raise AssertionError(
-                "fan edges at vertex %d disagree by %g" % (w, spread))
-        out[w] = vals[0]
-    for w in range(tri.num_vertices):
-        if w != v2 and w not in out:
-            # Cannot happen on a connected surface: the punctured face of
-            # w is bounded by horocyclic decorated vertices, all = v2.
-            raise AssertionError("no edge from %d to %d after adjusting"
-                                 % (w, v2))
-    return out
+    # The edges with exactly one end at v2, grouped by their other end w
+    # and ordered by edge id within a group.
+    fan = np.flatnonzero((ends[:, 0] == v2) != (ends[:, 1] == v2))
+    other = np.where(ends[fan, 0] == v2, ends[fan, 1], ends[fan, 0])
+    order = np.lexsort((fan, other))
+    fan, other = fan[order], other[order]
+    start = np.flatnonzero(np.diff(other, prepend=-1))
+    vals = lam[fan]
+    spread = (np.maximum.reduceat(vals, start)
+              - np.minimum.reduceat(vals, start))
+    scale = np.maximum(1.0, np.maximum.reduceat(np.abs(vals), start))
+    # Groups in the order of their lowest edge id, as met in an edge scan.
+    by_edge = np.argsort(fan[start])
+    bad = by_edge[spread[by_edge] > 1e-9 * scale[by_edge]]
+    if bad.size:
+        g = bad[0]
+        raise AssertionError("fan edges at vertex %d disagree by %g"
+                             % (other[start[g]], spread[g]))
+    missing = np.ones(tri.num_vertices, dtype=bool)
+    missing[other] = missing[v2] = False
+    if missing.any():
+        # Cannot happen on a connected surface: the punctured face of
+        # w is bounded by horocyclic decorated vertices, all = v2.
+        raise AssertionError("no edge from %d to %d after adjusting"
+                             % (np.argmax(missing), v2))
+    return dict(zip(other[start[by_edge]].tolist(),
+                    vals[start[by_edge]].tolist()))
 
 
 def horocycle_distance(metric, v1, v2):

@@ -28,6 +28,10 @@ class UnknownVertex(UniformizerError):
     """Vertex id out of range or not kept in the given subcomplex."""
 
 
+class UnknownTriangle(UniformizerError, IndexError):
+    """Triangle id out of range."""
+
+
 # --- Penner algebra --------------------------------------------------------
 
 class IncompatibleShear(UniformizerError):

@@ -27,6 +27,13 @@ _flip_in_place applies a whole batch of them in one array pass over the
 slots of the batch, on mutable copies of the tables; flip_edges wraps it
 for immutable Triangulations, and the flip algorithm of delaunay keeps
 one set of copies for all of its rounds.
+
+Triangulations are built on the same arrays: build_from_gluings checks
+and scatters its records in array passes, build_from_faces matches each
+directed edge with its reverse in the sorted edge keys, and the 1-to-3
+split of subdivide_triangle is _split_in_place, ten slot writes on a
+preallocated gluing, which the random surfaces repeat before deriving
+the tables once.
 """
 
 import functools
@@ -40,6 +47,7 @@ from .errors import (
     NonOrientable,
     EulerMismatch,
     DegenerateFlip,
+    UnknownTriangle,
     UnknownVertex,
 )
 
@@ -193,35 +201,63 @@ def build_from_gluings(gluing_list, genus_hint=None):
         a validated Triangulation; raises EulerMismatch unless the
         gluing is one connected closed oriented surface.
     """
-    records = [((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
-               for a, b in gluing_list]
-    if not records:
+    return _closed_surface(_glue_of_records(gluing_list), genus_hint)
+
+
+def _glue_of_records(gluing_list):
+    """The gluing involution of build_from_gluings' records.  Raises at
+    the first bad record in input order, checking each record's sides for
+    range, then for being one side, then for a gluing by an earlier
+    record; then at the first side that no record glues."""
+    malformed = "gluing records must be ((t1, s1), (t2, s2)) pairs"
+    try:
+        sides = np.asarray(gluing_list, dtype=np.intp)
+    except (TypeError, ValueError):
+        raise UnmatchedSide(malformed) from None
+    if not sides.size:
         raise UnmatchedSide("empty gluing list")
-    nt = 1 + max(max(a[0], b[0]) for a, b in records)
-    nsides = 3 * nt
+    if sides.shape[1:] != (2, 2):
+        raise UnmatchedSide(malformed)
+    t, s = sides[..., 0], sides[..., 1]
+    nt = 1 + int(t.max())
+    in_range = (0 <= t) & (t < nt) & (0 <= s) & (s < 3)
+    k = 3 * t + s
+    self_glued = k[:, 0] == k[:, 1]
+    # Record i glues a side twice if the side occurs before position 2 i
+    # of the flat side list.  Sides out of range may collide with others,
+    # but only in records at or after the first one out of range.
+    _, first, inverse = np.unique(k, return_index=True, return_inverse=True)
+    twice = (first[inverse].reshape(-1, 2)
+             < 2 * np.arange(len(k))[:, None]).any(axis=1)
+    bad = np.flatnonzero(~in_range.all(axis=1) | self_glued | twice)
+    if bad.size:
+        i = bad[0]
+        for j in (0, 1):
+            if not in_range[i, j]:
+                raise UnmatchedSide("side (%d, %d) out of range"
+                                    % tuple(sides[i, j]))
+        if self_glued[i]:
+            raise NonOrientable("side (%d, %d) glued to itself"
+                                % tuple(sides[i, 0]))
+        raise UnmatchedSide("side (%d, %d) or (%d, %d) glued twice"
+                            % tuple(sides[i].ravel()))
+    glue = np.full(3 * nt, -1, dtype=np.intp)
+    glue[k[:, 0]] = k[:, 1]
+    glue[k[:, 1]] = k[:, 0]
+    never = np.flatnonzero(glue < 0)
+    if never.size:
+        raise UnmatchedSide("side (%d, %d) never glued"
+                            % divmod(int(never[0]), 3))
+    return glue
 
-    glue = [-1] * nsides
-    for (t1, s1), (t2, s2) in records:
-        for (t, s) in ((t1, s1), (t2, s2)):
-            if not (0 <= t < nt and 0 <= s < 3):
-                raise UnmatchedSide("side (%d, %d) out of range" % (t, s))
-        if (t1, s1) == (t2, s2):
-            raise NonOrientable(
-                "side (%d, %d) glued to itself" % (t1, s1))
-        k1, k2 = 3 * t1 + s1, 3 * t2 + s2
-        if glue[k1] >= 0 or glue[k2] >= 0:
-            raise UnmatchedSide(
-                "side (%d, %d) or (%d, %d) glued twice" % (t1, s1, t2, s2))
-        glue[k1] = k2
-        glue[k2] = k1
-    for k in range(nsides):
-        if glue[k] < 0:
-            raise UnmatchedSide("side (%d, %d) never glued" % divmod(k, 3))
 
-    glue = np.array(glue, dtype=np.intp)
+def _closed_surface(glue, genus_hint):
+    """The Triangulation of a gluing involution; raises EulerMismatch
+    unless it is one connected closed oriented surface, of genus
+    genus_hint when that is given."""
     tri = Triangulation(glue, *_derive_tables(glue))
-
-    parts = _components(nt, *(tri.edge_sides // 3).T).max() + 1
+    parts = _components(tri.num_triangles,
+                        *(tri.edge_sides // 3).T).max() + 1
     if parts > 1:
         raise EulerMismatch("gluing has %d connected components" % parts)
     chi = tri.euler_characteristic
@@ -443,93 +479,90 @@ def build_from_faces(faces, genus_hint=None):
     Raises UnmatchedSide when a directed edge has no partner or appears
     twice (open or non-manifold mesh).
     """
-    directed = {}
-    for t, f in enumerate(faces):
-        if len(f) != 3:
-            raise UnmatchedSide("face %d is not a triangle" % t)
-        for s in range(3):
-            key = (f[s], f[(s + 1) % 3])
-            if key in directed:
-                raise UnmatchedSide("directed edge %r appears twice"
-                                    % (key,))
-            directed[key] = (t, s)
-    gluing = []
-    for (a, b), (t, s) in directed.items():
-        if (b, a) not in directed:
-            raise UnmatchedSide("edge %r has no reverse; mesh not closed"
-                                % ((a, b),))
-        t2, s2 = directed[(b, a)]
-        if (t2, s2) > (t, s):
-            gluing.append(((t, s), (t2, s2)))
-    tri = build_from_gluings(gluing, genus_hint=genus_hint)
-    labels = [None] * tri.num_vertices
-    cv = tri.corner_vertex.tolist()
-    for t, f in enumerate(faces):
-        for s in range(3):
-            v = cv[3 * t + s]
-            if labels[v] is None:
-                labels[v] = f[s]
-            elif labels[v] != f[s]:
-                raise UnmatchedSide(
-                    "labels %r and %r meet at one surface vertex; "
-                    "faces are inconsistent" % (labels[v], f[s]))
-    return tri, labels
+    glue, ids, values = _glue_of_faces(faces)
+    tri = _closed_surface(glue, genus_hint)
+    # Gluing a directed edge a -> b to its reverse b -> a identifies
+    # corners with equal labels, so all corners of a vertex carry one
+    # label and any of them may write it.
+    label = np.empty(tri.num_vertices, dtype=np.intp)
+    label[tri.corner_vertex] = ids
+    return tri, values[label].tolist()
+
+
+def _label(faces, k):
+    """The input label at corner k of a face list."""
+    return faces[k // 3][k % 3]
+
+
+def _glue_of_faces(faces):
+    """(glue, ids, values) of build_from_faces' face list: the gluing
+    involution, and the label of each corner as values[ids[k]].  Each
+    directed edge is matched with its reverse in the sorted edge keys.
+    Raises at the first of these in corner order: a face that is not a
+    triangle or a directed edge seen before; then at the first directed
+    edge without a reverse, then at the first side glued to itself."""
+    lengths = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
+    nontri = np.flatnonzero(lengths != 3)
+    nf = nontri[0] if nontri.size else len(faces)
+    values, ids = np.unique(np.asarray(faces[:nf]).reshape(-1),
+                            return_inverse=True)
+    head, tail = ids, ids[_next(np.arange(len(ids)))]
+    key = head * len(values) + tail
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # A stable sort keeps equal keys in corner order, so the second of
+    # each run of equal keys is the corner that repeats an edge.
+    again = order[1:][sorted_key[1:] == sorted_key[:-1]]
+    if again.size:
+        k = again.min()
+        raise UnmatchedSide("directed edge %r appears twice" % (
+            (_label(faces, k), _label(faces, _next(k))),))
+    if nontri.size:
+        raise UnmatchedSide("face %d is not a triangle" % nf)
+    if not len(key):
+        raise UnmatchedSide("empty gluing list")
+    reverse = tail * len(values) + head
+    pos = np.minimum(np.searchsorted(sorted_key, reverse), len(key) - 1)
+    open_ = np.flatnonzero(sorted_key[pos] != reverse)
+    if open_.size:
+        k = open_[0]
+        raise UnmatchedSide("edge %r has no reverse; mesh not closed" % (
+            (_label(faces, k), _label(faces, _next(k))),))
+    glue = order[pos]
+    loop = np.flatnonzero(glue == np.arange(len(glue)))
+    if loop.size:
+        raise UnmatchedSide("side (%d, %d) never glued"
+                            % divmod(int(loop[0]), 3))
+    return glue, ids, values
 
 
 def subdivide_triangle(tri, t):
     """1-to-3 subdivision: a new vertex inside triangle t joined to its
     corners.  Returns a new Triangulation (ids are rebuilt)."""
     nt = tri.num_triangles
-    t1, t2 = nt, nt + 1  # triangle t keeps its slot for the first child
-    # Sides (t, 1) and (t, 2) move to side 0 of the children t1 and t2;
-    # the three new edges join the children around the new vertex.
-    slot = np.arange(3 * nt)
-    slot[3 * t + 1], slot[3 * t + 2] = 3 * t1, 3 * t2
+    if not 0 <= t < nt:
+        raise UnknownTriangle("no triangle %r" % (t,))
     glue = np.empty(3 * nt + 6, dtype=np.intp)
-    glue[slot] = slot[tri.glue]
-    inner = np.array([3 * t + 1, 3 * t1 + 1, 3 * t2 + 1])
-    glue[inner] = 3 * np.array([t1, t2, t]) + 2
-    glue[glue[inner]] = inner
+    glue[:3 * nt] = tri.glue
+    _split_in_place(glue, t, nt)
     return Triangulation(glue, *_derive_tables(glue))
 
 
-def canonical_form(tri):
-    """Canonical encoding of the gluing, for isomorphism tests.
+def _split_in_place(glue, t, nt):
+    """subdivide_triangle on a gluing of nt triangles held in the first
+    3 nt slots of glue, which has room for two more: ten slot writes.
 
-    Runs a breadth-first relabeling from every oriented corner and keeps
-    the lexicographically smallest transition table.  Two triangulations
-    are combinatorially isomorphic iff their canonical forms coincide.
+    Triangle t keeps its slot for the first child; the others are nt and
+    nt + 1.  Sides (t, 1) and (t, 2) move to side 0 of nt and nt + 1,
+    their partners follow, and the three inner sides are glued around
+    the new vertex.
     """
-    nt = tri.num_triangles
-    glue = tri.glue.tolist()
-    best = None
-    for k0 in range(3 * nt):
-        label = {}  # old triangle -> (new id, rotation)
-        t0, s0 = divmod(k0, 3)
-        label[t0] = (0, s0)
-        order = [t0]
-        code = []
-        qi = 0
-        while qi < len(order):
-            t = order[qi]
-            qi += 1
-            _, rot = label[t]
-            for i in range(3):
-                m = glue[3 * t + (rot + i) % 3]
-                t2, s2 = divmod(m, 3)
-                if t2 not in label:
-                    label[t2] = (len(order), s2)
-                    order.append(t2)
-                n2, rot2 = label[t2]
-                code.append((n2, (s2 - rot2) % 3))
-        code = tuple(code)
-        if best is None or code < best:
-            best = code
-    return best
-
-
-def is_isomorphic(t1, t2):
-    if (t1.num_triangles, t1.num_edges, t1.num_vertices) != \
-            (t2.num_triangles, t2.num_edges, t2.num_vertices):
-        return False
-    return canonical_form(t1) == canonical_form(t2)
+    k1, k2, c1, c2 = 3 * t + 1, 3 * t + 2, 3 * nt, 3 * nt + 3
+    p1, p2 = int(glue[k1]), int(glue[k2])
+    if p1 == k2:  # (t, 1) was glued to (t, 2)
+        p1, p2 = c2, c1
+    glue[c1], glue[p1] = p1, c1
+    glue[c2], glue[p2] = p2, c2
+    glue[k1], glue[c1 + 2] = c1 + 2, k1
+    glue[c1 + 1], glue[c2 + 2] = c2 + 2, c1 + 1
+    glue[c2 + 1], glue[k2] = k2, c2 + 1

@@ -1,4 +1,14 @@
-"""Ready-made example surfaces used by tests and demos."""
+"""Ready-made example surfaces used by tests and demos.
+
+The named surfaces are small fixed triangulations.  The random ones
+(random_sphere, random_torus, random_genus2) grow from the tetrahedron,
+the one-vertex torus and the one-vertex genus-2 surface by 1-to-3
+splits of uniformly drawn triangles.  All splits are applied in place
+to one preallocated gluing array, with O(1) slot writes each, and the
+tables are derived once at the end, so a surface with n vertices is
+built in O(n).  For every rng the result equals the same splits applied
+one by one with mesh_core.subdivide_triangle.
+"""
 
 import math
 
@@ -6,6 +16,23 @@ import numpy as np
 
 from . import mesh_core
 from .penner import DecoratedMetric
+
+
+_TETRAHEDRON_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+_ONE_VERTEX_TORUS_GLUING = [((0, 0), (1, 1)), ((0, 1), (1, 2)),
+                            ((0, 2), (1, 0))]
+# The fanned octagon of genus2_one_vertex.
+_GENUS2_GLUING = [
+    # fan diagonals
+    ((0, 2), (1, 0)), ((1, 2), (2, 0)), ((2, 2), (3, 0)),
+    ((3, 2), (4, 0)),
+    # octagon boundary identifications
+    ((0, 0), (1, 1)),   # a with a^-1
+    ((0, 1), (2, 1)),   # b with b^-1
+    ((3, 1), (5, 1)),   # c with c^-1
+    ((4, 1), (5, 2)),   # d with d^-1
+    ((4, 2), (5, 0)),   # last fan diagonal
+]
 
 
 def three_vertex_sphere(lam=0.0):
@@ -19,9 +46,8 @@ def three_vertex_sphere(lam=0.0):
 
 def one_vertex_torus(lam=None):
     """Two triangles forming the one-vertex torus (3 edges, 1 vertex)."""
-    tri = mesh_core.build_from_gluings(
-        [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))],
-        genus_hint=1)
+    tri = mesh_core.build_from_gluings(_ONE_VERTEX_TORUS_GLUING,
+                                       genus_hint=1)
     if lam is None:
         lam = np.zeros(tri.num_edges)
     return DecoratedMetric(tri, np.asarray(lam, dtype=float))
@@ -35,8 +61,8 @@ def square_torus():
 
 def tetrahedron_sphere(lam=0.0):
     """Boundary of the regular tetrahedron; all 6 edge lengths equal."""
-    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
-    tri, labels = mesh_core.build_from_faces(faces, genus_hint=0)
+    tri, labels = mesh_core.build_from_faces(_TETRAHEDRON_FACES,
+                                             genus_hint=0)
     assert labels == sorted(labels)
     return DecoratedMetric(tri, np.full(tri.num_edges, float(lam)))
 
@@ -54,18 +80,7 @@ def genus2_one_vertex(lam=None):
     """Minimal genus-2 surface: the octagon with edge word
     a b a^-1 b^-1 c d c^-1 d^-1, fanned into 6 triangles from one corner
     (9 edges, 1 vertex)."""
-    gluing = [
-        # fan diagonals
-        ((0, 2), (1, 0)), ((1, 2), (2, 0)), ((2, 2), (3, 0)),
-        ((3, 2), (4, 0)),
-        # octagon boundary identifications
-        ((0, 0), (1, 1)),   # a with a^-1
-        ((0, 1), (2, 1)),   # b with b^-1
-        ((3, 1), (5, 1)),   # c with c^-1
-        ((4, 1), (5, 2)),   # d with d^-1
-        ((4, 2), (5, 0)),   # last fan diagonal
-    ]
-    tri = mesh_core.build_from_gluings(gluing, genus_hint=2)
+    tri = mesh_core.build_from_gluings(_GENUS2_GLUING, genus_hint=2)
     if lam is None:
         lam = np.zeros(tri.num_edges)
     return DecoratedMetric(tri, np.asarray(lam, dtype=float))
@@ -117,22 +132,36 @@ def random_sphere(n_vertices, rng, lam_range=(-2.0, 2.0)):
     plus independent uniform lambdas."""
     if n_vertices < 4:
         raise ValueError("need at least 4 vertices")
-    metric = tetrahedron_sphere()
-    tri = metric.triangulation
-    for _ in range(n_vertices - 4):
-        t = int(rng.integers(tri.num_triangles))
-        tri = mesh_core.subdivide_triangle(tri, t)
-    lam = rng.uniform(lam_range[0], lam_range[1], size=tri.num_edges)
-    return DecoratedMetric(tri, lam)
+    glue = mesh_core._glue_of_faces(_TETRAHEDRON_FACES)[0]
+    return _grow(glue, n_vertices - 4, rng, lam_range)
 
 
 def random_torus(n_vertices, rng, lam_range=(-2.0, 2.0)):
     """Random genus-1 surface grown from the one-vertex torus."""
     if n_vertices < 1:
         raise ValueError("need at least 1 vertex")
-    tri = one_vertex_torus().triangulation
-    for _ in range(n_vertices - 1):
-        t = int(rng.integers(tri.num_triangles))
-        tri = mesh_core.subdivide_triangle(tri, t)
+    glue = mesh_core._glue_of_records(_ONE_VERTEX_TORUS_GLUING)
+    return _grow(glue, n_vertices - 1, rng, lam_range)
+
+
+def random_genus2(n_vertices, rng, lam_range=(-2.0, 2.0)):
+    """Random genus-2 surface grown from genus2_one_vertex."""
+    if n_vertices < 1:
+        raise ValueError("need at least 1 vertex")
+    glue = mesh_core._glue_of_records(_GENUS2_GLUING)
+    return _grow(glue, n_vertices - 1, rng, lam_range)
+
+
+def _grow(glue, splits, rng, lam_range):
+    """The surface of a gluing after the given number of 1-to-3 splits,
+    each of a triangle drawn with rng.integers, with lambdas drawn
+    uniformly from lam_range."""
+    nt = len(glue) // 3
+    grown = np.empty(len(glue) + 6 * splits, dtype=np.intp)
+    grown[:len(glue)] = glue
+    for _ in range(splits):
+        mesh_core._split_in_place(grown, int(rng.integers(nt)), nt)
+        nt += 2
+    tri = mesh_core.Triangulation(grown, *mesh_core._derive_tables(grown))
     lam = rng.uniform(lam_range[0], lam_range[1], size=tri.num_edges)
     return DecoratedMetric(tri, lam)

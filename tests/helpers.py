@@ -56,3 +56,45 @@ def cube_sphere():
     lam = 2.0 * np.log(np.linalg.norm(xyz[ends[:, 0]] - xyz[ends[:, 1]],
                                       axis=1))
     return DecoratedMetric(tri, lam), labels
+
+
+def canonical_form(tri):
+    """Canonical encoding of the gluing, for isomorphism tests.
+
+    Runs a breadth-first relabeling from every oriented corner and keeps
+    the lexicographically smallest transition table.  Two triangulations
+    are combinatorially isomorphic iff their canonical forms coincide.
+    """
+    nt = tri.num_triangles
+    glue = tri.glue.tolist()
+    best = None
+    for k0 in range(3 * nt):
+        label = {}  # old triangle -> (new id, rotation)
+        t0, s0 = divmod(k0, 3)
+        label[t0] = (0, s0)
+        order = [t0]
+        code = []
+        qi = 0
+        while qi < len(order):
+            t = order[qi]
+            qi += 1
+            _, rot = label[t]
+            for i in range(3):
+                m = glue[3 * t + (rot + i) % 3]
+                t2, s2 = divmod(m, 3)
+                if t2 not in label:
+                    label[t2] = (len(order), s2)
+                    order.append(t2)
+                n2, rot2 = label[t2]
+                code.append((n2, (s2 - rot2) % 3))
+        code = tuple(code)
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def is_isomorphic(t1, t2):
+    if (t1.num_triangles, t1.num_edges, t1.num_vertices) != \
+            (t2.num_triangles, t2.num_edges, t2.num_vertices):
+        return False
+    return canonical_form(t1) == canonical_form(t2)

@@ -10,12 +10,14 @@ log 4.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+from helpers import is_isomorphic
 import reference_margin as ref
-from uniformizer import surfaces
+from uniformizer import delaunay, surfaces
 from uniformizer.delaunay import (
     ADJUSTED,
     NONESSENTIAL_REL,
@@ -178,7 +180,7 @@ def test_make_delaunay_random_oracle_and_idempotence():
             margin, scale = _margins(tri, lam, np.exp(-u.u))
             assert margin[e] <= NONESSENTIAL_REL * scale[e]
         np.testing.assert_allclose(lam, metric.lam, rtol=0.0, atol=1e-9)
-        assert mesh_core.is_isomorphic(tri, metric.triangulation)
+        assert is_isomorphic(tri, metric.triangulation)
 
         if mode == PLAIN:
             assert triangle_inequality_check(result.metric)
@@ -202,7 +204,7 @@ def test_flip_log_replay_reverses_exactly():
         tri = mesh_core.flip_edge(tri, e)
         lam[e] = before
     np.testing.assert_allclose(lam, metric.lam, atol=1e-10)
-    assert mesh_core.is_isomorphic(tri, metric.triangulation)
+    assert is_isomorphic(tri, metric.triangulation)
 
 
 def test_shear_preserved_by_flip_sequence():
@@ -273,7 +275,7 @@ def test_adjusted_mode_large_finite_value_reproduces_triangulation():
     u_fin = np.zeros(n)
     u_fin[3] = 40.0
     finite = make_delaunay(metric, PartialDecoration(u_fin))
-    assert mesh_core.is_isomorphic(limit.metric.triangulation,
+    assert is_isomorphic(limit.metric.triangulation,
                                    finite.metric.triangulation)
 
 
@@ -339,6 +341,78 @@ def test_horocycle_distance_shift_covariance():
         d0 = horocycle_distance(metric, int(a), int(b))
         d1 = horocycle_distance(shifted, int(a), int(b))
         assert d1 == pytest.approx(d0 + u[a] + u[b], abs=1e-10)
+
+
+def _horocycle_distances_loop(metric, v2):
+    """The edge loop horocycle_distances_to replaced, kept as its oracle."""
+    tri = metric.triangulation
+    u = PartialDecoration.all_infinite_except(tri.num_vertices, [v2])
+    result = delaunay.make_delaunay(metric, u, mode=ADJUSTED)
+    rtri = result.metric.triangulation
+    lam = result.metric.lam
+    candidates = {}
+    for e, (a, b) in enumerate(rtri.edge_verts.tolist()):
+        if a == v2 and b != v2:
+            candidates.setdefault(b, []).append(lam[e])
+        elif b == v2 and a != v2:
+            candidates.setdefault(a, []).append(lam[e])
+    out = {}
+    for w, vals in candidates.items():
+        spread = max(vals) - min(vals)
+        if spread > 1e-9 * max(1.0, max(abs(x) for x in vals)):
+            raise AssertionError(
+                "fan edges at vertex %d disagree by %g" % (w, spread))
+        out[w] = vals[0]
+    for w in range(tri.num_vertices):
+        if w != v2 and w not in out:
+            raise AssertionError("no edge from %d to %d after adjusting"
+                                 % (w, v2))
+    return out
+
+
+def _distances_outcome(metric, v2):
+    """(dict, None) of both implementations, or (None, message)."""
+    outcomes = []
+    for run in (horocycle_distances_to, _horocycle_distances_loop):
+        try:
+            out = run(metric, v2)
+        except AssertionError as exc:
+            outcomes.append((None, str(exc)))
+        else:
+            assert all(type(w) is int for w in out)
+            outcomes.append((list(out.items()), None))
+    return outcomes
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_horocycle_distances_match_edge_loop(genus):
+    rng = np.random.default_rng(40 + genus)
+    for n in (1, 2, 5, 9, 17, 33, 60):
+        if genus == 0:
+            metric = surfaces.random_sphere(max(n, 4), rng, (-3.0, 3.0))
+        else:
+            metric = surfaces.random_torus(n, rng, (-3.0, 3.0))
+        v2 = int(rng.integers(metric.triangulation.num_vertices))
+        new, old = _distances_outcome(metric, v2)
+        assert new == old and old[1] is None
+
+
+def test_horocycle_distances_errors_match_edge_loop(monkeypatch):
+    # Skip the flips: the vertex of a split one-vertex torus keeps three
+    # edges to vertex 0 with different lambdas, and most vertices of a
+    # sphere have no edge to vertex 0.  Both raise the same message.
+    monkeypatch.setattr(delaunay, "make_delaunay",
+                        lambda metric, u, mode: types.SimpleNamespace(
+                            metric=metric))
+    rng = np.random.default_rng(42)
+    messages = set()
+    for metric in (surfaces.random_torus(2, rng),
+                   surfaces.random_torus(20, rng),
+                   surfaces.random_sphere(30, rng)):
+        new, old = _distances_outcome(metric, 0)
+        assert new == old and old[0] is None
+        messages.add(old[1].split()[0])
+    assert messages == {"fan", "no"}
 
 
 def test_horocycle_distance_errors():

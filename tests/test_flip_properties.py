@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import canonical_form
 import reference_flip as ref
 from uniformizer import mesh_core, surfaces
 from uniformizer.errors import DegenerateFlip
@@ -72,7 +73,7 @@ def test_flip_chain_matches_rebuilt_triangulation(start, seed, picks):
         assert (sorted(vmap[v] for v in tri.edge_verts[e])
                 == sorted(ref.edge_verts[ref.side_edge[k1]]))
 
-    assert mesh_core.canonical_form(tri) == mesh_core.canonical_form(ref)
+    assert canonical_form(tri) == canonical_form(ref)
 
 
 BATCH_START = {

@@ -8,11 +8,13 @@ a scratch script and are frozen here.
 import numpy as np
 import pytest
 
+from helpers import is_isomorphic
 from uniformizer import mesh_core, surfaces
 from uniformizer.errors import (
     DegenerateFlip,
     EulerMismatch,
     NonOrientable,
+    UnknownTriangle,
     UnknownVertex,
     UnmatchedSide,
 )
@@ -118,6 +120,16 @@ def test_build_rejects_disconnected_gluing(gluing):
         mesh_core.build_from_gluings(gluing)
 
 
+@pytest.mark.parametrize("gluing", [
+    [((0, 0), (1, 1, 7)), ((0, 1), (1, 0)), ((0, 2), (1, 2))],
+    [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 2)],
+    [((0, 0), (1, "x")), ((0, 1), (1, 0)), ((0, 2), (1, 2))],
+])
+def test_build_rejects_malformed_records(gluing):
+    with pytest.raises(UnmatchedSide, match="must be"):
+        mesh_core.build_from_gluings(gluing)
+
+
 def test_build_rejects_out_of_range_side():
     with pytest.raises(UnmatchedSide):
         mesh_core.build_from_gluings([((0, 0), (0, 3)),
@@ -128,7 +140,7 @@ def test_flip_is_involution_up_to_isomorphism():
     tri = surfaces.octahedron_sphere().triangulation
     for e in range(tri.num_edges):
         double = mesh_core.flip_edge(mesh_core.flip_edge(tri, e), e)
-        assert mesh_core.is_isomorphic(tri, double)
+        assert is_isomorphic(tri, double)
         # Vertex and edge labels survive, not just the isomorphism type.
         assert [set(p) for p in double.edge_verts] \
             == [set(p) for p in tri.edge_verts]
@@ -163,7 +175,7 @@ def test_flip_torus_stays_one_vertex_torus():
         flipped = mesh_core.flip_edge(tri, e)
         assert flipped.num_vertices == 1
         assert flipped.genus == 1
-        assert mesh_core.is_isomorphic(tri, flipped)
+        assert is_isomorphic(tri, flipped)
 
 
 def test_flip_three_vertex_sphere_orbit():
@@ -361,6 +373,14 @@ def test_derived_tables_match_corner_cycle_walk():
             assert tri.side_edge[k1] == tri.side_edge[k2] == e
 
 
+@pytest.mark.parametrize("t", [-1, 4])
+def test_subdivide_triangle_rejects_unknown_triangle(t):
+    # -1 would read the two new, unwritten slots of the grown gluing.
+    tri = surfaces.tetrahedron_sphere().triangulation
+    with pytest.raises(UnknownTriangle):
+        mesh_core.subdivide_triangle(tri, t)
+
+
 def test_subdivide_triangle_matches_gluing_list():
     # Oracle: the subdivided surface built from its gluing list.
     rng = np.random.default_rng(10)
@@ -389,6 +409,6 @@ def test_canonical_form_detects_isomorphism():
     # Same tetrahedron with relabeled vertices and permuted faces.
     faces = [(3, 1, 0), (2, 1, 3), (2, 3, 0), (2, 0, 1)]
     tri2, _ = mesh_core.build_from_faces(faces, genus_hint=0)
-    assert mesh_core.is_isomorphic(tri1, tri2)
+    assert is_isomorphic(tri1, tri2)
     tri3 = surfaces.octahedron_sphere().triangulation
-    assert not mesh_core.is_isomorphic(tri1, tri3)
+    assert not is_isomorphic(tri1, tri3)
