@@ -20,6 +20,10 @@ class EulerMismatch(UniformizerError):
     disagrees with the caller's genus hint."""
 
 
+class PinchedVertex(UniformizerError):
+    """One label of a face list lands on two surface vertices."""
+
+
 class DegenerateFlip(UniformizerError):
     """Both sides of the edge lie in the same triangle; no quadrilateral."""
 

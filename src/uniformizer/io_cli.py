@@ -17,9 +17,15 @@ lists cannot.  Grammar (blank lines and '#' comments are ignored):
 Edges are indexed by the order of the glue lines; lengths are converted
 on ingestion via lambda = 2 log(length).  Numbers are emitted with 17
 significant digits so that emit -> ingest -> emit is bitwise stable.
+
+Files are converted a block at a time: the glue block is one split and
+one integer conversion, each value section one float conversion, and
+each block is written with one format.  Errors are those of a
+line-by-line parse, raised at the same first bad line.
 """
 
 import argparse
+import itertools
 import logging
 import math
 import sys
@@ -58,64 +64,89 @@ def _fmt(x):
     return "%.17g" % x
 
 
+def _values(x):
+    """One "%.17g" line per value of x."""
+    x = np.asarray(x, dtype=float).tolist()
+    return ("%.17g\n" * len(x)) % tuple(x)
+
+
 def write_surface(path, metric, theta=None, labels=None):
     tri = metric.triangulation
-    lines = [FORMAT_LINE, "triangles %d" % tri.num_triangles]
-    for k1, k2 in tri.edge_sides.tolist():
-        t1, s1 = divmod(k1, 3)
-        t2, s2 = divmod(k2, 3)
-        lines.append("glue %d %d %d %d" % (t1, s1, t2, s2))
-    lines.append("lambda")
-    lines += [_fmt(x) for x in metric.lam]
+    sides = tri.edge_sides
+    glue = np.stack([sides // 3, sides % 3], axis=-1).ravel().tolist()
+    parts = [FORMAT_LINE + "\n", "triangles %d\n" % tri.num_triangles,
+             ("glue %d %d %d %d\n" * tri.num_edges) % tuple(glue),
+             "lambda\n", _values(metric.lam)]
     if theta is not None:
-        lines.append("theta")
-        lines += [_fmt(x) for x in np.asarray(theta, dtype=float)]
+        parts += ["theta\n", _values(theta)]
     if labels is not None:
-        lines.append("labels")
-        lines += [str(s) for s in labels]
-    text = "\n".join(lines) + "\n"
+        parts += ["labels\n"] + ["%s\n" % (s,) for s in labels]
+    text = "".join(parts)
     with open(path, "w") as fh:
         fh.write(text)
     return text
 
 
+def _glue_records(block):
+    """The (E, 2, 2) int array of a block of glue lines.  Raises at the
+    first line, in file order, that is not 'glue' and four integers, as
+    parsing line by line would."""
+    words = " ".join(block).split()
+    # Each line starts with 'glue'; if 'glue' occurs once per line, at
+    # every fifth word, then every line has exactly five words.
+    if (len(words) != 5 * len(block) or words.count("glue") != len(block)
+            or words[::5].count("glue") != len(block)):
+        for ln in block:
+            parts = ln.split()
+            if len(parts) != 5:
+                raise FormatError("malformed glue line %r" % " ".join(parts))
+            list(map(int, parts[1:]))
+    del words[::5]
+    # Python ints first, so that a non-integer is reported before a value
+    # too large for the array.
+    return np.array(list(map(int, words)), dtype=np.intp).reshape(-1, 2, 2)
+
+
+def _floats(block):
+    return np.array(block, dtype=float)
+
+
 def read_surface(path):
     with open(path) as fh:
         raw = fh.read()
-    lines = [ln.strip() for ln in raw.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, raw.splitlines())
+             if ln and ln[0] != "#"]
     if not lines or lines[0] != FORMAT_LINE:
         raise FormatError("missing format line %r" % FORMAT_LINE)
     pos = 1
 
-    def take():
+    def take(count, convert=list):
+        """The next count lines, converted; every line present is
+        converted before a missing one is reported."""
         nonlocal pos
-        if pos >= len(lines):
+        block = convert(lines[pos:pos + count])
+        pos += count
+        if len(block) < count:
             raise FormatError("unexpected end of file")
-        ln = lines[pos]
-        pos += 1
-        return ln
+        return block
 
-    header = take().split()
+    header = take(1)[0].split()
     if len(header) != 2 or header[0] != "triangles":
         raise FormatError("expected 'triangles <T>'")
     ntri = int(header[1])
 
-    gluing = []
-    while pos < len(lines) and lines[pos].startswith("glue "):
-        parts = take().split()
-        if len(parts) != 5:
-            raise FormatError("malformed glue line %r" % " ".join(parts))
-        t1, s1, t2, s2 = map(int, parts[1:])
-        gluing.append(((t1, s1), (t2, s2)))
-    tri = mesh_core.build_from_gluings(gluing)
+    block = list(itertools.takewhile(lambda ln: ln.startswith("glue "),
+                                     lines[pos:]))
+    pos += len(block)
+    records = _glue_records(block)
+    tri = mesh_core.build_from_gluings(records)
     if tri.num_triangles != ntri:
         raise FormatError("triangle count %d does not match gluing list"
                           % ntri)
     # Edge i of the file is the edge the i-th glue line describes; the
     # derived tables may number edges differently, so remap per-edge
     # value lists through the gluing list.
-    edge_of_line = tri.side_edge[[3 * t1 + s1 for ((t1, s1), _) in gluing]]
+    edge_of_line = tri.side_edge[3 * records[:, 0, 0] + records[:, 0, 1]]
     if not np.array_equal(np.sort(edge_of_line), np.arange(tri.num_edges)):
         raise FormatError("glue lines do not enumerate the edges")
 
@@ -123,22 +154,22 @@ def read_surface(path):
     theta = None
     labels = None
     while pos < len(lines):
-        section = take()
+        section = take(1)[0]
         if section in ("lambda", "lengths"):
             if lam is not None:
                 raise FormatError("both lambda and lengths given")
-            vals = [float(take()) for _ in range(tri.num_edges)]
+            vals = take(tri.num_edges, _floats)
             if section == "lengths":
-                if any(v <= 0 for v in vals):
+                if (vals <= 0).any():
                     raise FormatError("lengths must be strictly positive")
-                vals = [2.0 * math.log(v) for v in vals]
+                # math.log, not np.log, keeps lambda bitwise stable.
+                vals = 2.0 * np.array(list(map(math.log, vals.tolist())))
             lam = np.zeros(tri.num_edges)
             lam[edge_of_line] = vals
         elif section == "theta":
-            theta = np.array([float(take())
-                              for _ in range(tri.num_vertices)])
+            theta = take(tri.num_vertices, _floats)
         elif section == "labels":
-            labels = [take() for _ in range(tri.num_vertices)]
+            labels = take(tri.num_vertices)
         else:
             raise FormatError("unknown section %r" % section)
     if lam is None:
@@ -297,9 +328,9 @@ def _report_lines(report):
     if report.active_set:
         entries.append(("active_set",
                         ",".join(str(v) for v in report.active_set)))
-    finite = [x for x in np.atleast_1d(report.u_final)
-              if math.isfinite(x)]
-    entries.append(("u_final", " ".join(_fmt(x) for x in finite)))
+    u = np.atleast_1d(report.u_final)
+    entries.append(("u_final",
+                    " ".join(map(_fmt, u[np.isfinite(u)].tolist()))))
     return entries
 
 

@@ -45,6 +45,7 @@ from scipy.sparse import csgraph
 from .errors import (
     UnmatchedSide,
     NonOrientable,
+    PinchedVertex,
     EulerMismatch,
     DegenerateFlip,
     UnknownTriangle,
@@ -477,7 +478,8 @@ def build_from_faces(faces, genus_hint=None):
     (Triangulation, labels) with labels[v] the input label of vertex v.
 
     Raises UnmatchedSide when a directed edge has no partner or appears
-    twice (open or non-manifold mesh).
+    twice (open or non-manifold mesh), and PinchedVertex when one label
+    lands on two surface vertices (a non-manifold vertex).
     """
     glue, ids, values = _glue_of_faces(faces)
     tri = _closed_surface(glue, genus_hint)
@@ -486,6 +488,12 @@ def build_from_faces(faces, genus_hint=None):
     # label and any of them may write it.
     label = np.empty(tri.num_vertices, dtype=np.intp)
     label[tri.corner_vertex] = ids
+    if len(values) < tri.num_vertices:
+        v = np.flatnonzero(np.bincount(label)[label] > 1)[0]
+        raise PinchedVertex("label %r is on %d surface vertices; the mesh "
+                            "is pinched there" % (
+                                values[label[v]].item(),
+                                np.count_nonzero(label == label[v])))
     return tri, values[label].tolist()
 
 

@@ -121,6 +121,31 @@ def test_ingest_obj_rejects_open_mesh(tmp_path):
         io_cli.ingest_obj(str(path))
 
 
+def _pinched_obj(tmp_path):
+    """An OBJ of a random sphere in which two vertices whose stars share
+    no vertex take one label: a pinched, non-manifold vertex."""
+    rng = np.random.default_rng(9)
+    faces = surfaces.random_sphere(30, rng).triangulation.corner_vertex
+    faces = faces.reshape(-1, 3)
+    star = [set(faces[(faces == v).any(axis=1)].ravel()) for v in range(30)]
+    far = next(v for v in range(30) if not star[v] & star[0])
+    faces = np.where(faces == far, 0, faces)
+    lines = ["v %r %r %r" % tuple(p)
+             for p in rng.normal(size=(30, 3)).tolist()]
+    lines += ["f %d %d %d" % tuple(f) for f in (faces + 1).tolist()]
+    path = tmp_path / "pinched.obj"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_ingest_obj_rejects_pinched_vertex(tmp_path, capsys):
+    path = _pinched_obj(tmp_path)
+    with pytest.raises(OpenMesh, match="label 0 is on 2 surface vertices"):
+        io_cli.ingest_obj(path)
+    assert io_cli.cli_dispatch(["check", path]) == 2
+    assert "OpenMesh" in capsys.readouterr().err
+
+
 def test_write_report(tmp_path):
     path = str(tmp_path / "r.txt")
     io_cli.write_report(path, [("status", "Converged"),

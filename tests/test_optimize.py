@@ -223,3 +223,78 @@ def test_solve_spd_zero_hessian_falls_back_to_finite_step():
     assert shifted
     assert np.all(np.isfinite(x))
     assert float(x @ rhs) > 0.0
+
+
+def test_untested_step_that_raises_the_energy_fails_fast():
+    # Near its end the predicted decrease on this input falls below the
+    # rounding noise, so steps are taken without a test; one of them
+    # releases a bound variable and raises f by about 1e-7, and the next
+    # step is cut back to the previous point by the ratio test.  Without
+    # a test of the rise the solver repeats this 2-cycle for 500
+    # iterations (about 1.2 s) and ends in IterLimit.
+    rng = np.random.default_rng(59)
+    for _ in range(9):
+        metric = surfaces.random_sphere(100, rng)
+    t0 = time.perf_counter()
+    with pytest.raises(LineSearchFailure) as info:
+        minimize_punctured_energy(metric, 0)
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.report.status == LINE_SEARCH_FAILURE
+    assert info.value.report.iterations < 50
+
+
+def _laplacian(tri, rng):
+    """A graph Laplacian of tri's edges with random positive weights."""
+    a, b = tri.edge_verts.T
+    w = rng.uniform(0.1, 10.0, len(a))
+    n = tri.num_vertices
+    return sp.coo_matrix((np.concatenate([-w, -w, w, w]),
+                          (np.concatenate([a, b, a, b]),
+                           np.concatenate([b, a, a, b]))),
+                         shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("make", [surfaces.random_sphere,
+                                  surfaces.random_torus])
+@pytest.mark.parametrize("n", [5, 40, 200])
+def test_solve_spd_matches_dense_solve(make, n):
+    # One vertex pinned, a connected graph's Laplacian is SPD.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        laplacian = _laplacian(make(n, rng).triangulation, rng)
+        hessian = laplacian[1:, 1:]
+        rhs = rng.normal(size=hessian.shape[0])
+        x, shifted = _solve_spd(hessian, rhs)
+        dense = np.linalg.solve(hessian.toarray(), rhs)
+        assert not shifted
+        assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_solve_spd_singular_hessian_takes_the_shift():
+    # A vertex with no triangles left has an empty row and column: the
+    # factor is exactly singular, and the shifted system is solved.
+    rng = np.random.default_rng(5)
+    hessian = _laplacian(surfaces.random_sphere(12, rng).triangulation,
+                         rng).tolil()
+    hessian[3, :] = 0.0
+    hessian[:, 3] = 0.0
+    rhs = rng.normal(size=12)
+    x, shifted = _solve_spd(hessian.tocsr(), rhs)
+    assert shifted
+    assert np.all(np.isfinite(x))
+    assert float(x @ rhs) > 0.0
+
+
+def test_solve_spd_unfactorable_hessian_takes_the_gradient_step():
+    # NaN entries leave the shifted factor singular too; the step is the
+    # right-hand side itself.
+    rhs = np.array([1.0, -2.0, 0.5])
+    hessian = sp.csr_matrix(np.diag([np.nan, 1.0, 2.0]))
+    x, shifted = _solve_spd(hessian, rhs)
+    assert shifted
+    assert np.array_equal(x, rhs)
+
+
+def test_solve_spd_empty_hessian():
+    x, shifted = _solve_spd(sp.csr_matrix((0, 0)), np.zeros(0))
+    assert x.shape == (0,) and not shifted
