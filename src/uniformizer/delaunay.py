@@ -51,6 +51,18 @@ the result's Triangulation is built once, at the end.  The Delaunay
 strict violations reaches it; the order can change only the diagonals of
 cocircular cells.
 
+A round costs a fixed number of array calls on the batch alone.  The
+permutation gathers the six sides of each quad once and returns the
+edge ids and corners of the two new triangles, t1' = (b, c, f) and
+t2' = (d, a, f); the round reads the Ptolemy inputs and the new
+triangles' lambdas off that gather and computes their terms with the
+operations of _triangle_terms, without another pass through the tables.
+Its index patterns depend only on the number of quads
+(mesh_core._quad_patterns), and every array it writes to is C-ordered,
+so no write copies a whole table.  One np.errstate over the run lets
+arcs overflow; _edge_terms raises ArcOverflow when that reaches a scale
+or a margin.
+
 Flips change the triangulation and lambda but not the decorated surface
 they describe, so any triangulation of that surface is as good a start
 as the input.  The solvers use this: each energy evaluation starts from
@@ -58,6 +70,7 @@ the Delaunay triangulation of the previous one (a warm start) and flips
 only what the last step changed.
 """
 
+import functools
 import logging
 import math
 
@@ -104,6 +117,9 @@ class DelaunayResult:
         nonessential_edges: set of edge ids with margin ~ 0.
         punctured_faces: dict undecorated-vertex -> tuple of triangle ids
             fanned around it (adjusted mode only).
+
+    make_delaunay leaves the last two to be computed on first use, from
+    the final margins and tables.
     """
 
     def __init__(self, metric, u, flips, nonessential_edges, punctured_faces):
@@ -112,6 +128,35 @@ class DelaunayResult:
         self.flips = flips
         self.nonessential_edges = nonessential_edges
         self.punctured_faces = punctured_faces
+
+    @classmethod
+    def _of_run(cls, metric, u, flips, state, mode):
+        """The result of a run that ended with the _FlipState state."""
+        result = cls.__new__(cls)
+        result.metric, result.u, result.flips = metric, u, flips
+        result._margin, result._scale = state.margin, state.scale
+        result._mode = mode
+        return result
+
+    @functools.cached_property
+    def nonessential_edges(self):
+        return _edge_set(np.abs(self._margin)
+                         <= NONESSENTIAL_REL * self._scale)
+
+    @functools.cached_property
+    def punctured_faces(self):
+        if self._mode != ADJUSTED:
+            return {}
+        # (vertex, triangle) codes of the corners at undecorated vertices,
+        # sorted and without repeats: each vertex's triangles in order.
+        tri = self.metric.triangulation
+        cv = tri.corner_vertex
+        k = np.flatnonzero(~np.isfinite(self.u.u)[cv])
+        nt = tri.num_triangles
+        code = np.unique(cv[k] * nt + k // 3)
+        verts, start = np.unique(code // nt, return_index=True)
+        return {v: tuple(faces.tolist()) for v, faces in zip(
+            verts.tolist(), np.split(code % nt, start[1:]))}
 
 
 def _quad(tri, e):
@@ -127,37 +172,41 @@ def _quad(tri, e):
             (cv[k1], cv[ka], cv[kb], cv[kd]))
 
 
-def _triangle_terms(tri, lam, uexp, triangles=slice(None)):
-    """(opposite, total) of the given triangles: the weighted arc at the
-    apex opposite each side, a (t, 3) array, and the sum S of the three
-    weighted corner arcs per triangle.  tri is anything with the
-    side_edge and corner_vertex tables of a triangulation."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        arcs = np.exp(_log_corner_arcs(
-            tri.side_edge.reshape(-1, 3)[triangles], lam))
-        arcs *= uexp[tri.corner_vertex.reshape(-1, 3)[triangles]]
-        # Side s is incident with the arcs at corners s and s + 1 and
-        # opposite the arc at corner s + 2.
-        return arcs[:, [2, 0, 1]], arcs.sum(axis=1)
+def _triangle_terms(tri, lam, uexp):
+    """(opposite, total) of all triangles: the weighted arc at the apex
+    opposite each side, a flat array over the sides, and the sum S of
+    the three weighted corner arcs per triangle.  tri is anything with
+    the side_edge and corner_vertex tables of a triangulation.  The
+    caller ignores overflow and invalid operations (see _edge_terms)."""
+    arcs = np.exp(_log_corner_arcs(tri.side_edge, lam))
+    arcs *= uexp[tri.corner_vertex.reshape(-1, 3)]
+    # Side s is incident with the arcs at corners s and s + 1 and
+    # opposite the arc at corner s + 2.  S adds the arcs from the left,
+    # as arcs.sum(axis=1) does and as _FlipState.flip does.
+    return (np.take(arcs, [2, 0, 1], axis=1).ravel(),
+            (arcs[:, 0] + arcs[:, 1]) + arcs[:, 2])
 
 
 def _edge_terms(edge_sides, opposite, total, edges=slice(None)):
     """(margin, scale) of the given edges from the _triangle_terms of all
     triangles: each side contributes S - 2 A to the margin and S to the
     scale.  Edges whose two sides lie in one triangle have no quad;
-    their margin is +inf.  Raises ArcOverflow when a scale leaves the
-    float range."""
+    their margin is +inf.  Raises ArcOverflow when a scale, or the
+    margin of an edge with a quad, leaves the float range (2 A may
+    overflow where S does not); the caller ignores overflow and invalid
+    operations."""
     sides = edge_sides[edges]
     tris = sides // 3
     total = total[tris]
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = total[:, 0] + total[:, 1]
-    if not np.all(np.isfinite(scale)):
-        raise ArcOverflow("a horocyclic arc overflows: lambda spans too "
-                          "wide a range")
-    terms = total - 2.0 * opposite.reshape(-1)[sides]
+    scale = total[:, 0] + total[:, 1]
+    terms = total - 2.0 * opposite[sides]
     margin = terms[:, 0] + terms[:, 1]
     margin[tris[:, 0] == tris[:, 1]] = np.inf
+    # A margin is at most its scale, so only -inf and NaN are left; both
+    # reductions propagate NaN.
+    if not (scale.max() < np.inf and margin.min() > -np.inf):
+        raise ArcOverflow("a horocyclic arc overflows: lambda spans too "
+                          "wide a range")
     return margin, scale
 
 
@@ -169,7 +218,8 @@ def _margins(tri, lam, uexp):
     one triangle have no quad; their margin is +inf.  Raises ArcOverflow
     when an arc, weighted by uexp, leaves the float range.
     """
-    return _edge_terms(tri.edge_sides, *_triangle_terms(tri, lam, uexp))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _edge_terms(tri.edge_sides, *_triangle_terms(tri, lam, uexp))
 
 
 def _edge_set(mask):
@@ -196,7 +246,8 @@ class _FlipState:
     edge_sides (so it can stand in for a Triangulation where only these
     are read), lambda, the per-triangle terms of _triangle_terms and the
     (margin, scale) of every edge.  flip keeps them all current, touching
-    only the flipped quads.
+    only the flipped quads.  Overflow and invalid operations must be
+    ignored while it is built and flipped (see make_delaunay).
     """
 
     def __init__(self, tri, lam, uexp):
@@ -214,23 +265,26 @@ class _FlipState:
         """Flip the edges of batch, whose quads share no triangle; returns
         their lambdas before and after."""
         batch = np.asarray(batch, dtype=np.intp)
-        tris = (self.edge_sides[batch] // 3).T.ravel()
-        mesh_core._flip_in_place(self.glue, self.side_edge,
-                                 self.corner_vertex, self.edge_sides, batch)
         # The flipped quads keep the slots of their triangles: t1 now has
         # the sides (b, c, f) and t2 the sides (d, a, f) of
         # mesh_core.flip_edges.  Every edge whose margin changed has a
         # side in them.
-        edges = self.side_edge.reshape(-1, 3)[tris]
-        n = len(batch)
+        slots, edges, corners = mesh_core._flip_in_place(
+            self.glue, self.side_edge, self.corner_vertex, self.edge_sides,
+            batch)
         lam = self.lam
-        le = lam[batch]
-        lf = ptolemy_update(lam[edges[n:, 1]], lam[edges[:n, 0]],
-                            lam[edges[:n, 1]], lam[edges[n:, 0]], le)
+        x = lam[edges]
+        le = x[2::6]
+        lf = ptolemy_update(x[4::6], x[0::6], x[1::6], x[3::6], le)
         lam[batch] = lf
-        self.opposite[tris], self.total[tris] = _triangle_terms(
-            self, lam, self.uexp, tris)
-        edges = edges.ravel()
+        # The terms of the new triangles, as _triangle_terms computes
+        # them, from their lambdas and corners.
+        x = lam[edges]
+        nxt, prv = mesh_core._quad_patterns(len(batch))[5:]
+        arcs = np.exp(0.5 * (x[nxt] - x - x[prv]))
+        arcs *= self.uexp[corners]
+        self.opposite[slots] = arcs[prv]
+        self.total[slots[::3] // 3] = (arcs[::3] + arcs[1::3]) + arcs[2::3]
         self.margin[edges], self.scale[edges] = _edge_terms(
             self.edge_sides, self.opposite, self.total, edges)
         return le, lf
@@ -250,10 +304,11 @@ def _flip_rounds(state, select, flips, max_flips):
             return
         used = set()
         batch = []
-        for e, (t1, t2) in zip(marked.tolist(),
-                               (state.edge_sides[marked] // 3).tolist()):
+        tris = iter((state.edge_sides[marked] // 3).ravel().tolist())
+        for e, t1, t2 in zip(marked.tolist(), tris, tris):
             if t1 not in used and t2 not in used:
-                used.update((t1, t2))
+                used.add(t1)
+                used.add(t2)
                 batch.append(e)
         if len(flips) + len(batch) > max_flips:
             raise FlipLimitExceeded("more than %d flips" % max_flips)
@@ -277,42 +332,32 @@ def make_delaunay(metric, u=None, mode=PLAIN):
     tri = metric.triangulation
     if u is None:
         u = PartialDecoration.zeros(tri.num_vertices)
-    state = _FlipState(tri, metric.lam.copy(), np.exp(-u.u))
     max_flips = MAX_FLIPS_PER_EDGE * tri.num_edges + MAX_FLIPS_EXTRA
     flips = []
 
-    _flip_rounds(state, lambda st, tol: np.flatnonzero(st.margin < -tol),
-                 flips, max_flips)
+    # Arcs may overflow; _edge_terms raises ArcOverflow when that reaches
+    # a margin or a scale.
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _FlipState(tri, metric.lam.copy(), np.exp(-u.u))
+        _flip_rounds(state, lambda st, tol: (st.margin < -tol).nonzero()[0],
+                     flips, max_flips)
+        if mode == ADJUSTED:
+            undecorated = ~np.isfinite(u.u)
 
-    punctured = {}
-    if mode == ADJUSTED:
-        undecorated = ~np.isfinite(u.u)
+            def fannable(st, tol):
+                near = (np.abs(st.margin) <= tol).nonzero()[0]
+                apex = st.corner_vertex[mesh_core._prev(st.edge_sides[near])]
+                return near[undecorated[apex].any(axis=1)]
 
-        def fannable(st, tol):
-            near = np.flatnonzero(np.abs(st.margin) <= tol)
-            apex = st.corner_vertex[mesh_core._prev(st.edge_sides[near])]
-            return near[undecorated[apex].any(axis=1)]
-
-        _flip_rounds(state, fannable, flips, max_flips)
-        # (vertex, triangle) codes of the corners at undecorated vertices,
-        # sorted and without repeats: each vertex's triangles in order.
-        cv = state.corner_vertex
-        k = np.flatnonzero(undecorated[cv])
-        nt = tri.num_triangles
-        code = np.unique(cv[k] * nt + k // 3)
-        verts, start = np.unique(code // nt, return_index=True)
-        punctured = {v: tuple(faces.tolist()) for v, faces in zip(
-            verts.tolist(), np.split(code % nt, start[1:]))}
+            _flip_rounds(state, fannable, flips, max_flips)
 
     if flips:
         tri = mesh_core.Triangulation(state.glue, state.side_edge,
                                       state.corner_vertex, tri.num_vertices,
                                       state.edge_sides)
         log.debug("make_delaunay: %d flips on %r", len(flips), tri)
-    return DelaunayResult(
-        DecoratedMetric(tri, state.lam), u, flips,
-        _edge_set(np.abs(state.margin) <= NONESSENTIAL_REL * state.scale),
-        punctured)
+    return DelaunayResult._of_run(DecoratedMetric(tri, state.lam), u, flips,
+                                  state, mode)
 
 
 class DelaunayCheck:

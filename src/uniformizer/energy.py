@@ -7,17 +7,20 @@ vectorized evaluation path:
   set of triangles from side->edge ids and lambdas (ell = exp(lambda/2)).
 * _evaluate, the evaluator: twice the potential at the half-lambdas
   summed over a set of triangles, minus pi times the lambda sum over a
-  set of edges, with the angles it used; from those angles _derivatives
-  gives the angle sums, the vertex degrees and the cotangent Hessian.
+  set of edges, with the angles it used; from those angles _angle_sums
+  gives the angle sums and the vertex degrees, and _hessian the
+  cotangent Hessian.
 
 lobachevsky, euclidean_angles and triangle_potential are scalar views of
 the kernel.  fixed_triangulation_energy evaluates a fixed triangulation;
 conformal_energy and punctured_energy evaluate the (adjusted) Delaunay
 retriangulation as functions of the per-vertex scale factors u.  These
 are C^2 and convex; gradients measure angle defects and Hessians are
-cotangent Laplacians.  An EnergyEvaluation computes its value at once and
-its derivatives on first use, so a line-search trial that is rejected
-costs no derivatives.  The *_value names return the value alone.
+cotangent Laplacians.  An EnergyEvaluation computes its value at once,
+and its gradient and its Hessian separately, each on its first use: a
+line-search trial that is rejected costs no derivatives, and the
+converged iterate and kkt_check, which read only the gradient, build no
+Hessian.  The *_value names return the value alone.
 
 Both depend on their metric argument only through the decorated surface
 it carries: Ptolemy flips leave the surface and its horocycle lengths
@@ -33,7 +36,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import zeta
 
 from . import delaunay as _delaunay
 from . import mesh_core
@@ -48,9 +50,20 @@ from .penner import (
 
 # Series coefficients for the Lobachevsky function on (-pi/2, pi/2]:
 #   L(x) = x - x log|2x| + sum_k  zeta(2k) / (k (2k+1) pi^(2k)) x^(2k+1)
-_LOB_K = 30
-_LOB_COEF = np.array([zeta(2 * k) / (k * (2 * k + 1) * math.pi ** (2 * k))
-                      for k in range(1, _LOB_K + 1)])
+# for k = 1 .. 30, written out as the shortest float literals of the
+# values computed with scipy.special.zeta, which they round-trip exactly.
+_LOB_COEF = np.array([
+    0.05555555555555556, 0.0011111111111111113, 5.039052658100279e-05,
+    2.9394473838918294e-06, 1.9434362868706308e-07, 1.3874386415425631e-08,
+    1.044092754851133e-09, 8.167135584551357e-11, 6.5812416715815825e-12,
+    5.429797905855285e-13, 4.566488655929377e-14, 3.901951136637484e-15,
+    3.379062307725596e-16, 2.9599033661709034e-17, 2.618489680557355e-18,
+    2.336523489126146e-19, 2.1008128379177174e-20, 1.90164897578126e-21,
+    1.7317557154403727e-22, 1.5855912475693484e-23, 1.4588733690007666e-24,
+    1.348249931392626e-25, 1.2510658289125975e-26, 1.1651954737967502e-27,
+    1.088920516594686e-28, 1.0208393500224548e-29, 9.597992823337702e-31,
+    9.048451066886532e-32, 8.551796823342147e-33, 8.101334206760577e-34,
+])
 
 # Corner i of a triangle lies between sides i and i+2 and faces side
 # i+1: these column orders pick, per corner (or side), the next and the
@@ -67,7 +80,8 @@ def _lobachevsky(theta):
         x2 = x * x
         s = np.zeros_like(x)
         for c in _LOB_COEF[::-1]:
-            s = s * x2 + c
+            s *= x2
+            s += c
         return np.where(x == 0.0, 0.0,
                         x - x * np.log(np.abs(2.0 * x)) + s * x2 * x)
 
@@ -156,23 +170,28 @@ def _evaluate(tri, lam, triangles=slice(None), edges=slice(None)):
     return value, angles
 
 
-def _derivatives(tri, triangles, edges, angles, free):
-    """(theta_tilde, degree, hessian) over the cells _evaluate summed,
-    from its angles; the Hessian has the rows free.
-
-    theta_tilde is the angle sum and degree the corners minus edge-ends
-    per vertex.  The Hessian is 1/4 sum_e w_e (du_i - du_j)^2 taken twice,
-    w_e the cotangent sum opposite e: w_e/2 [[1, -1], [-1, 1]] per edge.
-    """
+def _angle_sums(tri, triangles, edges, angles):
+    """(theta_tilde, degree) over the cells _evaluate summed, from its
+    angles: the angle sum and the corners minus edge-ends per vertex."""
     n = tri.num_vertices
-    sides = tri.side_edge.reshape(-1, 3)[triangles]
     corners = tri.corner_vertex.reshape(-1, 3)[triangles].ravel()
-    ends = tri.edge_verts[edges]
     theta_tilde = np.bincount(corners, angles[:, _NEXT].ravel(),
                               minlength=n)
     degree = (np.bincount(corners, minlength=n)
-              - np.bincount(ends.ravel(), minlength=n))
+              - np.bincount(tri.edge_verts[edges].ravel(), minlength=n))
+    return theta_tilde, degree
 
+
+def _hessian(tri, triangles, edges, angles, free):
+    """The Hessian over the cells _evaluate summed, from its angles, with
+    the rows free.
+
+    It is 1/4 sum_e w_e (du_i - du_j)^2 taken twice, w_e the cotangent
+    sum opposite e: w_e/2 [[1, -1], [-1, 1]] per edge.
+    """
+    n = tri.num_vertices
+    sides = tri.side_edge.reshape(-1, 3)[triangles]
+    ends = tri.edge_verts[edges]
     w = np.bincount(sides.ravel(), 1.0 / np.tan(angles).ravel(),
                     minlength=tri.num_edges)[edges]
     index = np.full(n, -1)
@@ -181,11 +200,9 @@ def _derivatives(tri, triangles, edges, angles, free):
     keep = (i != j) & (i >= 0) & (j >= 0)
     i, j, q = i[keep], j[keep], 0.5 * w[keep]
     m = len(free)
-    hessian = sp.csr_matrix(sp.coo_matrix(
-        (np.stack([q, q, -q, -q], 1).ravel(),
-         (np.stack([i, j, i, j], 1).ravel(),
-          np.stack([i, j, j, i], 1).ravel())), shape=(m, m)))
-    return theta_tilde, degree, hessian
+    return sp.csr_matrix((np.stack([q, q, -q, -q], 1).ravel(),
+                          (np.stack([i, j, i, j], 1).ravel(),
+                           np.stack([i, j, j, i], 1).ravel())), shape=(m, m))
 
 
 def fixed_triangulation_energy(metric, target):
@@ -203,12 +220,13 @@ def fixed_triangulation_energy(metric, target):
 class EnergyEvaluation:
     """Value, gradient, and sparse Hessian of an energy at a point.
 
-    The value is computed at once; gradient, hessian and theta_tilde on
-    first use, from the same Delaunay result.  gradient and hessian are
-    indexed by free_vertices (all vertices for the conformal energy, all
-    but the distinguished vertex for the punctured energy).  theta_tilde
-    holds the realized angle sums.  surface is the evaluated decorated
-    surface in base lambda (the shift by u taken out) on the Delaunay
+    The value is computed at once; gradient and theta_tilde on first use,
+    and the Hessian separately on its own first use, all from the same
+    Delaunay result and angles.  gradient and hessian are indexed by
+    free_vertices (all vertices for the conformal energy, all but the
+    distinguished vertex for the punctured energy).  theta_tilde holds
+    the realized angle sums.  surface is the evaluated decorated surface
+    in base lambda (the shift by u taken out) on the Delaunay
     triangulation of this evaluation: the same surface as the input
     metric, so it may stand in for it in the next evaluation of the same
     energy.
@@ -228,20 +246,20 @@ class EnergyEvaluation:
         self._gradient_of = gradient_of
 
     @functools.cached_property
-    def _derivatives(self):
-        return _derivatives(*self._cells, self._angles, self.free_vertices)
+    def _sums(self):
+        return _angle_sums(*self._cells, self._angles)
 
     @property
     def theta_tilde(self):
-        return self._derivatives[0]
+        return self._sums[0]
 
     @functools.cached_property
     def gradient(self):
-        return self._gradient_of(*self._derivatives[:2])
+        return self._gradient_of(*self._sums)
 
-    @property
+    @functools.cached_property
     def hessian(self):
-        return self._derivatives[2]
+        return _hessian(*self._cells, self._angles, self.free_vertices)
 
 
 def conformal_energy(metric, target, u):
@@ -284,17 +302,17 @@ def punctured_energy(metric, v_inf, u):
                                      mode=_delaunay.ADJUSTED)
     tri = result.metric.triangulation
     sub = mesh_core.subcomplex_avoiding(tri, v_inf)
-    free = sub.kept_vertices
+    free = sub.vertex_mask
     ends = tri.edge_verts
     # Shifted lambdas, finite on the kept edges (both ends decorated).
     lam = result.metric.lam + u_ext[ends[:, 0]] + u_ext[ends[:, 1]]
-    triangles = np.array(sub.kept_triangles, dtype=int)
-    edges = np.array(sub.kept_edges, dtype=int)
+    triangles, edges = sub.triangle_mask, sub.edge_mask
     value, angles = _evaluate(tri, lam, triangles, edges)
     value -= 2.0 * math.pi * float(np.sum(
         _log_horocycle_lengths(metric)[free] - u_ext[free]))
     return EnergyEvaluation(
-        value, result, free, result.metric, (tri, triangles, edges), angles,
+        value, result, sub.kept_vertices, result.metric,
+        (tri, triangles, edges), angles,
         lambda theta_tilde, degree:
             math.pi * (degree[free] + 2) - theta_tilde[free])
 

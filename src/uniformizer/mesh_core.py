@@ -323,35 +323,73 @@ def flip_edges(tri, edges):
     return Triangulation(*tables[:3], tri.num_vertices, tables[3])
 
 
+# Flat index patterns with six entries per flipped edge, one row each,
+# entry j of edge i being block[j] + stride * i:
+#   pair    its k1 or k2 among the 2n sides of the batch, for b c k1 d a k2
+#   shift   the steps from there to b c k1 d a k2 within their triangles
+#   tri     its t1 or t2 among the 2n triangles, for the six new slots
+#   slot    the corners 0 1 2 0 1 2 of those slots
+#   corner  the side among b c k1 d a k2 whose start vertex each new
+#           slot takes: the new diagonal starts at the apexes of d and b
+#   next    the next corner of each new slot among the six
+#   prev    the previous one
+_QUAD_BLOCKS = np.array([[0, 1, 0, 1, 0, 1], [2, 1, 0, 2, 1, 0],
+                         [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2],
+                         [0, 1, 3, 3, 4, 0], [1, 2, 0, 4, 5, 3],
+                         [2, 0, 1, 5, 3, 4]])
+_QUAD_STRIDES = np.array([2, 0, 2, 0, 6, 6, 6])
+# The patterns for the largest batch so far, grown on demand.
+_QUAD_PATTERNS = [np.empty((len(_QUAD_BLOCKS), 0), dtype=np.intp)]
+_MOD3 = np.array([0, 1, 2, 0, 1])
+
+
+def _quad_patterns(n):
+    """The (7, 6 n) rows pair, shift, tri, slot, corner, next and prev
+    of _QUAD_BLOCKS for a batch of n edges."""
+    patterns = _QUAD_PATTERNS[0]
+    if patterns.shape[1] < 6 * n:
+        edges = np.arange(max(n, patterns.shape[1] // 3, 16))
+        patterns = _QUAD_PATTERNS[0] = (
+            _QUAD_BLOCKS[:, None, :]
+            + _QUAD_STRIDES[:, None, None] * edges[:, None]).reshape(
+                len(_QUAD_BLOCKS), -1)
+    return patterns[:, :6 * n]
+
+
 def _flip_in_place(glue, side_edge, corner_vertex, edge_sides, edges):
     """flip_edges on the four mutable tables of a triangulation, which it
     permutes in place; the edges must be flippable and their quads must
     share no triangle (not checked).  Only the slots of the batch's
     triangles, the slots glued to them and the rows of edge_sides of
-    their edges are written."""
-    sides = edge_sides[edges]  # k1, k2
-    base = sides - sides % 3  # 3 t1, 3 t2
-    prev = base + (sides + 2) % 3  # kb, kd
-    # Sides a, c, b, d, k1, k2 move to slots 3 t2 + 1, 3 t1 + 1, 3 t1,
-    # 3 t2, 3 t1 + 2, 3 t2 + 2.
-    src = np.concatenate([base + (sides + 1) % 3, prev, sides], axis=1)
-    dst = np.concatenate([base[:, ::-1] + 1, base, base + 2], axis=1)
-    src, dst = src.ravel(), dst.ravel()
+    their edges are written.
+
+    Returns (slots, side_edges, corners), flat arrays of six entries per
+    flipped edge: the slots of its new triangles t1' = (b, c, f) and
+    t2' = (d, a, f), and the edge id and vertex now at each slot.
+    """
+    pair, shift, tri, slot, corner = _quad_patterns(len(edges))[:5]
+    sides = edge_sides[edges].ravel()  # k1, k2 of each edge in turn
+    step = sides % 3
+    base = sides - step  # 3 t1, 3 t2
+    # Sides b, c, k1, d, a, k2 move to the slots 3 t1 + (0, 1, 2) and
+    # 3 t2 + (0, 1, 2).
+    src = base[pair] + _MOD3[step[pair] + shift]
+    dst = base[tri] + slot
+    side_edges = side_edge[src]
+    corners = corner_vertex[src[corner]]
     partner = glue[src]
-    apex = corner_vertex[prev[:, ::-1]]  # at d, b
-    side_edge[dst] = side_edge[src]
-    corner_vertex[dst] = corner_vertex[src]
-    corner_vertex[base + 2] = apex
-    # Mark each moved slot with its new slot (as -1 - slot) to move the
-    # partners that are themselves moved; then glue both ways.
-    glue[src] = -1 - dst
-    moved = glue[partner]
-    partner = np.where(moved < 0, -1 - moved, partner)
+    side_edge[dst] = side_edges
+    corner_vertex[dst] = corners
+    # Point each partner at itself, then each moved side at its new slot:
+    # glue[partner] is then the partner's new slot.  Glue both ways.
+    glue[partner] = partner
+    glue[src] = dst
+    partner = glue[partner]
     glue[dst] = partner
     glue[partner] = dst
-    rows = side_edge[dst]
-    edge_sides[rows, 0] = np.minimum(dst, partner)
-    edge_sides[rows, 1] = np.maximum(dst, partner)
+    edge_sides[side_edges, 0] = np.minimum(dst, partner)
+    edge_sides[side_edges, 1] = np.maximum(dst, partner)
+    return dst, side_edges, corners
 
 
 def flip_edge(tri, e):
@@ -364,27 +402,52 @@ class Subcomplex:
 
     Attributes:
         parent: the ambient Triangulation.
+        vertex_mask, edge_mask, triangle_mask: boolean arrays over the
+            parent's cells, True on the kept ones.
         kept_vertices, kept_edges, kept_triangles: sorted id lists.
         boundary_vertices, boundary_edges: subsets of the kept cells that
             touch a non-kept triangle of the parent.
+
+    The id lists and the boundary sets are built on first use.
     """
 
     def __init__(self, parent, kept_vertices):
         self.parent = parent
         keep = np.zeros(parent.num_vertices, dtype=bool)
         keep[list(kept_vertices)] = True
-        kept_tris = keep[parent.corner_vertex].reshape(-1, 3).all(axis=1)
-        kept_edges = keep[parent.edge_verts].all(axis=1)
-        # Sides and corners of the triangles that are not kept.
-        outside = np.repeat(~kept_tris, 3)
-        self.kept_vertices = np.flatnonzero(keep).tolist()
-        self.kept_edges = np.flatnonzero(kept_edges).tolist()
-        self.kept_triangles = np.flatnonzero(kept_tris).tolist()
-        self.boundary_edges = set(np.flatnonzero(
-            kept_edges & outside[parent.edge_sides].any(axis=1)).tolist())
-        self.boundary_vertices = set(np.flatnonzero(keep & (np.bincount(
-            parent.corner_vertex, outside, minlength=parent.num_vertices)
-            > 0)).tolist())
+        self.vertex_mask = keep
+        self.edge_mask = keep[parent.edge_verts].all(axis=1)
+        self.triangle_mask = keep[parent.corner_vertex].reshape(-1, 3) \
+            .all(axis=1)
+
+    @functools.cached_property
+    def kept_vertices(self):
+        return np.flatnonzero(self.vertex_mask).tolist()
+
+    @functools.cached_property
+    def kept_edges(self):
+        return np.flatnonzero(self.edge_mask).tolist()
+
+    @functools.cached_property
+    def kept_triangles(self):
+        return np.flatnonzero(self.triangle_mask).tolist()
+
+    @functools.cached_property
+    def _outside(self):
+        """Per flat side (or corner), whether its triangle is not kept."""
+        return np.repeat(~self.triangle_mask, 3)
+
+    @functools.cached_property
+    def boundary_edges(self):
+        return set(np.flatnonzero(self.edge_mask & self._outside[
+            self.parent.edge_sides].any(axis=1)).tolist())
+
+    @functools.cached_property
+    def boundary_vertices(self):
+        parent = self.parent
+        return set(np.flatnonzero(self.vertex_mask & (np.bincount(
+            parent.corner_vertex, self._outside,
+            minlength=parent.num_vertices) > 0)).tolist())
 
 
 def subcomplex_avoiding(tri, v_inf):
@@ -402,10 +465,10 @@ def vertex_degrees(tri, sub, v):
     """
     if not (0 <= v < tri.num_vertices):
         raise UnknownVertex("no vertex %r" % (v,))
-    if sub is not None and v not in set(sub.kept_vertices):
+    if sub is not None and not sub.vertex_mask[v]:
         raise UnknownVertex("vertex %r not kept in subcomplex" % (v,))
-    edges = slice(None) if sub is None else sub.kept_edges
-    tris = slice(None) if sub is None else sub.kept_triangles
+    edges = slice(None) if sub is None else sub.edge_mask
+    tris = slice(None) if sub is None else sub.triangle_mask
     return (int(np.count_nonzero(tri.edge_verts[edges] == v)),
             int(np.count_nonzero(tri.corner_vertex.reshape(-1, 3)[tris]
                                  == v)))
@@ -434,8 +497,8 @@ def classify_subcomplex(sub):
     form a triangulated closed disk containing every kept cell.
     """
     parent = sub.parent
-    verts, edges, tris = (np.asarray(cells, dtype=np.intp) for cells in (
-        sub.kept_vertices, sub.kept_edges, sub.kept_triangles))
+    verts, edges, tris = (np.flatnonzero(mask) for mask in (
+        sub.vertex_mask, sub.edge_mask, sub.triangle_mask))
     if not verts.size:
         return OTHER
     if not tris.size:

@@ -102,6 +102,29 @@ def _factor_solve(matrix, rhs):
     return lu.solve(rhs)
 
 
+def _principal_csc(matrix, keep):
+    """The principal submatrix matrix[keep][:, keep] of a canonical CSR
+    matrix, keep a boolean mask, as a CSC matrix.
+
+    Read off the CSR arrays directly: the stored entries of the kept rows
+    and columns, in column order and by row within a column, which are
+    the entries and the order that scipy's fancy slices and csc_matrix
+    give.  The values are copied, never summed again.
+    """
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    cols = matrix.indices
+    mask = keep[rows] & keep[cols]
+    index = np.cumsum(keep) - 1
+    m = int(index[-1]) + 1 if n else 0
+    col = index[cols[mask]]
+    order = np.argsort(col, kind="stable")
+    indptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(col, minlength=m), out=indptr[1:])
+    return sp.csc_matrix((matrix.data[mask][order],
+                          index[rows[mask]][order], indptr), shape=(m, m))
+
+
 def _solve_spd(hessian, rhs):
     """Solve H x = rhs for a (near) SPD sparse matrix; returns
     (x, shifted) where shifted flags a Tikhonov fallback."""
@@ -229,7 +252,8 @@ def _newton(energy, metric, u, free, lower, project, pin, opts, t0):
         if len(fidx) == 0:
             raise failure(LINE_SEARCH_FAILURE, it,
                           "all variables active but KKT residual %g" % resid)
-        s_f, shifted = _solve_spd(ev.hessian[fidx][:, fidx], -g[fidx])
+        s_f, shifted = _solve_spd(_principal_csc(ev.hessian, solve),
+                                  -g[fidx])
         shifted_any = shifted_any or shifted
         step = np.zeros(len(free))
         step[fidx] = s_f

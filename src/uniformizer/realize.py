@@ -103,7 +103,7 @@ def _disk_angles(result, sub):
     disk)."""
     rtri = result.metric.triangulation
     u = result.u.u
-    kept = np.array(sub.kept_triangles, dtype=int)
+    kept = sub.triangle_mask
     ends = rtri.edge_verts
     lam = result.metric.lam + u[ends[:, 0]] + u[ends[:, 1]]
     angles = np.full((rtri.num_triangles, 3), np.nan)
@@ -222,8 +222,7 @@ def layout_disk(result, v_inf):
         raise WrongKind("layout_disk requires the polyhedral case")
     rtri = result.metric.triangulation
     lengths, angles, theta_tilde = disk
-    kept = np.zeros(rtri.num_triangles, dtype=bool)
-    kept[sub.kept_triangles] = True
+    kept = sub.triangle_mask
     pos, _ = _develop(rtri, kept, lengths, angles)
 
     # Each vertex sits at its first kept corner; record the worst mismatch
@@ -266,9 +265,8 @@ def _merged_bottom_faces(result, sub):
     face[t] is the face of kept triangle t, faces numbered in the order
     of their smallest triangle, and -1 on the other triangles."""
     rtri = result.metric.triangulation
-    tris = np.array(sub.kept_triangles, dtype=np.intp)
-    kept = np.zeros(rtri.num_triangles, dtype=bool)
-    kept[tris] = True
+    kept = sub.triangle_mask
+    tris = np.flatnonzero(kept)
     pairs = rtri.edge_sides[sorted(result.nonessential_edges)] // 3
     pairs = pairs[kept[pairs].all(axis=1)]
     labels = mesh_core._components(rtri.num_triangles, *pairs.T)[tris]

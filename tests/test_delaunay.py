@@ -423,3 +423,31 @@ def test_horocycle_distance_errors():
         horocycle_distance(metric, 5, 0)
     with pytest.raises(UnknownVertex):
         horocycle_distances_to(metric, 7)
+
+
+def test_flip_state_stays_contiguous_and_matches_a_fresh_scan():
+    # The rounds update the terms of the flipped triangles and the margins
+    # of their edges in place; they must stay C-ordered (a strided copy
+    # of a whole table would cost O(T) per round) and equal, bit for bit,
+    # the terms and margins computed afresh from the final tables.
+    rng = np.random.default_rng(4)
+    metric = surfaces.random_sphere(60, rng, (-4.0, 4.0))
+    uexp = np.exp(-rng.uniform(-1.0, 1.0, 60))
+    flips = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = delaunay._FlipState(metric.triangulation, metric.lam.copy(),
+                                    uexp)
+        delaunay._flip_rounds(
+            state, lambda st, tol: (st.margin < -tol).nonzero()[0], flips,
+            10 ** 6)
+        opposite, total = delaunay._triangle_terms(state, state.lam, uexp)
+        margin, scale = delaunay._edge_terms(state.edge_sides, opposite,
+                                             total)
+    assert len(flips) > 10
+    for name in ("glue", "side_edge", "corner_vertex", "edge_sides", "lam",
+                 "opposite", "total", "margin", "scale"):
+        assert getattr(state, name).flags.c_contiguous, name
+    assert state.opposite.shape == (3 * metric.triangulation.num_triangles,)
+    for got, want in ((state.opposite, opposite), (state.total, total),
+                      (state.margin, margin), (state.scale, scale)):
+        assert got.tobytes() == want.tobytes()

@@ -7,14 +7,19 @@ finite differences for every gradient and Hessian.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from helpers import dense, fd_gradient, fd_hessian
 
-from uniformizer import surfaces
+import uniformizer
+from uniformizer import energy, surfaces
 from uniformizer.energy import (
     conformal_energy,
     conformal_energy_value,
@@ -34,6 +39,25 @@ def quad_lobachevsky(x):
     """Defining integral, evaluated by adaptive quadrature."""
     return float(-mpmath.quad(lambda t: mpmath.log(abs(2 * mpmath.sin(t))),
                               [0, x]))
+
+
+def test_lobachevsky_coefficients_are_the_zeta_values():
+    # The series coefficients are stored as float literals; they must be
+    # the values computed from scipy's zeta, bit for bit.
+    want = np.array([zeta(2 * k) / (k * (2 * k + 1) * math.pi ** (2 * k))
+                     for k in range(1, 31)])
+    assert energy._LOB_COEF.tobytes() == want.tobytes()
+
+
+def test_package_does_not_load_scipy_special():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        uniformizer.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "from uniformizer import io_cli, realize\n"
+            "sys.exit('scipy.special' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env)
+    assert run.returncode == 0
 
 
 def test_lobachevsky_special_values():

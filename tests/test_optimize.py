@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from uniformizer import mesh_core, surfaces
+from uniformizer import energy, mesh_core, surfaces
 from uniformizer.errors import (
     GaussBonnetViolated,
     LineSearchFailure,
@@ -23,6 +24,7 @@ from uniformizer.optimize import (
     CONVERGED,
     LINE_SEARCH_FAILURE,
     SolveOptions,
+    _principal_csc,
     _solve_spd,
     gauss_bonnet_defect,
     kkt_check,
@@ -298,3 +300,65 @@ def test_solve_spd_unfactorable_hessian_takes_the_gradient_step():
 def test_solve_spd_empty_hessian():
     x, shifted = _solve_spd(sp.csr_matrix((0, 0)), np.zeros(0))
     assert x.shape == (0,) and not shifted
+
+
+@settings(max_examples=80, deadline=None)
+@given(genus=st.sampled_from([0, 1]), n=st.integers(3, 40),
+       seed=st.integers(0, 2 ** 16),
+       kind=st.sampled_from(["empty", "full", "random"]))
+def test_principal_csc_matches_scipy_slices(genus, n, seed, kind):
+    # The Hessians of both energies at random points; the submatrix must
+    # carry scipy's entries in scipy's order, bit for bit.
+    rng = np.random.default_rng(seed)
+    if genus == 0:
+        metric = surfaces.random_sphere(max(n, 4), rng)
+        nv = metric.triangulation.num_vertices
+        ev = energy.punctured_energy(metric, 0, rng.uniform(-0.3, 0.3, nv))
+    else:
+        metric = surfaces.random_torus(n, rng)
+        nv = metric.triangulation.num_vertices
+        ev = energy.conformal_energy(metric, ConeAngleTarget.uniform(nv),
+                                     rng.uniform(-0.3, 0.3, nv))
+    hessian = ev.hessian
+    m = hessian.shape[0]
+    keep = {"empty": np.zeros(m, dtype=bool), "full": np.ones(m, dtype=bool),
+            "random": rng.random(m) < rng.uniform(0.2, 0.9)}[kind]
+    got = _principal_csc(hessian, keep)
+    want = sp.csc_matrix(hessian[keep][:, keep])
+    assert got.format == "csc" and got.shape == want.shape
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
+
+
+def _count_hessians(monkeypatch):
+    built = []
+    hessian = energy._hessian
+
+    def counted(*args):
+        built.append(1)
+        return hessian(*args)
+
+    monkeypatch.setattr(energy, "_hessian", counted)
+    return built
+
+
+def test_converged_iterate_and_kkt_check_build_no_hessian(monkeypatch):
+    # One Hessian per Newton step; the converged iterate and kkt_check
+    # read the gradient alone.
+    built = _count_hessians(monkeypatch)
+    metric = surfaces.random_sphere(30, np.random.default_rng(2))
+    report = minimize_punctured_energy(metric, 0)
+    assert report.status == CONVERGED and report.iterations > 0
+    assert len(built) == report.iterations
+    assert kkt_check(metric, 0, report.u_final).passed
+    assert len(built) == report.iterations
+
+    del built[:]
+    metric = surfaces.random_torus(20, np.random.default_rng(3))
+    target = ConeAngleTarget.uniform(metric.triangulation.num_vertices)
+    report = minimize_conformal_energy(metric, target)
+    assert report.status == CONVERGED and report.iterations > 0
+    assert len(built) == report.iterations
+    assert kkt_check(metric, target, report.u_final).passed
+    assert len(built) == report.iterations

@@ -26,7 +26,8 @@ def _decoration(kind, n, rng):
 
 def _outcome(run):
     # RuntimeWarning: a margin term 2 A overflows although S is finite
-    # (raised as an error by the test settings), on both paths alike.
+    # (raised as an error by the test settings); the reference goes on
+    # with a margin of -inf, where make_delaunay raises ArcOverflow.
     try:
         return run()
     except (ArcOverflow, FlipLimitExceeded, RuntimeWarning) as exc:
@@ -65,7 +66,7 @@ def test_make_delaunay_matches_reference_rounds(genus, n, seed, width, kind,
         want = _outcome(lambda: ref.make_delaunay(metric, u, mode))
     if isinstance(want, type):
         event(want.__name__)
-        assert got is want
+        assert got is (ArcOverflow if want is RuntimeWarning else want)
         return
     assert not isinstance(got, type), got
     rtri, lam, flips, nonessential, punctured = want
@@ -77,3 +78,25 @@ def test_make_delaunay_matches_reference_rounds(genus, n, seed, width, kind,
                                       getattr(rtri, table))
     assert got.nonessential_edges == nonessential
     assert got.punctured_faces == punctured
+
+
+def test_overflowing_margin_term_raises_arc_overflow():
+    # One lambda of 1418 on a four-vertex sphere: every arc, and so every
+    # scale, stays finite, but twice the largest arc overflows.  With the
+    # warning ignored the reference would take that margin as -inf and
+    # flip the edge.
+    rng = np.random.default_rng(0)
+    metric = surfaces.random_sphere(4, rng, (-1.0, 1.0))
+    lam = metric.lam.copy()
+    lam[int(rng.integers(len(lam)))] = 1418.0
+    metric = DecoratedMetric(metric.triangulation, lam)
+    ones = np.ones(metric.triangulation.num_vertices)
+    with np.errstate(over="ignore"):
+        margin, scale = ref._margins(metric.triangulation, lam, ones)
+    assert np.isfinite(scale).all() and np.isneginf(margin).any()
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        ref.make_delaunay(metric)
+    with pytest.raises(ArcOverflow):
+        delaunay._margins(metric.triangulation, lam, ones)
+    with pytest.raises(ArcOverflow):
+        make_delaunay(metric)
