@@ -225,11 +225,11 @@ class EnergyEvaluation:
     Delaunay result and angles.  gradient and hessian are indexed by
     free_vertices (all vertices for the conformal energy, all but the
     distinguished vertex for the punctured energy).  theta_tilde holds
-    the realized angle sums.  surface is the evaluated decorated surface
-    in base lambda (the shift by u taken out) on the Delaunay
-    triangulation of this evaluation: the same surface as the input
-    metric, so it may stand in for it in the next evaluation of the same
-    energy.
+    the realized angle sums, angles the (T', 3) triangle angles they sum.
+    surface is the evaluated decorated surface in base lambda (the shift
+    by u taken out) on the Delaunay triangulation of this evaluation:
+    the same surface as the input metric, so it may stand in for it in
+    the next evaluation of the same energy.
     """
 
     def __init__(self, value, delaunay_result, free_vertices, surface,
@@ -238,16 +238,15 @@ class EnergyEvaluation:
         self.delaunay = delaunay_result
         self.free_vertices = free_vertices
         self.surface = surface
-        # (triangulation, triangles, edges) that _evaluate summed over,
-        # its angles, and the gradient as a function of theta_tilde and
-        # the vertex degrees.
+        self.angles = angles
+        # The (triangulation, triangles, edges) _evaluate summed over,
+        # and the gradient as a function of theta_tilde and the degrees.
         self._cells = cells
-        self._angles = angles
         self._gradient_of = gradient_of
 
     @functools.cached_property
     def _sums(self):
-        return _angle_sums(*self._cells, self._angles)
+        return _angle_sums(*self._cells, self.angles)
 
     @property
     def theta_tilde(self):
@@ -259,7 +258,7 @@ class EnergyEvaluation:
 
     @functools.cached_property
     def hessian(self):
-        return _hessian(*self._cells, self._angles, self.free_vertices)
+        return _hessian(*self._cells, self.angles, self.free_vertices)
 
 
 def conformal_energy(metric, target, u):

@@ -1,12 +1,12 @@
 """Newton solvers for the two convex energies.
 
 Both run one primal active-set projected Newton loop, _newton, fed with
-lower bounds and a gauge projection of the step.  The punctured energy
-is bounded below by minus the horocycle distances to the distinguished
-vertex.  The conformal energy has no bounds (-inf) and is scale
-invariant when the target angles satisfy Gauss-Bonnet, so its steps are
-re-centred to zero mean and one vertex is pinned for the linear solve.
-The loop and kkt_check share the KKT residuals, _kkt_residuals.
+the start's evaluation, lower bounds and a gauge projection of the step.
+The punctured energy is bounded below by minus the horocycle distances
+to the distinguished vertex.  The conformal energy has no bounds (-inf)
+and is scale invariant when the target angles satisfy Gauss-Bonnet, so
+its steps are re-centred to zero mean and PIN_VERTEX is left out of the
+linear solve.  The loop and kkt_check share the KKT residuals.
 
 The loop warm-starts its evaluations from the surface of the last
 accepted one (EnergyEvaluation.surface).  This is exact, not an
@@ -15,8 +15,8 @@ the flips between two triangulations do not change.  Each line-search
 trial is a full evaluation whose derivatives are computed only if they
 are read, and the accepted trial is the next iterate, so the flip
 algorithm runs once per trial and never again for the accepted point.
-kkt_check stays a cold evaluation from the input metric, independent of
-the solver's path.
+A converged report carries its last evaluation; kkt_check stays a cold
+evaluation from the input metric, independent of the solver's path.
 
 Each Newton system is solved with one SuperLU factor in symmetric mode,
 on a minimum-degree ordering of A^T + A with diagonal pivots, as suits
@@ -47,37 +47,35 @@ CONVERGED = "Converged"
 ITER_LIMIT = "IterLimit"
 LINE_SEARCH_FAILURE = "LineSearchFailure"
 
-ZERO_MEAN = "zero-mean"
-
 # A variable within this relative distance of its bound counts as active.
 ACTIVE_TOL = 1e-10
 # Relative rounding noise of an energy value recomputed through a long
 # flip sequence; smaller predicted decreases skip the line search.
 NOISE_REL = 1e-11
+# Line search: the step's shrink factor, and the Armijo decrease share.
+SHRINK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+# Left out of each conformal Newton solve: the Hessian kills constants.
+PIN_VERTEX = 0
 
 
 class SolveOptions:
     """Parameters shared by both solvers."""
 
-    def __init__(self, gradient_tolerance=1e-10, max_iterations=500,
-                 shrink=0.5, sufficient_decrease=1e-4, gauge=ZERO_MEAN,
-                 pin_vertex=0):
-        if gradient_tolerance <= 0 or max_iterations <= 0:
+    def __init__(self, gradient_tolerance=1e-10, max_iterations=500):
+        if not (gradient_tolerance > 0 and max_iterations > 0):  # or NaN
             raise ValueError("tolerances and iteration limits must be > 0")
-        if not 0.0 < shrink < 1.0:
-            raise ValueError("shrink factor must be in (0, 1)")
         self.gradient_tolerance = gradient_tolerance
         self.max_iterations = max_iterations
-        self.shrink = shrink
-        self.sufficient_decrease = sufficient_decrease
-        self.gauge = gauge
-        self.pin_vertex = pin_vertex
 
 
 class SolveReport:
+    """Outcome of a solve.  evaluation is the EnergyEvaluation at u_final
+    (before any zero-mean shift) if converged and not taken by realize."""
+
     def __init__(self, u_final, iterations, flips_total, active_set,
                  kkt_residuals, status, energy=None, theta_tilde=None,
-                 shifted_hessian=False, seconds=0.0):
+                 shifted_hessian=False, seconds=0.0, evaluation=None):
         self.u_final = u_final
         self.iterations = iterations
         self.flips_total = flips_total
@@ -88,6 +86,7 @@ class SolveReport:
         self.theta_tilde = theta_tilde
         self.shifted_hessian = shifted_hessian
         self.seconds = seconds
+        self.evaluation = evaluation
 
 
 def _factor_solve(matrix, rhs):
@@ -149,22 +148,36 @@ def _solve_spd(hessian, rhs):
 
 
 def gauss_bonnet_defect(metric, target):
-    """Sum of target angles minus 2 pi (2g - 2 + n)."""
+    """Sum of target angles, one per vertex, minus 2 pi (2g - 2 + n)."""
     tri = metric.triangulation
+    if len(target.theta) != tri.num_vertices:
+        raise GaussBonnetViolated("target has %d angles for %d vertices"
+                                  % (len(target.theta), tri.num_vertices))
     expected = 2.0 * math.pi * (2 * tri.genus - 2 + tri.num_vertices)
     return float(np.sum(target.theta)) - expected
+
+
+def _scale_checked(metric, target, u):
+    """The conformal evaluation at u, once found invariant under adding a
+    constant to u: Newton's start, passed on without a reference kept."""
+    ev = _energy.conformal_energy(metric, target, u)
+    e1 = _energy.conformal_energy_value(metric, target, u + 0.37)
+    if abs(e1 - ev.value) > 1e-10 * max(1.0, abs(ev.value)):
+        raise GaussBonnetViolated(
+            "energy not scale invariant (drift %g); inconsistent target"
+            % (e1 - ev.value))
+    return ev
 
 
 def minimize_conformal_energy(metric, target, opts=None, u0=None):
     """Newton minimization of the conformal energy over u.
 
     Requires the Gauss-Bonnet condition, which makes the energy
-    invariant under adding a constant to u; the returned u is
-    gauge-normalized (zero mean by default).
+    invariant under adding a constant to u; the returned u has zero
+    mean, and the scale check's evaluation at u0 is the first iterate.
     """
     opts = opts or SolveOptions()
-    tri = metric.triangulation
-    n = tri.num_vertices
+    n = metric.triangulation.num_vertices
     defect = gauss_bonnet_defect(metric, target)
     if abs(defect) > 1e-8:
         raise GaussBonnetViolated("angle sum misses Gauss-Bonnet by %g"
@@ -172,21 +185,11 @@ def minimize_conformal_energy(metric, target, opts=None, u0=None):
     t0 = time.perf_counter()
 
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
-    # Scale invariance sanity check before iterating.
-    e0 = _energy.conformal_energy_value(metric, target, u)
-    e1 = _energy.conformal_energy_value(metric, target, u + 0.37)
-    if abs(e1 - e0) > 1e-10 * max(1.0, abs(e0)):
-        raise GaussBonnetViolated(
-            "energy not scale invariant (drift %g); inconsistent target"
-            % (e1 - e0))
-
-    report = _newton(
-        lambda m, x: _energy.conformal_energy(m, target, x), metric, u,
-        np.arange(n), np.full(n, -np.inf), lambda step: step - step.mean(),
-        opts.pin_vertex, opts, t0)
-    u = report.u_final
-    report.u_final = u - (u.mean() if opts.gauge == ZERO_MEAN
-                          else u[opts.pin_vertex])
+    report = _newton(lambda m, x: _energy.conformal_energy(m, target, x),
+                     _scale_checked(metric, target, u), u, np.arange(n),
+                     np.full(n, -np.inf), lambda step: step - step.mean(),
+                     PIN_VERTEX, opts, t0)
+    report.u_final = report.u_final - report.u_final.mean()
     return report
 
 
@@ -202,7 +205,7 @@ def _kkt_residuals(g, u, lower, act_tol):
             float(np.max(lower - u, initial=0.0)))
 
 
-def _newton(energy, metric, u, free, lower, project, pin, opts, t0):
+def _newton(energy, ev, u, free, lower, project, pin, opts, t0):
     """Active-set projected Newton on u[free] under u[free] >= lower.
 
     energy(surface, u) is an EnergyEvaluation indexed like free.  The
@@ -211,14 +214,13 @@ def _newton(energy, metric, u, free, lower, project, pin, opts, t0):
     backtracked to sufficient decrease.  An accepted step that does not
     lower the energy raises LineSearchFailure: the search has stalled.
 
-    Evaluations are warm-started: the first starts from metric, every
-    later one (line-search trials) from the surface of the current
-    iterate, already Delaunay at its u, so the flip algorithm only has to
-    follow the step.  The accepted trial becomes the next iterate.
+    ev is the evaluation at u.  Every line-search trial is warm-started
+    from the surface of the current iterate, already Delaunay at its u,
+    so the flip algorithm only has to follow the step.  The accepted
+    trial becomes the next iterate.
     """
     bounded = bool(np.any(np.isfinite(lower)))
     shifted_any = False
-    ev = energy(metric, u)
     # Flips of the iterates' evaluations, each counted from its warm start.
     flips_total = len(ev.delaunay.flips)
 
@@ -240,7 +242,7 @@ def _newton(energy, metric, u, free, lower, project, pin, opts, t0):
                 u, it, flips_total, free[at_bound].tolist(), residuals,
                 CONVERGED, energy=ev.value, theta_tilde=ev.theta_tilde,
                 shifted_hessian=shifted_any,
-                seconds=time.perf_counter() - t0)
+                seconds=time.perf_counter() - t0, evaluation=ev)
         if it == opts.max_iterations:
             break
 
@@ -293,7 +295,7 @@ def _newton(energy, metric, u, free, lower, project, pin, opts, t0):
             if skip_test and f_trial <= f0 + noise:
                 break
             skip_test = False
-            if f_trial <= f0 + opts.sufficient_decrease * alpha * slope:
+            if f_trial <= f0 + SUFFICIENT_DECREASE * alpha * slope:
                 if f_trial >= f0:
                     # The required decrease is below the rounding of f0,
                     # so the test accepted a step that lowers nothing;
@@ -302,7 +304,7 @@ def _newton(energy, metric, u, free, lower, project, pin, opts, t0):
                                   "accepted step of length %g makes no "
                                   "decrease at iteration %d" % (alpha, it))
                 break
-            alpha *= opts.shrink
+            alpha *= SHRINK
             if alpha < 1e-14:
                 raise failure(LINE_SEARCH_FAILURE, it,
                               "line search stalled at iteration %d" % it)
@@ -347,9 +349,9 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
         u[free] = np.maximum(np.asarray(u0, dtype=float)[free], bounds)
     u[v_inf] = np.inf
 
-    return _newton(
-        lambda m, x: _energy.punctured_energy(m, v_inf, x), metric, u, free,
-        bounds, lambda step: step, None, opts, t0)
+    return _newton(lambda m, x: _energy.punctured_energy(m, v_inf, x),
+                   _energy.punctured_energy(metric, v_inf, u), u, free,
+                   bounds, lambda step: step, None, opts, t0)
 
 
 class KKTReport:

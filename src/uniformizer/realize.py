@@ -24,7 +24,7 @@ from .errors import (
     WrongKind,
     WrongGenus,
 )
-from .penner import ConeAngleTarget
+from .penner import ConeAngleTarget, fiber_shift
 
 TWO_SIDED = "TwoSided"
 POLYHEDRAL = "Polyhedral"
@@ -108,9 +108,8 @@ def _disk_angles(result, sub):
     lam = result.metric.lam + u[ends[:, 0]] + u[ends[:, 1]]
     angles = np.full((rtri.num_triangles, 3), np.nan)
     angles[kept] = _energy._triangle_angles(rtri.side_edge, lam, kept)
-    theta_tilde = np.bincount(
-        rtri.corner_vertex.reshape(-1, 3)[kept].ravel(),
-        angles[kept][:, [1, 2, 0]].ravel(), minlength=rtri.num_vertices)
+    theta_tilde = _energy._angle_sums(rtri, kept, sub.edge_mask,
+                                      angles[kept])[0]
     return np.exp(lam / 2.0), angles, theta_tilde
 
 
@@ -388,10 +387,11 @@ def two_sided_polygon(result, v_inf):
 
 def uniformize_sphere(metric, v_inf, opts=None):
     """Full genus-0 pipeline: constrained minimization, classification,
-    and realization as an inscribed polyhedron or two-sided polygon."""
+    and realization as an inscribed polyhedron or two-sided polygon.
+    realization.delaunay is the final evaluation's adjusted Delaunay
+    result, with the flips from the previous iterate, not the input."""
     report = _optimize.minimize_punctured_energy(metric, v_inf, opts)
-    ev = _energy.punctured_energy(metric, v_inf, report.u_final)
-    result = ev.delaunay
+    result, report.evaluation = report.evaluation.delaunay, None
     kind = classify_realizable(result, v_inf)
     if kind == TWO_SIDED:
         realization = two_sided_polygon(result, v_inf)
@@ -482,13 +482,11 @@ def uniformize_torus(metric, opts=None):
                          % tri.genus)
     target = ConeAngleTarget.uniform(tri.num_vertices)
     report = _optimize.minimize_conformal_energy(metric, target, opts)
-    ev = _energy.conformal_energy(metric, target, report.u_final)
-    met = ev.delaunay.metric
+    ev, report.evaluation = report.evaluation, None
+    met = fiber_shift(ev.surface, report.u_final)
     rtri = met.triangulation
-
-    angles = _energy._triangle_angles(rtri.side_edge, met.lam, slice(None))
     pos, base = _develop(rtri, np.ones(rtri.num_triangles, dtype=bool),
-                         met.lengths, angles)
+                         met.lengths, ev.angles)
 
     # Deck transformations from the sides off the development tree, each
     # edge once.  The holonomy is translational because every angle sum
@@ -538,8 +536,8 @@ def uniformize_torus(metric, opts=None):
 def prescribe_cone_angles(metric, target, opts=None):
     """Flat-with-cone-points metric with the prescribed angles."""
     report = _optimize.minimize_conformal_energy(metric, target, opts)
-    ev = _energy.conformal_energy(metric, target, report.u_final)
-    met = ev.delaunay.metric
+    ev, report.evaluation = report.evaluation, None
+    met = fiber_shift(ev.surface, report.u_final)
     achieved = ev.theta_tilde
     return Realization(CONE_METRIC, {}, [],
                        {"max_angle_error":

@@ -247,6 +247,33 @@ def test_cli_prescribe_angles_uniform(tmp_path, capsys):
     np.testing.assert_allclose(sf.theta, 2.0 * math.pi, atol=1e-8)
 
 
+def test_cli_prescribe_angles_short_theta_file_exit_2(tmp_path, capsys):
+    # A theta file with one angle too few is a validation error that
+    # names both counts, not a numpy shape error.
+    path = str(tmp_path / "o.surf")
+    theta = tmp_path / "theta.txt"
+    io_cli.write_surface(path, surfaces.octahedron_sphere())
+    theta.write_text("%r\n" % (2.0 * math.pi * 4 / 5) * 5)
+    assert io_cli.cli_dispatch(["prescribe-angles", path,
+                                "--theta", str(theta)]) == 2
+    captured = capsys.readouterr()
+    assert "GaussBonnetViolated" in captured.err
+    assert "5 angles for 6 vertices" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["uniformize-sphere", "--vinf", "0"], ["uniformize-torus"],
+    ["prescribe-angles", "--theta", "uniform"]])
+def test_cli_nan_tolerance_exit_2(tmp_path, capsys, command):
+    path = str(tmp_path / "s.surf")
+    io_cli.write_surface(path, surfaces.octahedron_sphere()
+                         if command[0] == "uniformize-sphere"
+                         else surfaces.square_torus())
+    assert io_cli.cli_dispatch(command[:1] + [path] + command[1:]
+                               + ["--tol", "nan"]) == 2
+    assert "must be > 0" in capsys.readouterr().err
+
+
 def test_cli_energy(tmp_path, capsys):
     path = str(tmp_path / "t.surf")
     ufile = str(tmp_path / "u.txt")

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from uniformizer import energy, mesh_core, surfaces
 from uniformizer.errors import (
     GaussBonnetViolated,
+    IterLimit,
     LineSearchFailure,
     WrongGenus,
 )
@@ -35,10 +36,10 @@ from uniformizer.penner import ConeAngleTarget, DecoratedMetric
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(gradient_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(shrink=1.5)
+    for bad in ({"gradient_tolerance": 0.0}, {"gradient_tolerance": math.nan},
+                {"max_iterations": 0}):
+        with pytest.raises(ValueError):
+            SolveOptions(**bad)
 
 
 def test_gauss_bonnet_defect():
@@ -362,3 +363,37 @@ def test_converged_iterate_and_kkt_check_build_no_hessian(monkeypatch):
     assert len(built) == report.iterations
     assert kkt_check(metric, target, report.u_final).passed
     assert len(built) == report.iterations
+
+
+def test_conformal_solve_evaluates_its_start_once(monkeypatch):
+    # The scale check's evaluation at u0 is Newton's first iterate, and
+    # the converged report carries the evaluation at the optimum.
+    starts = []
+    conformal = energy.conformal_energy
+
+    def counted(metric, target, u):
+        ev = conformal(metric, target, u)
+        if np.array_equal(u, u0):
+            starts.append(ev)
+        return ev
+
+    monkeypatch.setattr(energy, "conformal_energy", counted)
+    metric = surfaces.random_torus(20, np.random.default_rng(3))
+    target = ConeAngleTarget.uniform(metric.triangulation.num_vertices)
+    for u0 in (np.zeros(20), np.random.default_rng(4).uniform(-1, 1, 20)):
+        del starts[:]
+        report = minimize_conformal_energy(metric, target, u0=u0)
+        assert report.status == CONVERGED and report.iterations > 0
+        assert len(starts) == 1
+        ev = report.evaluation
+        assert ev.value == report.energy
+        assert ev.theta_tilde is report.theta_tilde
+        np.testing.assert_allclose(ev.theta_tilde, 2.0 * math.pi, atol=1e-8)
+
+
+def test_failed_solve_carries_no_evaluation():
+    metric = surfaces.random_sphere(12, np.random.default_rng(65))
+    with pytest.raises(IterLimit) as info:
+        minimize_punctured_energy(metric, 0, SolveOptions(max_iterations=1))
+    assert info.value.report.evaluation is None
+    assert minimize_punctured_energy(metric, 0).evaluation is not None

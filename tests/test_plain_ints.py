@@ -7,7 +7,7 @@ of it, while comparisons with == still pass.
 
 import numpy as np
 
-from uniformizer import delaunay, mesh_core, realize, surfaces
+from uniformizer import delaunay, mesh_core, penner, realize, surfaces
 
 
 def _plain(values):
@@ -24,7 +24,6 @@ def test_uniformize_sphere_outputs_are_plain_ints():
     assert _plain(real.layout.boundary_cycle)
 
     result = real.delaunay
-    assert result.flips
     assert _plain(e for e, _, _ in result.flips)
     assert _plain(result.punctured_faces)
     assert all(_plain(faces) for faces in result.punctured_faces.values())
@@ -34,6 +33,14 @@ def test_uniformize_sphere_outputs_are_plain_ints():
     for cells in (sub.kept_vertices, sub.kept_edges, sub.kept_triangles,
                   sub.boundary_vertices, sub.boundary_edges):
         assert _plain(cells)
+
+    # real.delaunay holds the solver's final evaluation, whose flips lead
+    # from the previous iterate and may be none; a cold run flips.
+    cold = delaunay.make_delaunay(
+        metric, penner.PartialDecoration(real.report.u_final),
+        mode=delaunay.ADJUSTED)
+    assert cold.flips
+    assert _plain(e for e, _, _ in cold.flips)
 
 
 def test_two_sided_polygon_outputs_are_plain_ints():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import CUBE_QUADS, cube_sphere
-from uniformizer import mesh_core, realize, surfaces
+from uniformizer import mesh_core, penner, realize, surfaces
 from uniformizer.delaunay import DelaunayResult
 from uniformizer.energy import punctured_energy
 from uniformizer.errors import (
@@ -342,3 +342,84 @@ def test_layout_edge_length_fidelity():
             realized = abs(pb - pa)
             expect = layout.lengths[se[3 * t + i]]
             assert realized == pytest.approx(expect, rel=1e-9)
+
+
+@pytest.mark.parametrize("pipeline", ["sphere", "torus", "cone"])
+def test_back_ends_make_no_evaluation_after_the_solve(monkeypatch, pipeline):
+    # The back-ends realize from the solver's final evaluation: once the
+    # solver returns, no energy is evaluated, no flip algorithm runs, and
+    # the flat back-ends compute no angles.
+    from uniformizer import delaunay, energy, optimize
+    calls = []
+    solved = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            if solved:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    def solver(name):
+        fn = getattr(optimize, name)
+
+        def wrapped(*args, **kwargs):
+            report = fn(*args, **kwargs)
+            solved.append(report)
+            return report
+        monkeypatch.setattr(optimize, name, wrapped)
+
+    for name in ("conformal_energy", "punctured_energy", "_evaluate"):
+        counted(energy, name)
+    counted(delaunay, "make_delaunay")
+    solver("minimize_punctured_energy")
+    solver("minimize_conformal_energy")
+    if pipeline == "sphere":
+        real = uniformize_sphere(
+            surfaces.random_sphere(30, np.random.default_rng(2)), 0)
+        assert real.kind == INSCRIBED_POLYHEDRON
+    else:
+        counted(energy, "_triangle_angles")
+        metric = surfaces.random_torus(20, np.random.default_rng(3))
+        target = ConeAngleTarget.uniform(20)
+        real = (uniformize_torus(metric) if pipeline == "torus"
+                else prescribe_cone_angles(metric, target))
+    assert len(solved) == 1 and solved[0] is real.report
+    assert real.report.iterations > 0
+    assert calls == []
+    # The realization does not keep the solver's evaluation alive.
+    assert real.report.evaluation is None
+
+
+def test_flat_back_ends_keep_the_zero_mean_metric():
+    # The output metric is the input surface at the zero-mean u_final,
+    # on the Delaunay triangulation of the final evaluation.
+    from uniformizer import delaunay, energy
+    metric = surfaces.random_torus(20, np.random.default_rng(3))
+    target = ConeAngleTarget.uniform(20)
+    for real in (uniformize_torus(metric),
+                 prescribe_cone_angles(metric, target)):
+        u = real.report.u_final
+        assert abs(u.mean()) <= 1e-12
+        assert delaunay.check_delaunay(real.metric).ok
+        cold = energy.conformal_energy(metric, target, u)
+        np.testing.assert_allclose(
+            cold.theta_tilde,
+            real.theta_tilde if hasattr(real, "theta_tilde")
+            else 2.0 * math.pi, rtol=0, atol=1e-8)
+        # Same surface: the same horocycle lengths at every vertex.
+        np.testing.assert_allclose(
+            penner._log_horocycle_lengths(real.metric),
+            penner._log_horocycle_lengths(cold.delaunay.metric),
+            rtol=0, atol=1e-10)
+
+
+def test_prescribe_cone_angles_rejects_wrong_angle_count():
+    metric = surfaces.octahedron_sphere()
+    for count in (5, 7):
+        target = ConeAngleTarget(np.full(count, 2.0 * math.pi * 4 / count))
+        with pytest.raises(GaussBonnetViolated) as err:
+            prescribe_cone_angles(metric, target)
+        assert str(err.value) == "target has %d angles for 6 vertices" % count
