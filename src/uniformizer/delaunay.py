@@ -83,7 +83,6 @@ from .errors import (
     FlipLimitExceeded,
     SameVertex,
     TriangleInequalityViolated,
-    UnknownVertex,
 )
 from .penner import (
     DecoratedMetric,
@@ -118,25 +117,16 @@ class DelaunayResult:
         punctured_faces: dict undecorated-vertex -> tuple of triangle ids
             fanned around it (adjusted mode only).
 
-    make_delaunay leaves the last two to be computed on first use, from
-    the final margins and tables.
+    The last two are computed on first use, from the final margins and
+    scales of every edge and the run's mode.
     """
 
-    def __init__(self, metric, u, flips, nonessential_edges, punctured_faces):
+    def __init__(self, metric, u, flips, margin, scale, mode):
         self.metric = metric
         self.u = u
         self.flips = flips
-        self.nonessential_edges = nonessential_edges
-        self.punctured_faces = punctured_faces
-
-    @classmethod
-    def _of_run(cls, metric, u, flips, state, mode):
-        """The result of a run that ended with the _FlipState state."""
-        result = cls.__new__(cls)
-        result.metric, result.u, result.flips = metric, u, flips
-        result._margin, result._scale = state.margin, state.scale
-        result._mode = mode
-        return result
+        self._margin, self._scale = margin, scale
+        self._mode = mode
 
     @functools.cached_property
     def nonessential_edges(self):
@@ -356,8 +346,8 @@ def make_delaunay(metric, u=None, mode=PLAIN):
                                       state.corner_vertex, tri.num_vertices,
                                       state.edge_sides)
         log.debug("make_delaunay: %d flips on %r", len(flips), tri)
-    return DelaunayResult._of_run(DecoratedMetric(tri, state.lam), u, flips,
-                                  state, mode)
+    return DelaunayResult(DecoratedMetric(tri, state.lam), u, flips,
+                          state.margin, state.scale, mode)
 
 
 class DelaunayCheck:
@@ -433,9 +423,7 @@ def horocycle_distances_to(metric, v2):
     """delta(w, v2) for every vertex w != v2, via one adjusted run with
     the only decorated vertex v2.  Returns a dict w -> delta."""
     tri = metric.triangulation
-    if not 0 <= v2 < tri.num_vertices:
-        raise UnknownVertex("vertex %d not in range [0, %d)"
-                            % (v2, tri.num_vertices))
+    mesh_core.check_vertex(tri, v2)
     u = PartialDecoration.all_infinite_except(tri.num_vertices, [v2])
     result = make_delaunay(metric, u, mode=ADJUSTED)
     ends = result.metric.triangulation.edge_verts
@@ -474,7 +462,5 @@ def horocycle_distance(metric, v1, v2):
     minimized over lifts.  Symmetric in its arguments."""
     if v1 == v2:
         raise SameVertex("delta(v, v) is not defined")
-    n = metric.triangulation.num_vertices
-    if not 0 <= v1 < n:
-        raise UnknownVertex("vertex %d not in range [0, %d)" % (v1, n))
+    mesh_core.check_vertex(metric.triangulation, v1)
     return horocycle_distances_to(metric, v2)[v1]

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from . import delaunay as _delaunay
 from . import mesh_core
-from .errors import TriangleInequalityViolated, NotNeutral
+from .errors import NotNeutral, TriangleInequalityViolated, WrongLength
 from .penner import (
     DecoratedMetric,
     PartialDecoration,
@@ -226,19 +226,22 @@ class EnergyEvaluation:
     free_vertices (all vertices for the conformal energy, all but the
     distinguished vertex for the punctured energy).  theta_tilde holds
     the realized angle sums, angles the (T', 3) triangle angles they sum.
-    surface is the evaluated decorated surface in base lambda (the shift
-    by u taken out) on the Delaunay triangulation of this evaluation:
-    the same surface as the input metric, so it may stand in for it in
-    the next evaluation of the same energy.
+    The punctured energy sums over subcomplex, the cells avoiding the
+    distinguished vertex: the disk the sphere back-end reads (None for
+    the conformal energy).  surface is the evaluated decorated surface in
+    base lambda (the shift by u taken out) on the Delaunay triangulation
+    of this evaluation: the same surface as the input metric, so it may
+    stand in for it in the next evaluation of the same energy.
     """
 
     def __init__(self, value, delaunay_result, free_vertices, surface,
-                 cells, angles, gradient_of):
+                 cells, angles, gradient_of, subcomplex=None):
         self.value = value
         self.delaunay = delaunay_result
         self.free_vertices = free_vertices
         self.surface = surface
         self.angles = angles
+        self.subcomplex = subcomplex
         # The (triangulation, triangles, edges) _evaluate summed over,
         # and the gradient as a function of theta_tilde and the degrees.
         self._cells = cells
@@ -261,6 +264,15 @@ class EnergyEvaluation:
         return _hessian(*self._cells, self.angles, self.free_vertices)
 
 
+def _per_vertex(tri, u):
+    """u as a float array, one value per vertex of tri, or WrongLength."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (tri.num_vertices,):
+        raise WrongLength("u of shape %s for %d vertices"
+                          % (u.shape, tri.num_vertices))
+    return u
+
+
 def conformal_energy(metric, target, u):
     """Energy of the conformally shifted metric on its Delaunay
     retriangulation, as a function of the log scale factors u.
@@ -270,6 +282,7 @@ def conformal_energy(metric, target, u):
     cotangent Laplacian of the Delaunay triangulation (kernel: constant
     vectors).
     """
+    u = _per_vertex(metric.triangulation, u)
     result = _delaunay.make_delaunay(fiber_shift(metric, u))
     met = result.metric
     tri = met.triangulation
@@ -277,7 +290,7 @@ def conformal_energy(metric, target, u):
     value -= float(target.theta @ _log_horocycle_lengths(met))
     return EnergyEvaluation(
         value, result, list(range(tri.num_vertices)),
-        fiber_shift(met, -np.asarray(u, dtype=float)),
+        fiber_shift(met, -u),
         (tri, slice(None), slice(None)), angles,
         lambda theta_tilde, degree: target.theta - theta_tilde)
 
@@ -290,12 +303,14 @@ def conformal_energy_value(metric, target, u):
 def punctured_energy(metric, v_inf, u):
     """Limit energy with the horocycle at v_inf removed.
 
-    u is indexed by all vertices; the entry at v_inf is ignored.  The
-    evaluation runs the adjusted flip algorithm with u = +inf at v_inf,
-    then sums over the subcomplex avoiding v_inf.  Gradient and Hessian
-    are indexed by the free vertices (all but v_inf, in id order).
+    u is indexed by all vertices; the entry at v_inf is ignored.  Both
+    are checked first (UnknownVertex, WrongLength).  The evaluation runs
+    the adjusted flip algorithm with u = +inf at v_inf, then sums over
+    the subcomplex avoiding v_inf.  Gradient and Hessian are indexed by
+    the free vertices (all but v_inf, in id order).
     """
-    u_ext = np.array(u, dtype=float)
+    mesh_core.check_vertex(metric.triangulation, v_inf)
+    u_ext = _per_vertex(metric.triangulation, u).copy()
     u_ext[v_inf] = np.inf
     result = _delaunay.make_delaunay(metric, PartialDecoration(u_ext),
                                      mode=_delaunay.ADJUSTED)
@@ -313,7 +328,7 @@ def punctured_energy(metric, v_inf, u):
         value, result, sub.kept_vertices, result.metric,
         (tri, triangles, edges), angles,
         lambda theta_tilde, degree:
-            math.pi * (degree[free] + 2) - theta_tilde[free])
+            math.pi * (degree[free] + 2) - theta_tilde[free], sub)
 
 
 def punctured_energy_value(metric, v_inf, u):

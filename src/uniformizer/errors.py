@@ -66,6 +66,10 @@ class TriangleInequalityViolated(UniformizerError):
     """Side lengths do not satisfy the strict triangle inequalities."""
 
 
+class WrongLength(UniformizerError, ValueError):
+    """A per-vertex array such as u holds other than one value per vertex."""
+
+
 class NotNeutral(UniformizerError):
     """Edge is not cocircular; both triangulations are not simultaneously Delaunay."""
 

@@ -45,7 +45,7 @@ from .errors import (
     OpenMesh,
     ZeroLengthEdge,
 )
-from .penner import ConeAngleTarget, DecoratedMetric
+from .penner import ConeAngleTarget, DecoratedMetric, PartialDecoration
 
 FORMAT_LINE = "uniformizer-surface 1"
 
@@ -356,15 +356,14 @@ def _cmd_check(args):
 def _cmd_delaunay(args):
     sf = _load_input(args.input)
     tri = sf.triangulation
-    from .penner import PartialDecoration
+    u = np.zeros(tri.num_vertices)
     if args.undecorated:
-        missing = [int(x) for x in args.undecorated.split(",")]
-        finite = [v for v in range(tri.num_vertices) if v not in missing]
-        u = PartialDecoration.all_infinite_except(tri.num_vertices, finite)
-    else:
-        u = PartialDecoration.zeros(tri.num_vertices)
+        for v in map(int, args.undecorated.split(",")):
+            mesh_core.check_vertex(tri, v)
+            u[v] = np.inf
     mode = _delaunay.ADJUSTED if args.adjusted else _delaunay.PLAIN
-    result = _delaunay.make_delaunay(sf.metric, u, mode=mode)
+    result = _delaunay.make_delaunay(sf.metric, PartialDecoration(u),
+                                     mode=mode)
     print("flips: %d  nonessential: %d"
           % (len(result.flips), len(result.nonessential_edges)))
     for e, before, after in result.flips:
@@ -446,9 +445,6 @@ def _cmd_energy(args):
     tri = sf.triangulation
     with open(args.u) as fh:
         u = np.array([float(x) for x in fh.read().split()])
-    if len(u) != tri.num_vertices:
-        raise FormatError("u file has %d values, need %d"
-                          % (len(u), tri.num_vertices))
     if args.vinf is None:
         target = (ConeAngleTarget(sf.theta) if sf.theta is not None
                   else ConeAngleTarget.uniform(tri.num_vertices))

@@ -450,10 +450,16 @@ class Subcomplex:
             minlength=parent.num_vertices) > 0)).tolist())
 
 
+def check_vertex(tri, v):
+    """Raise UnknownVertex unless v is a vertex id of tri."""
+    if not 0 <= v < tri.num_vertices:
+        raise UnknownVertex("vertex %s not in range [0, %d)"
+                            % (v, tri.num_vertices))
+
+
 def subcomplex_avoiding(tri, v_inf):
     """All closed cells of tri not incident with the vertex v_inf."""
-    if not (0 <= v_inf < tri.num_vertices):
-        raise UnknownVertex("no vertex %r" % (v_inf,))
+    check_vertex(tri, v_inf)
     kept = [v for v in range(tri.num_vertices) if v != v_inf]
     return Subcomplex(tri, kept)
 
@@ -463,8 +469,7 @@ def vertex_degrees(tri, sub, v):
 
     Both counts are restricted to the subcomplex when sub is given.
     """
-    if not (0 <= v < tri.num_vertices):
-        raise UnknownVertex("no vertex %r" % (v,))
+    check_vertex(tri, v)
     if sub is not None and not sub.vertex_mask[v]:
         raise UnknownVertex("vertex %r not kept in subcomplex" % (v,))
     edges = slice(None) if sub is None else sub.edge_mask

@@ -346,7 +346,7 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
     if u0 is None:
         u[free] = bounds
     else:
-        u[free] = np.maximum(np.asarray(u0, dtype=float)[free], bounds)
+        u[free] = np.maximum(_energy._per_vertex(tri, u0)[free], bounds)
     u[v_inf] = np.inf
 
     return _newton(lambda m, x: _energy.punctured_energy(m, v_inf, x),

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import mesh_core
-from .errors import UnknownVertex, IncompatibleShear
+from .errors import IncompatibleShear
 
 SHEAR_TOL = 1e-8
 
@@ -163,8 +163,7 @@ def _log_horocycle_lengths(metric):
 
 def horocycle_length(metric, v):
     """Total length c_v of the decorating horocycle at vertex v."""
-    if not (0 <= v < metric.triangulation.num_vertices):
-        raise UnknownVertex("no vertex %r" % (v,))
+    mesh_core.check_vertex(metric.triangulation, v)
     return float(np.exp(_log_horocycle_lengths(metric)[v]))
 
 

@@ -6,7 +6,8 @@ vertex, classify the resulting adjusted Delaunay data, lay out the disk
 of triangles avoiding the distinguished vertex with its euclidean edge
 lengths, read the planar positions as ideal points in the half-space
 model (distinguished vertex at infinity), and project everything to the
-unit sphere.  Layout positions use complex numbers internally.
+unit sphere, all read off the solver's final punctured evaluation.
+Layout positions use complex numbers internally.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from . import mesh_core
+# Unused here, but bench/spans.py traces the energies through this name.
 from . import energy as _energy
 from . import optimize as _optimize
 from .errors import (
@@ -66,8 +68,8 @@ class PlanarLayout:
         boundary_cycle: vertex ids around the disk boundary, ccw.
         sub: the Subcomplex that was laid out.
         angles: (T, 3) array, the angles opposite sides 0, 1, 2 of each
-            kept triangle (NaN on the other triangles).
-        theta_tilde: realized angle sums per vertex.
+            kept triangle (NaN on the other triangles), the evaluation's.
+        theta_tilde: realized angle sums per vertex, the evaluation's.
         lengths: array of euclidean lengths per edge (inf on the edges
             at v_inf).
     """
@@ -97,36 +99,22 @@ class Realization:
             setattr(self, key, value)
 
 
-def _disk_angles(result, sub):
-    """(lengths, angles, theta_tilde) of the kept disk sub: lengths per
-    edge (inf on the edges at v_inf) and angles per triangle (NaN off the
-    disk)."""
-    rtri = result.metric.triangulation
-    u = result.u.u
-    kept = sub.triangle_mask
-    ends = rtri.edge_verts
-    lam = result.metric.lam + u[ends[:, 0]] + u[ends[:, 1]]
-    angles = np.full((rtri.num_triangles, 3), np.nan)
-    angles[kept] = _energy._triangle_angles(rtri.side_edge, lam, kept)
-    theta_tilde = _energy._angle_sums(rtri, kept, sub.edge_mask,
-                                      angles[kept])[0]
-    return np.exp(lam / 2.0), angles, theta_tilde
-
-
-def _realizable(result, v_inf):
-    """(kind, sub, disk) for classify_realizable: sub is the Subcomplex
-    avoiding v_inf and disk is its _disk_angles (None when TwoSided)."""
-    sub = mesh_core.subcomplex_avoiding(result.metric.triangulation, v_inf)
+def _realizable(ev):
+    """(kind, sub, v_inf) for classify_realizable: sub is the Subcomplex
+    the punctured evaluation ev summed over, v_inf the vertex it omits."""
+    sub = ev.subcomplex
+    if sub is None:
+        raise WrongKind("the sphere back-end needs a punctured evaluation")
+    v_inf = int(np.argmin(sub.vertex_mask))
     cls = mesh_core.classify_subcomplex(sub)
     if cls == mesh_core.LINEAR_GRAPH:
-        return TWO_SIDED, sub, None
+        return TWO_SIDED, sub, v_inf
     if cls != mesh_core.DISK_TRIANGULATION:
         raise NotRealizable(
             "cells avoiding vertex %d form neither a path nor a disk"
             % v_inf)
-    disk = _disk_angles(result, sub)
     verts = np.array(sub.kept_vertices)
-    theta = disk[2][verts]
+    theta = ev.theta_tilde[verts]
     boundary = np.isin(verts, list(sub.boundary_vertices))
     bad = np.flatnonzero(np.where(boundary, theta > math.pi + ANGLE_TOL,
                                   np.abs(theta - 2.0 * math.pi) > ANGLE_TOL))
@@ -136,14 +124,14 @@ def _realizable(result, v_inf):
             ("boundary vertex %d has angle sum %.12g > pi" if boundary[i]
              else "interior vertex %d has angle sum %.12g != 2 pi")
             % (verts[i], theta[i]))
-    return POLYHEDRAL, sub, disk
+    return POLYHEDRAL, sub, v_inf
 
 
-def classify_realizable(result, v_inf):
-    """TwoSided or Polyhedral; raises NotRealizable with a diagnostic
-    when the adjusted Delaunay data fails the realizability conditions
-    (which signals an optimizer failure upstream)."""
-    return _realizable(result, v_inf)[0]
+def classify_realizable(ev):
+    """TwoSided or Polyhedral for a punctured EnergyEvaluation; raises
+    NotRealizable with a diagnostic when its adjusted Delaunay data fails
+    the realizability conditions (an optimizer failure upstream)."""
+    return _realizable(ev)[0]
 
 
 def _develop(tri, kept, lengths, angles):
@@ -214,14 +202,18 @@ def _polygons(group, z, sides):
     return sides[offset[group] + (rank + shift[group]) % count[group]], count
 
 
-def layout_disk(result, v_inf):
-    """Planar development of the triangles avoiding v_inf."""
-    kind, sub, disk = _realizable(result, v_inf)
+def layout_disk(ev):
+    """Planar development of the disk of a punctured EnergyEvaluation."""
+    kind, sub, _ = _realizable(ev)
     if kind != POLYHEDRAL:
         raise WrongKind("layout_disk requires the polyhedral case")
-    rtri = result.metric.triangulation
-    lengths, angles, theta_tilde = disk
+    rtri = ev.delaunay.metric.triangulation
+    u, ends = ev.delaunay.u.u, rtri.edge_verts
+    lengths = np.exp((ev.delaunay.metric.lam + u[ends[:, 0]]
+                      + u[ends[:, 1]]) / 2.0)
     kept = sub.triangle_mask
+    angles = np.full((rtri.num_triangles, 3), np.nan)
+    angles[kept] = ev.angles
     pos, _ = _develop(rtri, kept, lengths, angles)
 
     # Each vertex sits at its first kept corner; record the worst mismatch
@@ -247,8 +239,8 @@ def layout_disk(result, v_inf):
         raise LayoutInconsistent(
             "vertex stars fail to close (relative residual %g)" % residual)
     return PlanarLayout(pos, dict(zip(verts.tolist(), vpos[verts].tolist())),
-                        residual, cycle.tolist(), sub, angles, theta_tilde,
-                        lengths)
+                        residual, cycle.tolist(), sub, angles,
+                        ev.theta_tilde, lengths)
 
 
 def _to_sphere(z):
@@ -277,10 +269,11 @@ def _merged_bottom_faces(result, sub):
     return face
 
 
-def polyhedron_from_layout(layout, result, v_inf):
+def polyhedron_from_layout(layout, ev):
     """Read the layout as ideal points (v_inf at infinity), normalize the
     Moebius gauge, project to the unit sphere, and certify convexity."""
-    rtri = result.metric.triangulation
+    v_inf = int(np.argmin(layout.sub.vertex_mask))
+    rtri = ev.delaunay.metric.triangulation
 
     # Moebius normalization: centroid zero, mean squared radius one.
     verts = np.fromiter(layout.vertex_pos, dtype=np.intp)
@@ -294,7 +287,7 @@ def polyhedron_from_layout(layout, result, v_inf):
     positions = dict(zip(order, pts[order]))
 
     # Bottom faces: the merged kept triangles, each a cyclic polygon.
-    face = _merged_bottom_faces(result, layout.sub)
+    face = _merged_bottom_faces(ev.delaunay, layout.sub)
     sides = np.flatnonzero(np.repeat(face >= 0, 3))
     sides = sides[face[sides // 3] != face[rtri.glue[sides] // 3]]
     sides, bottom_size = _polygons(face[sides // 3],
@@ -358,12 +351,12 @@ def _certify_polyhedron(pts, vert, size):
             "convexity_margin": convexity}
 
 
-def two_sided_polygon(result, v_inf):
+def two_sided_polygon(ev):
     """Degenerate realization: all ideal vertices on one circle."""
-    kind, sub, _ = _realizable(result, v_inf)
+    kind, sub, v_inf = _realizable(ev)
     if kind != TWO_SIDED:
         raise WrongKind("two_sided_polygon requires the two-sided case")
-    rtri = result.metric.triangulation
+    rtri = ev.delaunay.metric.triangulation
 
     # Order the path vertices from its smaller end to the other.
     ends = rtri.edge_verts[sub.kept_edges]
@@ -391,15 +384,13 @@ def uniformize_sphere(metric, v_inf, opts=None):
     realization.delaunay is the final evaluation's adjusted Delaunay
     result, with the flips from the previous iterate, not the input."""
     report = _optimize.minimize_punctured_energy(metric, v_inf, opts)
-    result, report.evaluation = report.evaluation.delaunay, None
-    kind = classify_realizable(result, v_inf)
-    if kind == TWO_SIDED:
-        realization = two_sided_polygon(result, v_inf)
+    ev, report.evaluation = report.evaluation, None
+    if classify_realizable(ev) == TWO_SIDED:
+        realization = two_sided_polygon(ev)
     else:
-        layout = layout_disk(result, v_inf)
-        realization = polyhedron_from_layout(layout, result, v_inf)
+        realization = polyhedron_from_layout(layout_disk(ev), ev)
     realization.report = report
-    realization.delaunay = result
+    realization.delaunay = ev.delaunay
     return realization
 
 

@@ -7,9 +7,11 @@ DelaunayResult and assembles and certifies its faces; it returns
 (layout, positions, faces, diagnostics) with layout a dict of the
 PlanarLayout fields it computes.  reference_torus(met) develops the
 Delaunay metric met of a solved torus; it returns (vertex positions,
-faces, tau, lattice, residual_lattice).  Classification and the disk
-angles come from the package; everything after them is the old loop
-code.
+faces, tau, lattice, residual_lattice).  The sphere oracle derives the
+disk itself from the bare DelaunayResult: it builds the subcomplex
+avoiding v_inf and measures its lengths, angles and angle sums with the
+angle kernel (_disk_angles), where realize reads them off the solver's
+final evaluation.  Everything after them is the old loop code.
 """
 
 import cmath
@@ -116,11 +118,27 @@ def _region_boundary_walk(glue, region, start_side=None):
     return walk
 
 
-def _layout_disk(result, v_inf):
-    kind, sub, disk = realize._realizable(result, v_inf)
-    assert kind == realize.POLYHEDRAL
+def _disk_angles(result, sub):
+    """(lengths, angles, theta_tilde) of the kept disk sub: lengths per
+    edge (inf on the edges at v_inf) and angles per triangle (NaN off the
+    disk)."""
     rtri = result.metric.triangulation
-    lengths, angles, theta_tilde = disk
+    u = result.u.u
+    kept = sub.triangle_mask
+    ends = rtri.edge_verts
+    lam = result.metric.lam + u[ends[:, 0]] + u[ends[:, 1]]
+    angles = np.full((rtri.num_triangles, 3), np.nan)
+    angles[kept] = energy._triangle_angles(rtri.side_edge, lam, kept)
+    theta_tilde = energy._angle_sums(rtri, kept, sub.edge_mask,
+                                     angles[kept])[0]
+    return np.exp(lam / 2.0), angles, theta_tilde
+
+
+def _layout_disk(result, v_inf):
+    rtri = result.metric.triangulation
+    sub = mesh_core.subcomplex_avoiding(rtri, v_inf)
+    assert mesh_core.classify_subcomplex(sub) == mesh_core.DISK_TRIANGULATION
+    lengths, angles, theta_tilde = _disk_angles(result, sub)
 
     corner_pos, _ = _layout_triangles(rtri, sub.kept_triangles, lengths,
                                       angles)

@@ -31,7 +31,11 @@ from uniformizer.energy import (
     punctured_energy_value,
     triangle_potential,
 )
-from uniformizer.errors import NotNeutral, TriangleInequalityViolated
+from uniformizer.errors import (
+    NotNeutral,
+    TriangleInequalityViolated,
+    UnknownVertex,
+)
 from uniformizer.penner import ConeAngleTarget, DecoratedMetric, fiber_shift
 
 
@@ -368,6 +372,24 @@ def test_punctured_energy_degenerate_subcomplex():
                                          np.array([0.0, x[0], x[1]])),
         u[1:], h=1e-6)
     np.testing.assert_allclose(ev.gradient, g_fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("v_inf", [6, 99, -1, -7])
+def test_punctured_energy_rejects_unknown_vertex(v_inf):
+    # The octahedron has vertices 0..5; no index wraps or runs off u.
+    with pytest.raises(UnknownVertex):
+        punctured_energy(surfaces.octahedron_sphere(), v_inf, np.zeros(6))
+
+
+def test_punctured_energy_exposes_its_subcomplex():
+    metric = surfaces.octahedron_sphere()
+    ev = punctured_energy(metric, 2, np.zeros(6))
+    sub = ev.subcomplex
+    assert sub.parent is ev.delaunay.metric.triangulation
+    assert ev.free_vertices == sub.kept_vertices == [0, 1, 3, 4, 5]
+    assert len(ev.angles) == len(sub.kept_triangles)
+    assert conformal_energy(metric, ConeAngleTarget.uniform(6),
+                            np.zeros(6)).subcomplex is None
 
 
 def test_crossflip_square_torus_diagonal():

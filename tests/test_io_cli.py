@@ -286,6 +286,41 @@ def test_cli_energy(tmp_path, capsys):
     np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("vinf", ["99", "-7"])
+def test_cli_energy_unknown_vinf_exit_2(tmp_path, capsys, vinf):
+    path = str(tmp_path / "o.surf")
+    ufile = str(tmp_path / "u.txt")
+    io_cli.write_surface(path, surfaces.octahedron_sphere())
+    open(ufile, "w").write("0\n" * 6)
+    assert io_cli.cli_dispatch(["energy", path, "--u", ufile,
+                                "--vinf", vinf]) == 2
+    assert "UnknownVertex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vinf", [[], ["--vinf", "0"]],
+                         ids=["conformal", "punctured"])
+def test_cli_energy_wrong_length_u_exit_2(tmp_path, capsys, vinf):
+    path = str(tmp_path / "o.surf")
+    ufile = str(tmp_path / "u.txt")
+    io_cli.write_surface(path, surfaces.octahedron_sphere())
+    open(ufile, "w").write("0\n" * 5)
+    assert io_cli.cli_dispatch(["energy", path, "--u", ufile] + vinf) == 2
+    assert "WrongLength: u of shape (5,) for 6 vertices" \
+        in capsys.readouterr().err
+
+
+def test_cli_delaunay_undecorated(tmp_path, capsys):
+    path = str(tmp_path / "o.surf")
+    io_cli.write_surface(path, surfaces.octahedron_sphere())
+    assert io_cli.cli_dispatch(["delaunay", path, "--adjusted",
+                                "--undecorated", "0,5"]) == 0
+    assert capsys.readouterr().out.startswith("flips: ")
+    for ids in ("99", "-1", "0,6"):
+        assert io_cli.cli_dispatch(["delaunay", path,
+                                    "--undecorated", ids]) == 2
+        assert "UnknownVertex" in capsys.readouterr().err
+
+
 def test_cli_arc_overflow_exit_2(tmp_path, capsys):
     # lambda = 3000 on one edge overflows a horocyclic arc; the CLI must
     # report an error, not leak an OverflowError traceback.

@@ -20,6 +20,7 @@ from uniformizer.errors import (
     IterLimit,
     LineSearchFailure,
     WrongGenus,
+    WrongLength,
 )
 from uniformizer.optimize import (
     CONVERGED,
@@ -40,6 +41,29 @@ def test_solve_options_validation():
                 {"max_iterations": 0}):
         with pytest.raises(ValueError):
             SolveOptions(**bad)
+
+
+# The octahedron with equal cone angles 4 pi / 3, which meet
+# Gauss-Bonnet, so the conformal solve gets as far as evaluating u0.
+OCTAHEDRON_TARGET = ConeAngleTarget(np.full(6, 4.0 * math.pi / 3.0))
+
+
+@pytest.mark.parametrize("length", [5, 7], ids=["short", "long"])
+@pytest.mark.parametrize("call", [
+    lambda m, u: energy.conformal_energy(m, OCTAHEDRON_TARGET, u),
+    lambda m, u: energy.punctured_energy(m, 0, u),
+    lambda m, u: kkt_check(m, OCTAHEDRON_TARGET, u),
+    lambda m, u: kkt_check(m, 0, u),
+    lambda m, u: minimize_conformal_energy(m, OCTAHEDRON_TARGET, u0=u),
+    lambda m, u: minimize_punctured_energy(m, 0, u0=u),
+], ids=["conformal_energy", "punctured_energy", "kkt_check_conformal",
+        "kkt_check_punctured", "minimize_conformal_energy",
+        "minimize_punctured_energy"])
+def test_u_of_wrong_length_rejected(call, length):
+    with pytest.raises(WrongLength) as err:
+        call(surfaces.octahedron_sphere(), np.zeros(length))
+    assert isinstance(err.value, ValueError)
+    assert "for 6 vertices" in str(err.value)
 
 
 def test_gauss_bonnet_defect():

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from helpers import CUBE_QUADS, cube_sphere
-from uniformizer import mesh_core, penner, realize, surfaces
-from uniformizer.delaunay import DelaunayResult
+from uniformizer import energy, mesh_core, penner, realize, surfaces
 from uniformizer.energy import punctured_energy
 from uniformizer.errors import (
     GaussBonnetViolated,
     NotRealizable,
     WrongGenus,
+    WrongKind,
 )
 from uniformizer.optimize import minimize_punctured_energy
 from uniformizer.penner import ConeAngleTarget, DecoratedMetric
@@ -78,10 +78,8 @@ def test_three_vertex_sphere_two_sided():
 
 def test_classify_rejects_tampered_angles():
     metric = surfaces.octahedron_sphere()
-    report = minimize_punctured_energy(metric, 0)
-    from uniformizer.energy import punctured_energy
-    ev = punctured_energy(metric, 0, report.u_final)
-    result = ev.delaunay
+    u = minimize_punctured_energy(metric, 0).u_final
+    result = punctured_energy(metric, 0, u).delaunay
     # Tamper with the base lambda so an interior angle sum moves off 2 pi.
     bad_lam = result.metric.lam.copy()
     rtri = result.metric.triangulation
@@ -89,70 +87,94 @@ def test_classify_rejects_tampered_angles():
         if 0 not in (a, b):
             bad_lam[e] += 0.3
             break
-    from uniformizer.delaunay import DelaunayResult
-    tampered = DelaunayResult(DecoratedMetric(rtri, bad_lam), result.u,
-                              result.flips, result.nonessential_edges,
-                              result.punctured_faces)
-    with pytest.raises(NotRealizable):
-        classify_realizable(tampered, 0)
+    ev = punctured_energy(DecoratedMetric(rtri, bad_lam), 0, u)
+    with pytest.raises(NotRealizable) as err:
+        classify_realizable(ev)
+    found = re.fullmatch(
+        r"interior vertex (\d+) has angle sum (\S+) != 2 pi", str(err.value))
+    assert found
+    assert float(found[2]) == pytest.approx(ev.theta_tilde[int(found[1])],
+                                            abs=1e-9)
+    assert abs(float(found[2]) - 2.0 * math.pi) > 0.1
 
 
 def test_classify_rejects_boundary_angle_sum_over_pi():
     metric = surfaces.octahedron_sphere()
-    report = minimize_punctured_energy(metric, 0)
-    result = punctured_energy(metric, 0, report.u_final).delaunay
+    u = minimize_punctured_energy(metric, 0).u_final
+    result = punctured_energy(metric, 0, u).delaunay
     rtri = result.metric.triangulation
     sub = mesh_core.subcomplex_avoiding(rtri, 0)
     b = min(sub.boundary_vertices)
     # Lengthen the sides opposite b in its kept triangles, within the
     # triangle inequality, so that each angle at b passes pi / 2.
-    at_b = [divmod(k, 3)
-            for k in np.flatnonzero(rtri.corner_vertex == b).tolist()
-            if k // 3 in sub.kept_triangles]
     bad_lam = result.metric.lam.copy()
-    for t, i in at_b:
-        bad_lam[rtri.side_edge[3 * t + (i + 1) % 3]] += 1.3
-    lengths = np.exp(
-        (bad_lam + result.u.u[rtri.edge_verts].sum(axis=1)) / 2.0)
+    for k in np.flatnonzero(rtri.corner_vertex == b).tolist():
+        if sub.triangle_mask[k // 3]:
+            bad_lam[rtri.side_edge[mesh_core._next(k)]] += 1.3
+    ev = punctured_energy(DecoratedMetric(rtri, bad_lam), 0, u)
+    assert ev.delaunay.flips
+    # The law-of-cosines angle sum at b on the evaluated triangulation.
+    etri = ev.delaunay.metric.triangulation
+    lengths = np.exp((ev.delaunay.metric.lam
+                      + ev.delaunay.u.u[etri.edge_verts].sum(axis=1)) / 2.0)
     angle_sum = 0.0
-    for t, i in at_b:
-        # Side i of t starts at b, side i + 1 is opposite b.
-        c, opp, d = lengths[rtri.side_edge[[3 * t + (i + j) % 3
-                                            for j in range(3)]]]
-        angle_sum += math.acos((c * c + d * d - opp * opp) / (2 * c * d))
+    for k in np.flatnonzero(etri.corner_vertex == b).tolist():
+        if ev.subcomplex.triangle_mask[k // 3]:
+            # Side k starts at b, the next side is opposite b.
+            c, opp, d = lengths[etri.side_edge[
+                [k, mesh_core._next(k), mesh_core._prev(k)]]]
+            angle_sum += math.acos((c * c + d * d - opp * opp) / (2 * c * d))
     assert angle_sum > math.pi
-    tampered = DelaunayResult(DecoratedMetric(rtri, bad_lam), result.u,
-                              result.flips, result.nonessential_edges,
-                              result.punctured_faces)
     with pytest.raises(NotRealizable) as err:
-        classify_realizable(tampered, 0)
+        classify_realizable(ev)
     found = re.fullmatch(r"boundary vertex (\d+) has angle sum (\S+) > pi",
                          str(err.value))
     assert found and int(found[1]) == b
     assert float(found[2]) == pytest.approx(angle_sum, abs=1e-9)
 
 
-def test_sphere_realization_derives_the_disk_twice(monkeypatch):
-    # classify_realizable and layout_disk each build, classify and
-    # measure the kept disk once; nothing else in realize does.
+def test_sphere_realization_builds_no_subcomplex_and_no_angle(monkeypatch):
+    # After the solve, realize reads the disk, its angles and its angle
+    # sums off the final evaluation: no subcomplex is built and no
+    # triangle angle is computed; classify_realizable and layout_disk
+    # each classify the evaluation's subcomplex once.
     calls = Counter()
+    solved = []
 
     def counted(name, fn):
         def wrapped(*args):
-            calls[name] += 1
+            if solved:
+                calls[name] += 1
             return fn(*args)
         return wrapped
 
-    core = types.SimpleNamespace(**vars(mesh_core))
+    def solve(*args):
+        report = minimize_punctured_energy(*args)
+        solved.append(True)
+        return report
+
     for name in ("subcomplex_avoiding", "classify_subcomplex"):
-        setattr(core, name, counted(name, getattr(mesh_core, name)))
-    monkeypatch.setattr(realize, "mesh_core", core)
-    monkeypatch.setattr(realize, "_disk_angles",
-                        counted("_disk_angles", realize._disk_angles))
+        monkeypatch.setattr(mesh_core, name,
+                            counted(name, getattr(mesh_core, name)))
+    monkeypatch.setattr(energy, "_side_angles",
+                        counted("_side_angles", energy._side_angles))
+    monkeypatch.setattr(realize._optimize, "minimize_punctured_energy",
+                        solve)
     real = uniformize_sphere(surfaces.octahedron_sphere(), 0)
     assert real.kind == INSCRIBED_POLYHEDRON
-    assert calls == {"subcomplex_avoiding": 2, "classify_subcomplex": 2,
-                     "_disk_angles": 2}
+    assert solved
+    assert calls == {"classify_subcomplex": 2}
+
+
+def test_sphere_steps_reject_a_conformal_evaluation():
+    # Only the punctured energy has a subcomplex (and so a v_inf) to read.
+    ev = energy.conformal_energy(
+        surfaces.octahedron_sphere(),
+        ConeAngleTarget(np.full(6, 4.0 * math.pi / 3.0)), np.zeros(6))
+    for step in (classify_realizable, realize.layout_disk,
+                 two_sided_polygon):
+        with pytest.raises(WrongKind):
+            step(ev)
 
 
 def test_merged_bottom_faces_match_pairwise_merging():
@@ -221,9 +243,11 @@ def test_two_sided_polygon_orders_a_long_path():
     label = [cv[3 * top[1]]] + [cv[3 * top[i] + 1] for i in range(1, k)] \
         + [cv[3 * top[k - 1] + 2]]
     path = label[1:] if label[1] < label[k] else label[:0:-1]
-    result = types.SimpleNamespace(
-        metric=types.SimpleNamespace(triangulation=tri))
-    real = two_sided_polygon(result, label[0])
+    ev = types.SimpleNamespace(
+        delaunay=types.SimpleNamespace(
+            metric=types.SimpleNamespace(triangulation=tri)),
+        subcomplex=mesh_core.subcomplex_avoiding(tri, label[0]))
+    real = two_sided_polygon(ev)
     assert real.kind == TWO_SIDED_POLYGON
     assert real.cyclic_order == [label[0]] + path
     assert real.faces == [real.cyclic_order, real.cyclic_order[::-1]]
