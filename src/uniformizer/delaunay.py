@@ -80,9 +80,11 @@ from . import mesh_core
 from .errors import (
     ArcOverflow,
     DegenerateQuad,
+    FanInconsistent,
     FlipLimitExceeded,
     SameVertex,
     TriangleInequalityViolated,
+    WrongLength,
 )
 from .penner import (
     DecoratedMetric,
@@ -100,6 +102,9 @@ NONESSENTIAL_REL = 1e-9
 # counts of terminating runs, which stays linear in the mesh size.
 MAX_FLIPS_PER_EDGE = 1000
 MAX_FLIPS_EXTRA = 10000
+# The edges from one vertex to the decorated vertex of a horocycle run
+# must agree in lambda to this relative spread: they are all delta.
+FAN_REL = 1e-9
 
 PLAIN = "plain"
 ADJUSTED = "adjusted"
@@ -216,13 +221,22 @@ def _edge_set(mask):
     return set(np.flatnonzero(mask).tolist())
 
 
+def _decoration(tri, u):
+    """u (all zeros if None), checked to have one entry per vertex."""
+    if u is None:
+        return PartialDecoration.zeros(tri.num_vertices)
+    if len(u) != tri.num_vertices:
+        raise WrongLength("u of %d entries for %d vertices"
+                          % (len(u), tri.num_vertices))
+    return u
+
+
 def delaunay_margin(metric, u, e):
     """Weighted local Delaunay margin at edge e; >= 0 means Delaunay.
 
     Raises DegenerateQuad when both sides of e lie in one triangle.
     """
-    if u is None:
-        u = PartialDecoration.zeros(metric.triangulation.num_vertices)
+    u = _decoration(metric.triangulation, u)
     margin = _margins(metric.triangulation, metric.lam, np.exp(-u.u))[0][e]
     if margin == np.inf:
         raise DegenerateQuad("both sides of edge %d in one triangle" % e)
@@ -317,11 +331,11 @@ def make_delaunay(metric, u=None, mode=PLAIN):
 
     Only strict violations (margin < -tol) are flipped; equality cases
     are collected as nonessential edges.  Edges whose two sides lie in
-    the same triangle are skipped (no quad to test).
+    the same triangle are skipped (no quad to test).  A u without one
+    entry per vertex raises WrongLength before any flip.
     """
     tri = metric.triangulation
-    if u is None:
-        u = PartialDecoration.zeros(tri.num_vertices)
+    u = _decoration(tri, u)
     max_flips = MAX_FLIPS_PER_EDGE * tri.num_edges + MAX_FLIPS_EXTRA
     flips = []
 
@@ -360,8 +374,7 @@ class DelaunayCheck:
 
 def check_delaunay(metric, u=None):
     """Exhaustive margin scan of all edges, independent of flip history."""
-    if u is None:
-        u = PartialDecoration.zeros(metric.triangulation.num_vertices)
+    u = _decoration(metric.triangulation, u)
     margin, scale = _margins(metric.triangulation, metric.lam, np.exp(-u.u))
     tol = NONESSENTIAL_REL * scale
     violations = [(e, margin[e])
@@ -421,7 +434,8 @@ def euclidean_delaunay_crosscheck(metric, tol=1e-10):
 
 def horocycle_distances_to(metric, v2):
     """delta(w, v2) for every vertex w != v2, via one adjusted run with
-    the only decorated vertex v2.  Returns a dict w -> delta."""
+    the only decorated vertex v2.  Returns a dict w -> delta; raises
+    FanInconsistent if that run leaves a vertex unfanned."""
     tri = metric.triangulation
     mesh_core.check_vertex(tri, v2)
     u = PartialDecoration.all_infinite_except(tri.num_vertices, [v2])
@@ -441,18 +455,18 @@ def horocycle_distances_to(metric, v2):
     scale = np.maximum(1.0, np.maximum.reduceat(np.abs(vals), start))
     # Groups in the order of their lowest edge id, as met in an edge scan.
     by_edge = np.argsort(fan[start])
-    bad = by_edge[spread[by_edge] > 1e-9 * scale[by_edge]]
+    bad = by_edge[spread[by_edge] > FAN_REL * scale[by_edge]]
     if bad.size:
         g = bad[0]
-        raise AssertionError("fan edges at vertex %d disagree by %g"
-                             % (other[start[g]], spread[g]))
+        raise FanInconsistent("fan edges at vertex %d disagree by %g"
+                              % (other[start[g]], spread[g]))
     missing = np.ones(tri.num_vertices, dtype=bool)
     missing[other] = missing[v2] = False
     if missing.any():
         # Cannot happen on a connected surface: the punctured face of
         # w is bounded by horocyclic decorated vertices, all = v2.
-        raise AssertionError("no edge from %d to %d after adjusting"
-                             % (np.argmax(missing), v2))
+        raise FanInconsistent("no edge from %d to %d after adjusting"
+                              % (np.argmax(missing), v2))
     return dict(zip(other[start[by_edge]].tolist(),
                     vals[start[by_edge]].tolist()))
 

@@ -42,6 +42,12 @@ class IncompatibleShear(UniformizerError):
     """Shear coordinates do not sum to zero around every vertex."""
 
 
+class OutOfDomain(UniformizerError, ValueError):
+    """An input value is NaN or outside its range: lambdas are finite, u
+    is finite or +inf (and not +inf everywhere), cone angles are finite
+    and >= 0, solver tolerances and iteration limits are > 0."""
+
+
 # --- Delaunay --------------------------------------------------------------
 
 class DegenerateQuad(UniformizerError):
@@ -60,6 +66,11 @@ class SameVertex(UniformizerError):
     """Horocycle distance requested between a vertex and itself."""
 
 
+class FanInconsistent(UniformizerError):
+    """The adjusted run did not fan every vertex from the one decorated
+    vertex: a vertex's edges to it disagree, or it has none."""
+
+
 # --- energies --------------------------------------------------------------
 
 class TriangleInequalityViolated(UniformizerError):
@@ -67,7 +78,7 @@ class TriangleInequalityViolated(UniformizerError):
 
 
 class WrongLength(UniformizerError, ValueError):
-    """A per-vertex array such as u holds other than one value per vertex."""
+    """A per-vertex or per-edge array holds the wrong number of values."""
 
 
 class NotNeutral(UniformizerError):

@@ -25,6 +25,7 @@ line-by-line parse, raised at the same first bad line.
 """
 
 import argparse
+import functools
 import itertools
 import logging
 import math
@@ -260,7 +261,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _solver_arguments(p, tol):
+    """The gradient tolerance and iteration limit of a solve command."""
+    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--max-iter", type=int, default=_optimize.MAX_ITERATIONS)
+
+
+@functools.cache
 def _build_parser():
+    """The parser of all commands, built once: parsing leaves it as is."""
     parser = _Parser(prog="uniformizer",
                      description="Discrete uniformization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -287,15 +296,13 @@ def _build_parser():
                        help="inscribed polyhedron / two-sided polygon")
     p.add_argument("input")
     p.add_argument("--vinf", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=500)
+    _solver_arguments(p, _optimize.PUNCTURED_TOL)
     p.add_argument("--out-obj", default=None)
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("uniformize-torus", help="flat torus modulus")
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=500)
+    _solver_arguments(p, _optimize.CONFORMAL_TOL)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
 
@@ -304,8 +311,7 @@ def _build_parser():
     p.add_argument("input")
     p.add_argument("--theta", required=True,
                    help="'uniform' or a file with one angle per vertex")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=500)
+    _solver_arguments(p, _optimize.CONFORMAL_TOL)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
 
@@ -382,8 +388,7 @@ def _cmd_distance(args):
 
 def _cmd_uniformize_sphere(args):
     sf = _load_input(args.input)
-    opts = _optimize.SolveOptions(gradient_tolerance=args.tol,
-                                  max_iterations=args.max_iter)
+    opts = _optimize.SolveOptions(args.tol, args.max_iter)
     realization = _realize.uniformize_sphere(sf.metric, args.vinf, opts)
     print("kind: %s" % realization.kind)
     for key, value in sorted(realization.diagnostics.items()):
@@ -399,8 +404,7 @@ def _cmd_uniformize_sphere(args):
 
 def _cmd_uniformize_torus(args):
     sf = _load_input(args.input)
-    opts = _optimize.SolveOptions(gradient_tolerance=args.tol,
-                                  max_iterations=args.max_iter)
+    opts = _optimize.SolveOptions(args.tol, args.max_iter)
     realization = _realize.uniformize_torus(sf.metric, opts)
     v1, v2 = realization.lattice
     print("tau: %s %s" % (_fmt(realization.tau.real),
@@ -427,8 +431,7 @@ def _cmd_prescribe_angles(args):
         with open(args.theta) as fh:
             theta = np.array([float(ln) for ln in fh.read().split()])
     target = ConeAngleTarget(theta)
-    opts = _optimize.SolveOptions(gradient_tolerance=args.tol,
-                                  max_iterations=args.max_iter)
+    opts = _optimize.SolveOptions(args.tol, args.max_iter)
     realization = _realize.prescribe_cone_angles(sf.metric, target, opts)
     print("max angle error: %s"
           % _fmt(realization.diagnostics["max_angle_error"]))
@@ -472,9 +475,8 @@ def cli_dispatch(argv):
 
     0 success, 1 usage error, 2 validation error, 3 solver failure.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

@@ -407,14 +407,18 @@ class Subcomplex:
         kept_vertices, kept_edges, kept_triangles: sorted id lists.
         boundary_vertices, boundary_edges: subsets of the kept cells that
             touch a non-kept triangle of the parent.
+        classification: the verdict of classify_subcomplex.
 
-    The id lists and the boundary sets are built on first use.
+    The id lists, boundary sets and classification are derived on first
+    use from the masks, which are never written after construction.
     """
 
     def __init__(self, parent, kept_vertices):
         self.parent = parent
+        if not isinstance(kept_vertices, np.ndarray):
+            kept_vertices = np.fromiter(kept_vertices, np.intp)
         keep = np.zeros(parent.num_vertices, dtype=bool)
-        keep[list(kept_vertices)] = True
+        keep[kept_vertices] = True
         self.vertex_mask = keep
         self.edge_mask = keep[parent.edge_verts].all(axis=1)
         self.triangle_mask = keep[parent.corner_vertex].reshape(-1, 3) \
@@ -449,6 +453,10 @@ class Subcomplex:
             parent.corner_vertex, self._outside,
             minlength=parent.num_vertices) > 0)).tolist())
 
+    @functools.cached_property
+    def classification(self):
+        return classify_subcomplex(self)
+
 
 def check_vertex(tri, v):
     """Raise UnknownVertex unless v is a vertex id of tri."""
@@ -460,8 +468,7 @@ def check_vertex(tri, v):
 def subcomplex_avoiding(tri, v_inf):
     """All closed cells of tri not incident with the vertex v_inf."""
     check_vertex(tri, v_inf)
-    kept = [v for v in range(tri.num_vertices) if v != v_inf]
-    return Subcomplex(tri, kept)
+    return Subcomplex(tri, np.delete(np.arange(tri.num_vertices), v_inf))
 
 
 def vertex_degrees(tri, sub, v):

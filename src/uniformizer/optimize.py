@@ -39,13 +39,20 @@ from .errors import (
     WrongGenus,
     IterLimit,
     LineSearchFailure,
+    OutOfDomain,
     TriangleInequalityViolated,
 )
-from .penner import ConeAngleTarget
+from .penner import ConeAngleTarget, PartialDecoration
 
 CONVERGED = "Converged"
 ITER_LIMIT = "IterLimit"
 LINE_SEARCH_FAILURE = "LineSearchFailure"
+
+# Defaults of the solvers and the CLI: the gradient tolerances of the
+# punctured and the conformal solve, and the iteration limit.
+PUNCTURED_TOL = 1e-9
+CONFORMAL_TOL = 1e-10
+MAX_ITERATIONS = 500
 
 # A variable within this relative distance of its bound counts as active.
 ACTIVE_TOL = 1e-10
@@ -55,16 +62,30 @@ NOISE_REL = 1e-11
 # Line search: the step's shrink factor, and the Armijo decrease share.
 SHRINK = 0.5
 SUFFICIENT_DECREASE = 1e-4
+# The line search has stalled when its share of the step falls below this.
+MIN_STEP = 1e-14
 # Left out of each conformal Newton solve: the Hessian kills constants.
 PIN_VERTEX = 0
+# Shift of a Hessian that cannot be factored, over its mean diagonal
+# plus one: enough for a factor, too small to change the step much.
+TIKHONOV_REL = 1e-10
+# Longest shifted step, over max(|gradient|, 1) (see _solve_spd).
+STEP_CLAMP = 1e6
+# The scale check's shift of u (any nonzero constant would do), and the
+# relative drift of the energy that breaks Gauss-Bonnet.
+PROBE_SHIFT = 0.37
+DRIFT_REL = 1e-10
+# A target angle sum may miss Gauss-Bonnet by round-off of this size.
+GAUSS_BONNET_TOL = 1e-8
 
 
 class SolveOptions:
     """Parameters shared by both solvers."""
 
-    def __init__(self, gradient_tolerance=1e-10, max_iterations=500):
+    def __init__(self, gradient_tolerance=CONFORMAL_TOL,
+                 max_iterations=MAX_ITERATIONS):
         if not (gradient_tolerance > 0 and max_iterations > 0):  # or NaN
-            raise ValueError("tolerances and iteration limits must be > 0")
+            raise OutOfDomain("tolerances and iteration limits must be > 0")
         self.gradient_tolerance = gradient_tolerance
         self.max_iterations = max_iterations
 
@@ -131,7 +152,7 @@ def _solve_spd(hessian, rhs):
     x = _factor_solve(hessian, rhs)
     if np.all(np.isfinite(x)):
         return x, False
-    shift = 1e-10 * (hessian.diagonal().sum() / max(n, 1) + 1.0)
+    shift = TIKHONOV_REL * (hessian.diagonal().sum() / max(n, 1) + 1.0)
     x = _factor_solve(hessian + shift * sp.eye(n), rhs)
     if not np.all(np.isfinite(x)):
         # Hessian is structurally singular (e.g. no triangles left in
@@ -141,9 +162,9 @@ def _solve_spd(hessian, rhs):
     # Keep the fallback step from exploding when the shift is the only
     # thing making the system solvable.
     norm_x = np.linalg.norm(x)
-    norm_g = np.linalg.norm(rhs)
-    if norm_x > 1e6 * max(norm_g, 1.0):
-        x *= 1e6 * max(norm_g, 1.0) / norm_x
+    cap = STEP_CLAMP * max(np.linalg.norm(rhs), 1.0)
+    if norm_x > cap:
+        x *= cap / norm_x
     return x, True
 
 
@@ -161,8 +182,8 @@ def _scale_checked(metric, target, u):
     """The conformal evaluation at u, once found invariant under adding a
     constant to u: Newton's start, passed on without a reference kept."""
     ev = _energy.conformal_energy(metric, target, u)
-    e1 = _energy.conformal_energy_value(metric, target, u + 0.37)
-    if abs(e1 - ev.value) > 1e-10 * max(1.0, abs(ev.value)):
+    e1 = _energy.conformal_energy_value(metric, target, u + PROBE_SHIFT)
+    if abs(e1 - ev.value) > DRIFT_REL * max(1.0, abs(ev.value)):
         raise GaussBonnetViolated(
             "energy not scale invariant (drift %g); inconsistent target"
             % (e1 - ev.value))
@@ -179,7 +200,7 @@ def minimize_conformal_energy(metric, target, opts=None, u0=None):
     opts = opts or SolveOptions()
     n = metric.triangulation.num_vertices
     defect = gauss_bonnet_defect(metric, target)
-    if abs(defect) > 1e-8:
+    if abs(defect) > GAUSS_BONNET_TOL:
         raise GaussBonnetViolated("angle sum misses Gauss-Bonnet by %g"
                                   % defect)
     t0 = time.perf_counter()
@@ -305,7 +326,7 @@ def _newton(energy, ev, u, free, lower, project, pin, opts, t0):
                                   "decrease at iteration %d" % (alpha, it))
                 break
             alpha *= SHRINK
-            if alpha < 1e-14:
+            if alpha < MIN_STEP:
                 raise failure(LINE_SEARCH_FAILURE, it,
                               "line search stalled at iteration %d" % it)
         u, ev = trial, trial_ev
@@ -318,9 +339,11 @@ def _newton(energy, ev, u, free, lower, project, pin, opts, t0):
 def _bounds(metric, v_inf):
     """(free vertices, their lower bounds -delta(v, v_inf))."""
     deltas = _delaunay.horocycle_distances_to(metric, v_inf)
-    free = np.array([v for v in range(metric.triangulation.num_vertices)
-                     if v != v_inf])
-    return free, np.array([-deltas[v] for v in free])
+    lower = np.empty(metric.triangulation.num_vertices)
+    lower[np.fromiter(deltas, np.intp)] = -np.fromiter(deltas.values(),
+                                                        float)
+    free = np.delete(np.arange(len(lower)), v_inf)
+    return free, lower[free]
 
 
 def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
@@ -332,8 +355,10 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
     must stay nonnegative.  The scaling relation makes the energy
     strictly increasing along the all-ones direction, so the bounds pin
     the solution: at least one constraint is active at the minimum.
+    A start u0 is raised to the bounds; off v_inf its entries must be
+    finite or +inf, as in a PartialDecoration (OutOfDomain).
     """
-    opts = opts or SolveOptions(gradient_tolerance=1e-9)
+    opts = opts or SolveOptions(gradient_tolerance=PUNCTURED_TOL)
     tri = metric.triangulation
     if tri.genus != 0 or tri.num_vertices < 3:
         raise WrongGenus("need genus 0 with at least 3 vertices, got "
@@ -346,7 +371,8 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
     if u0 is None:
         u[free] = bounds
     else:
-        u[free] = np.maximum(_energy._per_vertex(tri, u0)[free], bounds)
+        start = PartialDecoration(_energy._per_vertex(tri, u0)[free])
+        u[free] = np.maximum(start.u, bounds)
     u[v_inf] = np.inf
 
     return _newton(lambda m, x: _energy.punctured_energy(m, v_inf, x),

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import mesh_core
-from .errors import IncompatibleShear
+from .errors import IncompatibleShear, OutOfDomain, WrongLength
 
 SHEAR_TOL = 1e-8
 
@@ -24,9 +24,10 @@ class DecoratedMetric:
     def __init__(self, triangulation, lam):
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (triangulation.num_edges,):
-            raise ValueError("lambda must have one entry per edge")
+            raise WrongLength("lambda of shape %s for %d edges"
+                              % (lam.shape, triangulation.num_edges))
         if not np.all(np.isfinite(lam)):
-            raise ValueError("lambda must be finite on every edge")
+            raise OutOfDomain("lambda must be finite on every edge")
         self.triangulation = triangulation
         self.lam = lam
 
@@ -44,15 +45,16 @@ class PartialDecoration:
 
     u_v = +inf means the horocycle at v is missing.  At least one entry
     must be finite.  Use numpy inf for the infinite entries; exp(-inf)
-    evaluates to exactly 0 wherever it matters.
+    evaluates to exactly 0 wherever it matters.  NaN, -inf and an all
+    +inf u raise OutOfDomain.
     """
 
     def __init__(self, u):
         u = np.asarray(u, dtype=float)
         if np.any(np.isnan(u)) or np.any(u == -np.inf):
-            raise ValueError("u entries must be finite or +inf")
+            raise OutOfDomain("u entries must be finite or +inf")
         if not np.any(np.isfinite(u)):
-            raise ValueError("at least one u entry must be finite")
+            raise OutOfDomain("at least one u entry must be finite")
         self.u = u
 
     @classmethod
@@ -78,7 +80,7 @@ class ConeAngleTarget:
     def __init__(self, theta):
         theta = np.asarray(theta, dtype=float)
         if np.any(theta < 0) or not np.all(np.isfinite(theta)):
-            raise ValueError("cone angles must be finite and >= 0")
+            raise OutOfDomain("cone angles must be finite and >= 0")
         self.theta = theta
 
     @classmethod

@@ -106,10 +106,9 @@ def _realizable(ev):
     if sub is None:
         raise WrongKind("the sphere back-end needs a punctured evaluation")
     v_inf = int(np.argmin(sub.vertex_mask))
-    cls = mesh_core.classify_subcomplex(sub)
-    if cls == mesh_core.LINEAR_GRAPH:
+    if sub.classification == mesh_core.LINEAR_GRAPH:
         return TWO_SIDED, sub, v_inf
-    if cls != mesh_core.DISK_TRIANGULATION:
+    if sub.classification != mesh_core.DISK_TRIANGULATION:
         raise NotRealizable(
             "cells avoiding vertex %d form neither a path nor a disk"
             % v_inf)

@@ -35,8 +35,10 @@ from uniformizer.delaunay import (
 from uniformizer.errors import (
     ArcOverflow,
     DegenerateQuad,
+    FanInconsistent,
     SameVertex,
     UnknownVertex,
+    WrongLength,
 )
 from uniformizer.penner import DecoratedMetric, PartialDecoration, fiber_shift
 
@@ -360,13 +362,13 @@ def _horocycle_distances_loop(metric, v2):
     for w, vals in candidates.items():
         spread = max(vals) - min(vals)
         if spread > 1e-9 * max(1.0, max(abs(x) for x in vals)):
-            raise AssertionError(
+            raise FanInconsistent(
                 "fan edges at vertex %d disagree by %g" % (w, spread))
         out[w] = vals[0]
     for w in range(tri.num_vertices):
         if w != v2 and w not in out:
-            raise AssertionError("no edge from %d to %d after adjusting"
-                                 % (w, v2))
+            raise FanInconsistent("no edge from %d to %d after adjusting"
+                                  % (w, v2))
     return out
 
 
@@ -376,7 +378,7 @@ def _distances_outcome(metric, v2):
     for run in (horocycle_distances_to, _horocycle_distances_loop):
         try:
             out = run(metric, v2)
-        except AssertionError as exc:
+        except FanInconsistent as exc:
             outcomes.append((None, str(exc)))
         else:
             assert all(type(w) is int for w in out)
@@ -400,7 +402,8 @@ def test_horocycle_distances_match_edge_loop(genus):
 def test_horocycle_distances_errors_match_edge_loop(monkeypatch):
     # Skip the flips: the vertex of a split one-vertex torus keeps three
     # edges to vertex 0 with different lambdas, and most vertices of a
-    # sphere have no edge to vertex 0.  Both raise the same message.
+    # sphere have no edge to vertex 0.  Both raise FanInconsistent, a
+    # UniformizerError, with the same message.
     monkeypatch.setattr(delaunay, "make_delaunay",
                         lambda metric, u, mode: types.SimpleNamespace(
                             metric=metric))
@@ -413,6 +416,22 @@ def test_horocycle_distances_errors_match_edge_loop(monkeypatch):
         assert new == old and old[0] is None
         messages.add(old[1].split()[0])
     assert messages == {"fan", "no"}
+
+
+@pytest.mark.parametrize("length", [5, 7], ids=["short", "long"])
+@pytest.mark.parametrize("call", [
+    lambda m, u: make_delaunay(m, u),
+    lambda m, u: make_delaunay(m, u, mode=ADJUSTED),
+    lambda m, u: check_delaunay(m, u),
+    lambda m, u: delaunay_margin(m, u, 0),
+], ids=["make_delaunay", "make_delaunay_adjusted", "check_delaunay",
+        "delaunay_margin"])
+def test_decoration_of_wrong_length_rejected(call, length):
+    # Checked before any flip, so a long u cannot be read only in part.
+    u = np.zeros(length)
+    u[3] = np.inf
+    with pytest.raises(WrongLength, match="for 6 vertices"):
+        call(surfaces.octahedron_sphere(), PartialDecoration(u))
 
 
 def test_horocycle_distance_errors():

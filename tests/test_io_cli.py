@@ -1,11 +1,12 @@
 """Tests for the file formats and the command line interface."""
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from uniformizer import io_cli, surfaces
+from uniformizer import io_cli, optimize, surfaces
 from uniformizer.errors import (
     FormatError,
     NonTriangleFace,
@@ -272,6 +273,31 @@ def test_cli_nan_tolerance_exit_2(tmp_path, capsys, command):
     assert io_cli.cli_dispatch(command[:1] + [path] + command[1:]
                                + ["--tol", "nan"]) == 2
     assert "must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, tol", [
+    (["uniformize-sphere", "--vinf", "0"], optimize.PUNCTURED_TOL),
+    (["uniformize-torus"], optimize.CONFORMAL_TOL),
+    (["prescribe-angles", "--theta", "uniform"], optimize.CONFORMAL_TOL)])
+def test_cli_solver_defaults_are_the_solvers(command, tol):
+    args = io_cli._build_parser().parse_args(
+        command[:1] + ["s.surf"] + command[1:])
+    assert (args.tol, args.max_iter) == (tol, optimize.MAX_ITERATIONS)
+
+
+def test_cli_builds_its_parser_once(monkeypatch):
+    assert io_cli.cli_dispatch(["no-such-command"]) == 1
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert io_cli.cli_dispatch(["no-such-command"]) == 1
+    assert io_cli.cli_dispatch(["check", "/nonexistent/file.surf"]) == 2
+    assert built == []
 
 
 def test_cli_energy(tmp_path, capsys):

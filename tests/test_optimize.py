@@ -15,10 +15,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from uniformizer import energy, mesh_core, surfaces
+from uniformizer.delaunay import horocycle_distances_to
 from uniformizer.errors import (
     GaussBonnetViolated,
     IterLimit,
     LineSearchFailure,
+    OutOfDomain,
     WrongGenus,
     WrongLength,
 )
@@ -26,6 +28,7 @@ from uniformizer.optimize import (
     CONVERGED,
     LINE_SEARCH_FAILURE,
     SolveOptions,
+    _bounds,
     _principal_csc,
     _solve_spd,
     gauss_bonnet_defect,
@@ -39,7 +42,7 @@ from uniformizer.penner import ConeAngleTarget, DecoratedMetric
 def test_solve_options_validation():
     for bad in ({"gradient_tolerance": 0.0}, {"gradient_tolerance": math.nan},
                 {"max_iterations": 0}):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomain):
             SolveOptions(**bad)
 
 
@@ -64,6 +67,42 @@ def test_u_of_wrong_length_rejected(call, length):
         call(surfaces.octahedron_sphere(), np.zeros(length))
     assert isinstance(err.value, ValueError)
     assert "for 6 vertices" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf],
+                         ids=["nan", "minus_inf"])
+@pytest.mark.parametrize("call", [
+    lambda m, u: energy.conformal_energy(m, OCTAHEDRON_TARGET, u),
+    lambda m, u: energy.punctured_energy(m, 0, u),
+    lambda m, u: kkt_check(m, OCTAHEDRON_TARGET, u),
+    lambda m, u: kkt_check(m, 0, u),
+    lambda m, u: minimize_conformal_energy(m, OCTAHEDRON_TARGET, u0=u),
+    lambda m, u: minimize_punctured_energy(m, 0, u0=u),
+], ids=["conformal_energy", "punctured_energy", "kkt_check_conformal",
+        "kkt_check_punctured", "minimize_conformal_energy",
+        "minimize_punctured_energy"])
+def test_u_out_of_domain_rejected(call, value):
+    u = np.zeros(6)
+    u[2] = value
+    with pytest.raises(OutOfDomain) as err:
+        call(surfaces.octahedron_sphere(), u)
+    assert isinstance(err.value, ValueError)
+
+
+def test_bounds_match_the_distance_dict():
+    # Oracle: the free vertices in id order, each bound read off the
+    # dict of horocycle distances one vertex at a time.
+    rng = np.random.default_rng(21)
+    for n in (4, 9, 40):
+        metric = surfaces.random_sphere(n, rng)
+        for v_inf in (0, n // 2, n - 1):
+            deltas = horocycle_distances_to(metric, v_inf)
+            free = np.array([v for v in range(n) if v != v_inf])
+            free_new, lower = _bounds(metric, v_inf)
+            assert free_new.dtype == free.dtype
+            assert free_new.tolist() == free.tolist()
+            assert lower.tobytes() == np.array(
+                [-deltas[v] for v in free]).tobytes()
 
 
 def test_gauss_bonnet_defect():

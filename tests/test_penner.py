@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from uniformizer import surfaces
-from uniformizer.errors import IncompatibleShear, UnknownVertex
+from uniformizer.errors import (
+    IncompatibleShear,
+    OutOfDomain,
+    UnknownVertex,
+    WrongLength,
+)
 from uniformizer.penner import (
     ConeAngleTarget,
     DecoratedMetric,
@@ -24,9 +29,9 @@ from uniformizer.penner import (
 
 def test_decorated_metric_validates_shape():
     tri = surfaces.one_vertex_torus().triangulation
-    with pytest.raises(ValueError):
+    with pytest.raises(WrongLength):
         DecoratedMetric(tri, np.zeros(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         DecoratedMetric(tri, np.array([0.0, np.inf, 0.0]))
 
 
@@ -102,18 +107,18 @@ def test_horocycle_length_shift_relation():
 
 
 def test_partial_decoration_validation():
-    with pytest.raises(ValueError):
-        PartialDecoration([np.inf, np.inf])
-    with pytest.raises(ValueError):
-        PartialDecoration([0.0, -np.inf])
+    for bad in ([np.inf, np.inf], [0.0, -np.inf], [0.0, np.nan]):
+        with pytest.raises(OutOfDomain):
+            PartialDecoration(bad)
     u = PartialDecoration([0.0, np.inf])
     assert u.is_decorated(0)
     assert not u.is_decorated(1)
 
 
 def test_cone_angle_target_validation():
-    with pytest.raises(ValueError):
-        ConeAngleTarget([-1.0])
+    for bad in ([-1.0], [np.nan], [np.inf]):
+        with pytest.raises(OutOfDomain):
+            ConeAngleTarget(bad)
     t = ConeAngleTarget.uniform(3)
     np.testing.assert_allclose(t.theta, 2.0 * math.pi)
 

@@ -136,8 +136,9 @@ def test_classify_rejects_boundary_angle_sum_over_pi():
 def test_sphere_realization_builds_no_subcomplex_and_no_angle(monkeypatch):
     # After the solve, realize reads the disk, its angles and its angle
     # sums off the final evaluation: no subcomplex is built and no
-    # triangle angle is computed; classify_realizable and layout_disk
-    # each classify the evaluation's subcomplex once.
+    # triangle angle is computed.  classify_realizable and layout_disk
+    # both read the subcomplex's cached classification, so it is found
+    # once.
     calls = Counter()
     solved = []
 
@@ -163,7 +164,7 @@ def test_sphere_realization_builds_no_subcomplex_and_no_angle(monkeypatch):
     real = uniformize_sphere(surfaces.octahedron_sphere(), 0)
     assert real.kind == INSCRIBED_POLYHEDRON
     assert solved
-    assert calls == {"classify_subcomplex": 2}
+    assert calls == {"classify_subcomplex": 1}
 
 
 def test_sphere_steps_reject_a_conformal_evaluation():
