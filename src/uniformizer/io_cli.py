@@ -340,22 +340,25 @@ def _report_lines(report):
     return entries
 
 
+def _file_target(sf):
+    """The file's theta section as a target, else 2 pi at every vertex."""
+    if sf.theta is not None:
+        return ConeAngleTarget(sf.theta)
+    return ConeAngleTarget.uniform(sf.triangulation.num_vertices)
+
+
 def _cmd_check(args):
     sf = _load_input(args.input)
     tri = sf.triangulation
-    met = sf.metric
-    chk = _delaunay.check_delaunay(met)
-    # Gauss-Bonnet report against all-2pi targets.
-    chi = tri.euler_characteristic
-    target = ConeAngleTarget.uniform(tri.num_vertices)
-    ev = _energy.conformal_energy(met, target, np.zeros(tri.num_vertices))
-    defect = float(np.sum(2.0 * math.pi - ev.theta_tilde))
+    chk = _delaunay.check_delaunay(sf.metric)
+    defect = _optimize.gauss_bonnet_defect(sf.metric, _file_target(sf))
     print("triangles: %d  edges: %d  vertices: %d  genus: %d"
           % (tri.num_triangles, tri.num_edges, tri.num_vertices, tri.genus))
     print("delaunay: %s  violations: %d  nonessential: %d"
           % ("ok" if chk.ok else "violated", len(chk.violations),
              len(chk.nonessential)))
-    print("sum defect = %.6e (chi=%d)" % (defect - 2 * math.pi * chi, chi))
+    print("gauss-bonnet defect of the target = %.6e (chi=%d)"
+          % (defect, tri.euler_characteristic))
     return 0
 
 
@@ -445,13 +448,10 @@ def _cmd_prescribe_angles(args):
 
 def _cmd_energy(args):
     sf = _load_input(args.input)
-    tri = sf.triangulation
     with open(args.u) as fh:
         u = np.array([float(x) for x in fh.read().split()])
     if args.vinf is None:
-        target = (ConeAngleTarget(sf.theta) if sf.theta is not None
-                  else ConeAngleTarget.uniform(tri.num_vertices))
-        ev = _energy.conformal_energy(sf.metric, target, u)
+        ev = _energy.conformal_energy(sf.metric, _file_target(sf), u)
     else:
         ev = _energy.punctured_energy(sf.metric, args.vinf, u)
     print("value: %s" % _fmt(ev.value))

@@ -37,6 +37,7 @@ the tables once.
 """
 
 import functools
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -459,10 +460,15 @@ class Subcomplex:
 
 
 def check_vertex(tri, v):
-    """Raise UnknownVertex unless v is a vertex id of tri."""
-    if not 0 <= v < tri.num_vertices:
+    """v as an int, or UnknownVertex unless v is an integer id of tri."""
+    try:
+        index = operator.index(v)
+    except TypeError:
+        index = -1
+    if isinstance(v, bool) or not 0 <= index < tri.num_vertices:
         raise UnknownVertex("vertex %s not in range [0, %d)"
                             % (v, tri.num_vertices))
+    return index
 
 
 def subcomplex_avoiding(tri, v_inf):

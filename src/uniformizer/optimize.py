@@ -6,7 +6,9 @@ The punctured energy is bounded below by minus the horocycle distances
 to the distinguished vertex.  The conformal energy has no bounds (-inf)
 and is scale invariant when the target angles satisfy Gauss-Bonnet, so
 its steps are re-centred to zero mean and PIN_VERTEX is left out of the
-linear solve.  The loop and kkt_check share the KKT residuals.
+linear solve.  The loop and kkt_check share the KKT residuals.  A
+target off Gauss-Bonnet by more than the gradient tolerance is rejected
+at once: the pinned vertex would keep that defect as its gradient.
 
 The loop warm-starts its evaluations from the surface of the last
 accepted one (EnergyEvaluation.surface).  This is exact, not an
@@ -26,6 +28,7 @@ on the 40 x 40 lattice torus its factor has 1.7 times the fill.
 """
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -34,6 +37,7 @@ import scipy.sparse.linalg as spla
 
 from . import delaunay as _delaunay
 from . import energy as _energy
+from . import mesh_core
 from .errors import (
     GaussBonnetViolated,
     WrongGenus,
@@ -71,10 +75,6 @@ PIN_VERTEX = 0
 TIKHONOV_REL = 1e-10
 # Longest shifted step, over max(|gradient|, 1) (see _solve_spd).
 STEP_CLAMP = 1e6
-# The scale check's shift of u (any nonzero constant would do), and the
-# relative drift of the energy that breaks Gauss-Bonnet.
-PROBE_SHIFT = 0.37
-DRIFT_REL = 1e-10
 # A target angle sum may miss Gauss-Bonnet by round-off of this size.
 GAUSS_BONNET_TOL = 1e-8
 
@@ -84,8 +84,10 @@ class SolveOptions:
 
     def __init__(self, gradient_tolerance=CONFORMAL_TOL,
                  max_iterations=MAX_ITERATIONS):
-        if not (gradient_tolerance > 0 and max_iterations > 0):  # or NaN
-            raise OutOfDomain("tolerances and iteration limits must be > 0")
+        if not (isinstance(gradient_tolerance, numbers.Real)
+                and isinstance(max_iterations, numbers.Integral)
+                and gradient_tolerance > 0 and max_iterations > 0):  # or NaN
+            raise OutOfDomain("real tolerance and integer limit must be > 0")
         self.gradient_tolerance = gradient_tolerance
         self.max_iterations = max_iterations
 
@@ -178,38 +180,27 @@ def gauss_bonnet_defect(metric, target):
     return float(np.sum(target.theta)) - expected
 
 
-def _scale_checked(metric, target, u):
-    """The conformal evaluation at u, once found invariant under adding a
-    constant to u: Newton's start, passed on without a reference kept."""
-    ev = _energy.conformal_energy(metric, target, u)
-    e1 = _energy.conformal_energy_value(metric, target, u + PROBE_SHIFT)
-    if abs(e1 - ev.value) > DRIFT_REL * max(1.0, abs(ev.value)):
-        raise GaussBonnetViolated(
-            "energy not scale invariant (drift %g); inconsistent target"
-            % (e1 - ev.value))
-    return ev
-
-
 def minimize_conformal_energy(metric, target, opts=None, u0=None):
     """Newton minimization of the conformal energy over u.
 
-    Requires the Gauss-Bonnet condition, which makes the energy
-    invariant under adding a constant to u; the returned u has zero
-    mean, and the scale check's evaluation at u0 is the first iterate.
+    Requires Gauss-Bonnet to within min(GAUSS_BONNET_TOL, gradient
+    tolerance), the gradient the pinned vertex would keep, else raises
+    GaussBonnetViolated.  The returned u has zero mean.
     """
     opts = opts or SolveOptions()
     n = metric.triangulation.num_vertices
     defect = gauss_bonnet_defect(metric, target)
-    if abs(defect) > GAUSS_BONNET_TOL:
-        raise GaussBonnetViolated("angle sum misses Gauss-Bonnet by %g"
-                                  % defect)
+    bound = min(GAUSS_BONNET_TOL, opts.gradient_tolerance)
+    if abs(defect) > bound:
+        raise GaussBonnetViolated("angle sum misses Gauss-Bonnet by %g "
+                                  "(bound %g)" % (defect, bound))
     t0 = time.perf_counter()
 
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
     report = _newton(lambda m, x: _energy.conformal_energy(m, target, x),
-                     _scale_checked(metric, target, u), u, np.arange(n),
-                     np.full(n, -np.inf), lambda step: step - step.mean(),
-                     PIN_VERTEX, opts, t0)
+                     _energy.conformal_energy(metric, target, u), u,
+                     np.arange(n), np.full(n, -np.inf),
+                     lambda step: step - step.mean(), PIN_VERTEX, opts, t0)
     report.u_final = report.u_final - report.u_final.mean()
     return report
 
@@ -404,7 +395,7 @@ def kkt_check(metric, problem, u, tolerance=1e-8):
         free = np.arange(len(u))
         lower = np.full(len(u), -np.inf)
     else:
-        v_inf = int(problem)
+        v_inf = mesh_core.check_vertex(metric.triangulation, problem)
         free, lower = _bounds(metric, v_inf)
         ev = _energy.punctured_energy(metric, v_inf, u)
     at_bound, stat, comp, feas = _kkt_residuals(ev.gradient, u[free], lower,

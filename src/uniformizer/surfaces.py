@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from . import mesh_core
+from .errors import OutOfDomain
 from .penner import DecoratedMetric
 
 
@@ -131,7 +132,7 @@ def random_sphere(n_vertices, rng, lam_range=(-2.0, 2.0)):
     """Random genus-0 surface: repeated 1-to-3 splits of the tetrahedron
     plus independent uniform lambdas."""
     if n_vertices < 4:
-        raise ValueError("need at least 4 vertices")
+        raise OutOfDomain("need at least 4 vertices")
     glue = mesh_core._glue_of_faces(_TETRAHEDRON_FACES)[0]
     return _grow(glue, n_vertices - 4, rng, lam_range)
 
@@ -139,7 +140,7 @@ def random_sphere(n_vertices, rng, lam_range=(-2.0, 2.0)):
 def random_torus(n_vertices, rng, lam_range=(-2.0, 2.0)):
     """Random genus-1 surface grown from the one-vertex torus."""
     if n_vertices < 1:
-        raise ValueError("need at least 1 vertex")
+        raise OutOfDomain("need at least 1 vertex")
     glue = mesh_core._glue_of_records(_ONE_VERTEX_TORUS_GLUING)
     return _grow(glue, n_vertices - 1, rng, lam_range)
 
@@ -147,7 +148,7 @@ def random_torus(n_vertices, rng, lam_range=(-2.0, 2.0)):
 def random_genus2(n_vertices, rng, lam_range=(-2.0, 2.0)):
     """Random genus-2 surface grown from genus2_one_vertex."""
     if n_vertices < 1:
-        raise ValueError("need at least 1 vertex")
+        raise OutOfDomain("need at least 1 vertex")
     glue = mesh_core._glue_of_records(_GENUS2_GLUING)
     return _grow(glue, n_vertices - 1, rng, lam_range)
 

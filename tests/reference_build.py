@@ -12,7 +12,12 @@ derivation of a finished gluing and the connected-components primitive.
 import numpy as np
 
 from uniformizer import surfaces
-from uniformizer.errors import EulerMismatch, NonOrientable, UnmatchedSide
+from uniformizer.errors import (
+    EulerMismatch,
+    NonOrientable,
+    OutOfDomain,
+    UnmatchedSide,
+)
 from uniformizer.mesh_core import Triangulation, _components, _derive_tables
 from uniformizer.penner import DecoratedMetric
 
@@ -116,14 +121,14 @@ def _grow(tri, splits, rng, lam_range):
 
 def random_sphere(n_vertices, rng, lam_range=(-2.0, 2.0)):
     if n_vertices < 4:
-        raise ValueError("need at least 4 vertices")
+        raise OutOfDomain("need at least 4 vertices")
     tri = surfaces.tetrahedron_sphere().triangulation
     return _grow(tri, n_vertices - 4, rng, lam_range)
 
 
 def random_torus(n_vertices, rng, lam_range=(-2.0, 2.0)):
     if n_vertices < 1:
-        raise ValueError("need at least 1 vertex")
+        raise OutOfDomain("need at least 1 vertex")
     tri = surfaces.one_vertex_torus().triangulation
     return _grow(tri, n_vertices - 1, rng, lam_range)
 
@@ -132,6 +137,6 @@ def random_genus2(n_vertices, rng, lam_range=(-2.0, 2.0)):
     """The same loop from the one-vertex genus-2 surface (the parent had
     no genus-2 generator)."""
     if n_vertices < 1:
-        raise ValueError("need at least 1 vertex")
+        raise OutOfDomain("need at least 1 vertex")
     tri = surfaces.genus2_one_vertex().triangulation
     return _grow(tri, n_vertices - 1, rng, lam_range)

@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from uniformizer import io_cli, optimize, surfaces
+from uniformizer import energy, io_cli, optimize, surfaces
 from uniformizer.errors import (
     FormatError,
     NonTriangleFace,
     OpenMesh,
     UniformizerError,
 )
-from uniformizer.penner import DecoratedMetric
+from uniformizer.penner import ConeAngleTarget, DecoratedMetric
 
 
 TETRA_OBJ = """\
@@ -165,6 +165,29 @@ def test_cli_check(tmp_path, capsys):
     assert "delaunay: ok" in out
 
 
+def test_cli_check_prints_the_target_defect_without_evaluating(
+        tmp_path, capsys, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(energy, "_evaluate",
+                        lambda *args: evaluated.append(args))
+    metric = surfaces.octahedron_sphere()
+    theta = np.full(6, 4.0 * math.pi / 3.0)
+    theta[0] += 2e-9
+    defect = optimize.gauss_bonnet_defect(metric, ConeAngleTarget(theta))
+    path = str(tmp_path / "o.surf")
+    io_cli.write_surface(path, metric, theta=theta)
+    assert io_cli.cli_dispatch(["check", path]) == 0
+    assert ("gauss-bonnet defect of the target = %.6e (chi=2)"
+            % defect) in capsys.readouterr().out
+    # Without a theta section the target is 2 pi at every vertex, which
+    # misses Gauss-Bonnet by 2 pi chi.
+    io_cli.write_surface(path, metric)
+    assert io_cli.cli_dispatch(["check", path]) == 0
+    assert ("gauss-bonnet defect of the target = %.6e (chi=2)"
+            % (4.0 * math.pi)) in capsys.readouterr().out
+    assert evaluated == []
+
+
 def test_cli_check_rejects_disconnected_surface(tmp_path, capsys):
     # Two disjoint one-vertex tori in one file.
     path = tmp_path / "two.surf"
@@ -260,6 +283,21 @@ def test_cli_prescribe_angles_short_theta_file_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "GaussBonnetViolated" in captured.err
     assert "5 angles for 6 vertices" in captured.err
+
+
+def test_cli_prescribe_angles_off_gauss_bonnet_exit_2(tmp_path, capsys):
+    # Off by more than the gradient tolerance: rejected before the solve,
+    # where it used to run 500 iterations and exit 3.
+    path = str(tmp_path / "o.surf")
+    theta = tmp_path / "theta.txt"
+    io_cli.write_surface(path, surfaces.octahedron_sphere())
+    values = [4.0 * math.pi / 3.0] * 6
+    values[0] += 2e-9
+    theta.write_text("".join("%r\n" % x for x in values))
+    assert io_cli.cli_dispatch(["prescribe-angles", path,
+                                "--theta", str(theta)]) == 2
+    err = capsys.readouterr().err
+    assert "GaussBonnetViolated" in err and "(bound 1e-10)" in err
 
 
 @pytest.mark.parametrize("command", [

@@ -14,6 +14,7 @@ from uniformizer.errors import (
     DegenerateFlip,
     EulerMismatch,
     NonOrientable,
+    OutOfDomain,
     UnknownTriangle,
     UnknownVertex,
     UnmatchedSide,
@@ -219,6 +220,30 @@ def test_vertex_degrees_unknown_vertex():
     tri = surfaces.one_vertex_torus().triangulation
     with pytest.raises(UnknownVertex):
         mesh_core.vertex_degrees(tri, None, 5)
+
+
+@pytest.mark.parametrize("v", [1.5, "1", "x", None, True, -1, 3,
+                               np.float64(1.0)])
+def test_check_vertex_rejects_what_is_not_a_vertex_id(v):
+    tri = surfaces.three_vertex_sphere().triangulation
+    with pytest.raises(UnknownVertex):
+        mesh_core.check_vertex(tri, v)
+
+
+def test_check_vertex_returns_the_id_as_an_int():
+    tri = surfaces.three_vertex_sphere().triangulation
+    for v in (2, np.int64(2), np.intp(2)):
+        index = mesh_core.check_vertex(tri, v)
+        assert type(index) is int and index == 2
+
+
+def test_random_builders_reject_too_few_vertices():
+    for make, least in ((surfaces.random_sphere, 4),
+                        (surfaces.random_torus, 1),
+                        (surfaces.random_genus2, 1)):
+        with pytest.raises(OutOfDomain, match="need at least %d" % least):
+            make(least - 1, np.random.default_rng(0))
+        make(least, np.random.default_rng(0))
 
 
 def test_vertex_degrees_outside_subcomplex():

@@ -14,13 +14,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from uniformizer import energy, mesh_core, surfaces
+from uniformizer import energy, mesh_core, optimize, surfaces
 from uniformizer.delaunay import horocycle_distances_to
 from uniformizer.errors import (
     GaussBonnetViolated,
     IterLimit,
     LineSearchFailure,
     OutOfDomain,
+    UnknownVertex,
     WrongGenus,
     WrongLength,
 )
@@ -41,9 +42,15 @@ from uniformizer.penner import ConeAngleTarget, DecoratedMetric
 
 def test_solve_options_validation():
     for bad in ({"gradient_tolerance": 0.0}, {"gradient_tolerance": math.nan},
-                {"max_iterations": 0}):
+                {"max_iterations": 0}, {"max_iterations": 2.5},
+                {"max_iterations": "500"}, {"gradient_tolerance": "a"},
+                {"gradient_tolerance": None}):
         with pytest.raises(OutOfDomain):
             SolveOptions(**bad)
+    with pytest.raises(OutOfDomain, match="integer limit must be > 0"):
+        SolveOptions(1e-9, 2.5)
+    opts = SolveOptions(np.float64(1e-9), np.int64(3))
+    assert (opts.gradient_tolerance, opts.max_iterations) == (1e-9, 3)
 
 
 # The octahedron with equal cone angles 4 pi / 3, which meet
@@ -140,6 +147,71 @@ def test_conformal_rejects_gauss_bonnet_violation():
                                   ConeAngleTarget([2.0 * math.pi + 0.1]))
 
 
+def _target_off_by(metric, offset):
+    """Equal cone angles that meet Gauss-Bonnet, the first one moved by
+    offset."""
+    tri = metric.triangulation
+    n = tri.num_vertices
+    theta = np.full(n, 2.0 * math.pi * (2 * tri.genus - 2 + n) / n)
+    theta[0] += offset
+    return ConeAngleTarget(theta)
+
+
+@pytest.mark.parametrize("make", [
+    surfaces.octahedron_sphere, surfaces.square_torus_refined,
+    lambda: surfaces.random_torus(200, np.random.default_rng(7), (-1, 1)),
+], ids=["octahedron", "square_torus_refined", "random_torus_200"])
+def test_target_off_gauss_bonnet_rejected_before_any_evaluation(
+        make, monkeypatch):
+    # The pinned vertex carries the whole defect as gradient, so a target
+    # off by more than the gradient tolerance (but not by more than
+    # GAUSS_BONNET_TOL) could only run to IterLimit.
+    metric = make()
+    target = _target_off_by(metric, 2e-9)
+    evaluated = []
+    monkeypatch.setattr(energy, "conformal_energy",
+                        lambda *args: evaluated.append(args))
+    with pytest.raises(GaussBonnetViolated) as err:
+        minimize_conformal_energy(metric, target)
+    assert str(err.value) == ("angle sum misses Gauss-Bonnet by %g "
+                              "(bound 1e-10)"
+                              % gauss_bonnet_defect(metric, target))
+    assert evaluated == []
+
+
+def test_gauss_bonnet_bound_is_the_tighter_of_the_two():
+    metric = surfaces.octahedron_sphere()
+    target = _target_off_by(metric, 5e-11)
+    assert minimize_conformal_energy(metric, target).status == CONVERGED
+    with pytest.raises(GaussBonnetViolated, match=r"\(bound 1e-11\)"):
+        minimize_conformal_energy(metric, target, SolveOptions(1e-11))
+    with pytest.raises(GaussBonnetViolated, match=r"\(bound 1e-08\)"):
+        minimize_conformal_energy(metric, _target_off_by(metric, 2e-8),
+                                  SolveOptions(1e-6))
+
+
+def test_conformal_solve_evaluates_once_before_its_first_step(monkeypatch):
+    calls = []
+    evaluate, solve = energy._evaluate, optimize._solve_spd
+
+    def counted_evaluate(*args):
+        calls.append("evaluate")
+        return evaluate(*args)
+
+    def counted_solve(*args):
+        calls.append("solve")
+        return solve(*args)
+
+    monkeypatch.setattr(energy, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(optimize, "_solve_spd", counted_solve)
+    metric = surfaces.random_torus(20, np.random.default_rng(3))
+    target = ConeAngleTarget.uniform(metric.triangulation.num_vertices)
+    report = minimize_conformal_energy(metric, target)
+    assert report.status == CONVERGED and report.iterations > 0
+    assert calls.index("solve") == 1
+    assert calls.count("solve") == report.iterations
+
+
 def test_conformal_uniqueness_from_distinct_starts():
     rng = np.random.default_rng(42)
     for _ in range(5):
@@ -224,6 +296,16 @@ def test_punctured_kkt_residuals_certified():
         assert check.stationarity <= 1e-8
         assert check.feasibility <= 1e-8
         assert check.complementarity <= 1e-8
+
+
+@pytest.mark.parametrize("v_inf", [1.5, "1", "x", None, True, -1, 6])
+def test_kkt_check_rejects_what_is_not_a_vertex_id(v_inf):
+    # int() would truncate 1.5 and parse "1", certifying vertex 1.
+    metric = surfaces.octahedron_sphere()
+    u = minimize_punctured_energy(metric, 1).u_final
+    assert kkt_check(metric, 1, u).passed
+    with pytest.raises(UnknownVertex):
+        kkt_check(metric, v_inf, u)
 
 
 def test_kkt_check_flags_shifted_point():
@@ -429,8 +511,8 @@ def test_converged_iterate_and_kkt_check_build_no_hessian(monkeypatch):
 
 
 def test_conformal_solve_evaluates_its_start_once(monkeypatch):
-    # The scale check's evaluation at u0 is Newton's first iterate, and
-    # the converged report carries the evaluation at the optimum.
+    # The evaluation at u0 is Newton's first iterate, and the converged
+    # report carries the evaluation at the optimum.
     starts = []
     conformal = energy.conformal_energy
 

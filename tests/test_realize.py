@@ -17,6 +17,7 @@ from uniformizer.energy import punctured_energy
 from uniformizer.errors import (
     GaussBonnetViolated,
     NotRealizable,
+    UnknownVertex,
     WrongGenus,
     WrongKind,
 )
@@ -346,6 +347,12 @@ def test_prescribe_cone_angles_random_targets():
     theta *= 2.0 * math.pi * (n - 2) / theta.sum()
     real = prescribe_cone_angles(metric, ConeAngleTarget(theta))
     assert real.diagnostics["max_angle_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("v_inf", [1.5, True, "0"])
+def test_uniformize_sphere_rejects_what_is_not_a_vertex_id(v_inf):
+    with pytest.raises(UnknownVertex):
+        uniformize_sphere(surfaces.octahedron_sphere(), v_inf)
 
 
 def test_prescribe_cone_angles_rejects_bad_total():
