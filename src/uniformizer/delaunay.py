@@ -105,6 +105,10 @@ MAX_FLIPS_EXTRA = 10000
 # The edges from one vertex to the decorated vertex of a horocycle run
 # must agree in lambda to this relative spread: they are all delta.
 FAN_REL = 1e-9
+# The euclidean cross-check takes an ideal margin within this share of
+# its scale for zero, and a cotangent sum within its square root (1e-5),
+# a looser bound because that sum is absolute, not over a scale.
+CROSSCHECK_TOL = 1e-10
 
 PLAIN = "plain"
 ADJUSTED = "adjusted"
@@ -222,9 +226,12 @@ def _edge_set(mask):
 
 
 def _decoration(tri, u):
-    """u (all zeros if None), checked to have one entry per vertex."""
+    """u as a PartialDecoration (all zeros if None; any other value is
+    wrapped, which checks its entries), with one entry per vertex."""
     if u is None:
         return PartialDecoration.zeros(tri.num_vertices)
+    if not isinstance(u, PartialDecoration):
+        u = PartialDecoration(u)
     if len(u) != tri.num_vertices:
         raise WrongLength("u of %d entries for %d vertices"
                           % (len(u), tri.num_vertices))
@@ -234,8 +241,10 @@ def _decoration(tri, u):
 def delaunay_margin(metric, u, e):
     """Weighted local Delaunay margin at edge e; >= 0 means Delaunay.
 
-    Raises DegenerateQuad when both sides of e lie in one triangle.
+    Raises UnknownEdge unless e is an edge id (mesh_core.check_edge), and
+    DegenerateQuad when both sides of e lie in one triangle.
     """
+    e = mesh_core.check_edge(metric.triangulation, e)
     u = _decoration(metric.triangulation, u)
     margin = _margins(metric.triangulation, metric.lam, np.exp(-u.u))[0][e]
     if margin == np.inf:
@@ -412,9 +421,10 @@ class CrosscheckResult:
         self.skipped = skipped
 
 
-def euclidean_delaunay_crosscheck(metric, tol=1e-10):
+def euclidean_delaunay_crosscheck(metric):
     """Compare the ideal margin (u = 0) against the euclidean cotangent
-    predicate edge by edge; both must agree in sign (or both be ~ 0)."""
+    predicate edge by edge; both must agree in sign (or both be ~ 0, see
+    CROSSCHECK_TOL)."""
     if not triangle_inequality_check(metric):
         raise TriangleInequalityViolated(
             "euclidean cross-check requires the triangle inequalities")
@@ -423,8 +433,8 @@ def euclidean_delaunay_crosscheck(metric, tol=1e-10):
     cot = _cotan_weights(metric)
     skipped = np.isinf(margin)
     m = np.where(skipped, 0.0, margin) / scale
-    m_zero = np.abs(m) <= tol
-    c_zero = np.abs(cot) <= math.sqrt(tol)
+    m_zero = np.abs(m) <= CROSSCHECK_TOL
+    c_zero = np.abs(cot) <= math.sqrt(CROSSCHECK_TOL)
     bad = (~skipped & ~(m_zero & c_zero)
            & ((m_zero != c_zero) | (m * cot <= 0)))
     mismatches = [(e, margin[e], float(cot[e]))

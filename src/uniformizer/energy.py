@@ -43,6 +43,7 @@ from .errors import NotNeutral, TriangleInequalityViolated, WrongLength
 from .penner import (
     DecoratedMetric,
     PartialDecoration,
+    as_target,
     fiber_shift,
     _log_horocycle_lengths,
     ptolemy_update,
@@ -70,6 +71,17 @@ _LOB_COEF = np.array([
 # previous side.
 _NEXT = [1, 2, 0]
 _PREV = [2, 0, 1]
+
+# crossflip_c2_check: an edge is cocircular when its margin is within
+# COCIRCULAR_REL of its scale.  The central-difference steps balance
+# truncation against the rounding of a double-precision energy:
+# eps^(1/3) for the gradient, eps^(1/4) for the Hessian.  The third
+# derivative is reported, not judged, so its step is coarse enough that
+# rounding (eps / h^3, 2e-10) stays far below the deviations it shows.
+COCIRCULAR_REL = 1e-8
+GRAD_STEP = 1e-5
+HESS_STEP = 1e-4
+THIRD_STEP = 1e-2
 
 
 def _lobachevsky(theta):
@@ -182,9 +194,9 @@ def _angle_sums(tri, triangles, edges, angles):
     return theta_tilde, degree
 
 
-def _hessian(tri, triangles, edges, angles, free):
+def _hessian(tri, triangles, edges, angles, vertices):
     """The Hessian over the cells _evaluate summed, from its angles, with
-    the rows free.
+    the rows of the vertex mask vertices (slice(None): all).
 
     It is 1/4 sum_e w_e (du_i - du_j)^2 taken twice, w_e the cotangent
     sum opposite e: w_e/2 [[1, -1], [-1, 1]] per edge.
@@ -195,11 +207,11 @@ def _hessian(tri, triangles, edges, angles, free):
     w = np.bincount(sides.ravel(), 1.0 / np.tan(angles).ravel(),
                     minlength=tri.num_edges)[edges]
     index = np.full(n, -1)
-    index[free] = np.arange(len(free))
+    m = len(index[vertices])
+    index[vertices] = np.arange(m)
     i, j = index[ends[:, 0]], index[ends[:, 1]]
     keep = (i != j) & (i >= 0) & (j >= 0)
     i, j, q = i[keep], j[keep], 0.5 * w[keep]
-    m = len(free)
     return sp.csr_matrix((np.stack([q, q, -q, -q], 1).ravel(),
                           (np.stack([i, j, i, j], 1).ravel(),
                            np.stack([i, j, j, i], 1).ravel())), shape=(m, m))
@@ -211,10 +223,12 @@ def fixed_triangulation_energy(metric, target):
     Sum over triangles of twice the triangle potential at the
     half-lambdas, minus pi times the lambda total, minus the target
     angles times the log horocycle lengths.  Requires every triangle to
-    satisfy the triangle inequalities in ell = exp(lambda/2).
+    satisfy the triangle inequalities in ell = exp(lambda/2).  A target
+    that is not a ConeAngleTarget is wrapped as one.
     """
     return (_evaluate(metric.triangulation, metric.lam)[0]
-            - float(target.theta @ _log_horocycle_lengths(metric)))
+            - float(as_target(target).theta
+                    @ _log_horocycle_lengths(metric)))
 
 
 class EnergyEvaluation:
@@ -223,8 +237,8 @@ class EnergyEvaluation:
     The value is computed at once; gradient and theta_tilde on first use,
     and the Hessian separately on its own first use, all from the same
     Delaunay result and angles.  gradient and hessian are indexed by
-    free_vertices (all vertices for the conformal energy, all but the
-    distinguished vertex for the punctured energy).  theta_tilde holds
+    free_vertices (all vertices for the conformal energy, the kept ones
+    of subcomplex for the punctured energy).  theta_tilde holds
     the realized angle sums, angles the (T', 3) triangle angles they sum.
     The punctured energy sums over subcomplex, the cells avoiding the
     distinguished vertex: the disk the sphere back-end reads (None for
@@ -234,11 +248,10 @@ class EnergyEvaluation:
     stand in for it in the next evaluation of the same energy.
     """
 
-    def __init__(self, value, delaunay_result, free_vertices, surface,
-                 cells, angles, gradient_of, subcomplex=None):
+    def __init__(self, value, delaunay_result, surface, cells, angles,
+                 gradient_of, subcomplex=None):
         self.value = value
         self.delaunay = delaunay_result
-        self.free_vertices = free_vertices
         self.surface = surface
         self.angles = angles
         self.subcomplex = subcomplex
@@ -260,8 +273,16 @@ class EnergyEvaluation:
         return self._gradient_of(*self._sums)
 
     @functools.cached_property
+    def free_vertices(self):
+        sub = self.subcomplex
+        return (list(range(self._cells[0].num_vertices)) if sub is None
+                else sub.kept_vertices)
+
+    @functools.cached_property
     def hessian(self):
-        return _hessian(*self._cells, self.angles, self.free_vertices)
+        sub = self.subcomplex
+        return _hessian(*self._cells, self.angles,
+                        slice(None) if sub is None else sub.vertex_mask)
 
 
 def _per_vertex(tri, u):
@@ -280,8 +301,9 @@ def conformal_energy(metric, target, u):
     Returns an EnergyEvaluation over all vertices: the gradient at v is
     target angle minus realized angle sum, and the Hessian is the
     cotangent Laplacian of the Delaunay triangulation (kernel: constant
-    vectors).
+    vectors).  A target that is not a ConeAngleTarget is wrapped as one.
     """
+    target = as_target(target)
     u = _per_vertex(metric.triangulation, u)
     result = _delaunay.make_delaunay(fiber_shift(metric, u))
     met = result.metric
@@ -289,8 +311,7 @@ def conformal_energy(metric, target, u):
     value, angles = _evaluate(tri, met.lam)
     value -= float(target.theta @ _log_horocycle_lengths(met))
     return EnergyEvaluation(
-        value, result, list(range(tri.num_vertices)),
-        fiber_shift(met, -u),
+        value, result, fiber_shift(met, -u),
         (tri, slice(None), slice(None)), angles,
         lambda theta_tilde, degree: target.theta - theta_tilde)
 
@@ -325,8 +346,7 @@ def punctured_energy(metric, v_inf, u):
     value -= 2.0 * math.pi * float(np.sum(
         _log_horocycle_lengths(metric)[free] - u_ext[free]))
     return EnergyEvaluation(
-        value, result, sub.kept_vertices, result.metric,
-        (tri, triangles, edges), angles,
+        value, result, result.metric, (tri, triangles, edges), angles,
         lambda theta_tilde, degree:
             math.pi * (degree[free] + 2) - theta_tilde[free], sub)
 
@@ -347,8 +367,7 @@ class CrossflipReport:
         self.third_dev = third_dev
 
 
-def crossflip_c2_check(metric, target, e, margin_tol=1e-8,
-                       grad_step=1e-5, hess_step=1e-4, third_step=1e-2):
+def crossflip_c2_check(metric, target, e):
     """Compare the fixed-triangulation energy across a flip of a
     cocircular edge.
 
@@ -356,14 +375,15 @@ def crossflip_c2_check(metric, target, e, margin_tol=1e-8,
     the energy is C^2 there: values, gradients, and Hessians (in lambda,
     pulled back through the Ptolemy transition) must agree.  Third
     derivatives generally differ; their finite-difference deviation is
-    reported but not judged.
+    reported but not judged.  Raises UnknownEdge unless e is an edge id.
     """
     tri1 = metric.triangulation
+    e = mesh_core.check_edge(tri1, e)
     (ka, kb, kc, kd), _ = _delaunay._quad(tri1, e)
     margins, scales = _delaunay._margins(tri1, metric.lam,
                                          np.ones(tri1.num_vertices))
     margin = margins[e]
-    if abs(margin) > margin_tol * scales[e]:
+    if abs(margin) > COCIRCULAR_REL * scales[e]:
         raise NotNeutral("edge %d has margin %g, not cocircular"
                          % (e, margin))
 
@@ -396,8 +416,8 @@ def crossflip_c2_check(metric, target, e, margin_tol=1e-8,
             g[i] = (f(lam0 + d) - f(lam0 - d)) / (2.0 * h)
         return g
 
-    grad_dev = float(np.max(np.abs(fd_grad(f1, grad_step)
-                                   - fd_grad(f2, grad_step))))
+    grad_dev = float(np.max(np.abs(fd_grad(f1, GRAD_STEP)
+                                   - fd_grad(f2, GRAD_STEP))))
 
     def fd_hess(f, h):
         hess = np.zeros((ne, ne))
@@ -412,11 +432,11 @@ def crossflip_c2_check(metric, target, e, margin_tol=1e-8,
                 hess[i, j] = hess[j, i] = val
         return hess
 
-    hess_dev = float(np.max(np.abs(fd_hess(f1, hess_step)
-                                   - fd_hess(f2, hess_step))))
+    hess_dev = float(np.max(np.abs(fd_hess(f1, HESS_STEP)
+                                   - fd_hess(f2, HESS_STEP))))
 
     # Third derivative along the flipped edge's own coordinate.
-    h = third_step
+    h = THIRD_STEP
     d = np.zeros(ne)
     d[e] = 1.0
 

@@ -36,6 +36,10 @@ class UnknownTriangle(UniformizerError, IndexError):
     """Triangle id out of range."""
 
 
+class UnknownEdge(UniformizerError, IndexError):
+    """Edge id out of range or not an integer."""
+
+
 # --- Penner algebra --------------------------------------------------------
 
 class IncompatibleShear(UniformizerError):

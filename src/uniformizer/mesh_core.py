@@ -49,6 +49,7 @@ from .errors import (
     PinchedVertex,
     EulerMismatch,
     DegenerateFlip,
+    UnknownEdge,
     UnknownTriangle,
     UnknownVertex,
 )
@@ -305,10 +306,11 @@ def flip_edges(tri, edges):
     e and starts at the apex opposite it.  All other edge ids, and all
     vertex ids, are preserved.
 
-    Raises DegenerateFlip when both sides of an edge lie in one triangle
-    (no quadrilateral to flip in) or when two quads share a triangle.
+    Raises UnknownEdge unless each id is an integer edge id (check_edge),
+    and DegenerateFlip when both sides of an edge lie in one triangle (no
+    quadrilateral to flip in) or when two quads share a triangle.
     """
-    edges = np.asarray(edges, dtype=np.intp).reshape(-1)
+    edges = np.array([check_edge(tri, e) for e in edges], dtype=np.intp)
     t1, t2 = tri.edge_sides[edges].T // 3
     folded = np.flatnonzero(t1 == t2)
     if folded.size:
@@ -459,16 +461,26 @@ class Subcomplex:
         return classify_subcomplex(self)
 
 
-def check_vertex(tri, v):
-    """v as an int, or UnknownVertex unless v is an integer id of tri."""
+def _check_id(i, count, error, cell):
+    """i as an int, or error unless i is an integer (not a bool) in
+    [0, count)."""
     try:
-        index = operator.index(v)
+        index = operator.index(i)
     except TypeError:
         index = -1
-    if isinstance(v, bool) or not 0 <= index < tri.num_vertices:
-        raise UnknownVertex("vertex %s not in range [0, %d)"
-                            % (v, tri.num_vertices))
+    if isinstance(i, bool) or not 0 <= index < count:
+        raise error("%s %s not in range [0, %d)" % (cell, i, count))
     return index
+
+
+def check_vertex(tri, v):
+    """v as an int, or UnknownVertex unless v is an integer id of tri."""
+    return _check_id(v, tri.num_vertices, UnknownVertex, "vertex")
+
+
+def check_edge(tri, e):
+    """e as an int, or UnknownEdge unless e is an integer id of tri."""
+    return _check_id(e, tri.num_edges, UnknownEdge, "edge")
 
 
 def subcomplex_avoiding(tri, v_inf):

@@ -1,14 +1,14 @@
 """Newton solvers for the two convex energies.
 
 Both run one primal active-set projected Newton loop, _newton, fed with
-the start's evaluation, lower bounds and a gauge projection of the step.
-The punctured energy is bounded below by minus the horocycle distances
-to the distinguished vertex.  The conformal energy has no bounds (-inf)
-and is scale invariant when the target angles satisfy Gauss-Bonnet, so
-its steps are re-centred to zero mean and PIN_VERTEX is left out of the
-linear solve.  The loop and kkt_check share the KKT residuals.  A
-target off Gauss-Bonnet by more than the gradient tolerance is rejected
-at once: the pinned vertex would keep that defect as its gradient.
+the energy, the start and the lower bounds.  The punctured energy is
+bounded below by minus the horocycle distances to the distinguished
+vertex.  The conformal energy has no bounds (-inf) and is scale
+invariant under Gauss-Bonnet, so with no finite bound _newton re-centres
+its steps to zero mean and leaves PIN_VERTEX out of the linear solve.
+The loop and kkt_check share the KKT residuals.  A target off
+Gauss-Bonnet by more than the gradient tolerance is rejected at once:
+the pinned vertex would keep that defect as its gradient.
 
 The loop warm-starts its evaluations from the surface of the last
 accepted one (EnergyEvaluation.surface).  This is exact, not an
@@ -46,7 +46,7 @@ from .errors import (
     OutOfDomain,
     TriangleInequalityViolated,
 )
-from .penner import ConeAngleTarget, PartialDecoration
+from .penner import ConeAngleTarget, PartialDecoration, as_target
 
 CONVERGED = "Converged"
 ITER_LIMIT = "IterLimit"
@@ -77,6 +77,10 @@ TIKHONOV_REL = 1e-10
 STEP_CLAMP = 1e6
 # A target angle sum may miss Gauss-Bonnet by round-off of this size.
 GAUSS_BONNET_TOL = 1e-8
+# kkt_check's bound on every KKT residual and its active-set test: the
+# acceptance bound (criterion 9), ten times PUNCTURED_TOL, so a cold
+# re-evaluation of a converged solve passes despite its rounding.
+KKT_TOL = 1e-8
 
 
 class SolveOptions:
@@ -185,8 +189,10 @@ def minimize_conformal_energy(metric, target, opts=None, u0=None):
 
     Requires Gauss-Bonnet to within min(GAUSS_BONNET_TOL, gradient
     tolerance), the gradient the pinned vertex would keep, else raises
-    GaussBonnetViolated.  The returned u has zero mean.
+    GaussBonnetViolated.  The returned u has zero mean.  A target that
+    is not a ConeAngleTarget is wrapped as one.
     """
+    target = as_target(target)
     opts = opts or SolveOptions()
     n = metric.triangulation.num_vertices
     defect = gauss_bonnet_defect(metric, target)
@@ -198,9 +204,7 @@ def minimize_conformal_energy(metric, target, opts=None, u0=None):
 
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
     report = _newton(lambda m, x: _energy.conformal_energy(m, target, x),
-                     _energy.conformal_energy(metric, target, u), u,
-                     np.arange(n), np.full(n, -np.inf),
-                     lambda step: step - step.mean(), PIN_VERTEX, opts, t0)
+                     metric, u, np.arange(n), np.full(n, -np.inf), opts, t0)
     report.u_final = report.u_final - report.u_final.mean()
     return report
 
@@ -217,21 +221,24 @@ def _kkt_residuals(g, u, lower, act_tol):
             float(np.max(lower - u, initial=0.0)))
 
 
-def _newton(energy, ev, u, free, lower, project, pin, opts, t0):
-    """Active-set projected Newton on u[free] under u[free] >= lower.
+def _newton(energy, metric, u, free, lower, opts, t0):
+    """Active-set projected Newton on u[free] under u[free] >= lower,
+    from energy(metric, u), an EnergyEvaluation indexed like free.
 
-    energy(surface, u) is an EnergyEvaluation indexed like free.  The
-    inactive variables but pin take a Newton step, which is
-    gauge-projected, cut at the nearest bound (ratio test) and
-    backtracked to sufficient decrease.  An accepted step that does not
-    lower the energy raises LineSearchFailure: the search has stalled.
+    The inactive variables take a Newton step, which is cut at the
+    nearest bound (ratio test) and backtracked to sufficient decrease.
+    With no finite bound (the scale-invariant conformal energy) the step
+    is re-centred to zero mean and PIN_VERTEX takes none.  An accepted
+    step that does not lower the energy raises LineSearchFailure.
 
-    ev is the evaluation at u.  Every line-search trial is warm-started
-    from the surface of the current iterate, already Delaunay at its u,
-    so the flip algorithm only has to follow the step.  The accepted
-    trial becomes the next iterate.
+    Every line-search trial is warm-started with energy(surface, u) from
+    the surface of the current iterate, already Delaunay at its u, so
+    the flip algorithm only has to follow the step.  The accepted trial
+    becomes the next iterate.
     """
+    ev = energy(metric, u)
     bounded = bool(np.any(np.isfinite(lower)))
+    project = (lambda s: s) if bounded else (lambda s: s - s.mean())
     shifted_any = False
     # Flips of the iterates' evaluations, each counted from its warm start.
     flips_total = len(ev.delaunay.flips)
@@ -260,8 +267,8 @@ def _newton(energy, ev, u, free, lower, project, pin, opts, t0):
 
         active = at_bound & (g >= 0)
         solve = ~active
-        if pin is not None:
-            solve[pin] = False
+        if not bounded:
+            solve[PIN_VERTEX] = False
         fidx = np.nonzero(solve)[0]
         if len(fidx) == 0:
             raise failure(LINE_SEARCH_FAILURE, it,
@@ -367,8 +374,7 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
     u[v_inf] = np.inf
 
     return _newton(lambda m, x: _energy.punctured_energy(m, v_inf, x),
-                   _energy.punctured_energy(metric, v_inf, u), u, free,
-                   bounds, lambda step: step, None, opts, t0)
+                   metric, u, free, bounds, opts, t0)
 
 
 class KKTReport:
@@ -382,8 +388,8 @@ class KKTReport:
         self.gradient = gradient
 
 
-def kkt_check(metric, problem, u, tolerance=1e-8):
-    """Independent optimality verification.
+def kkt_check(metric, problem, u):
+    """Independent optimality verification, to KKT_TOL.
 
     problem is either a ConeAngleTarget (unconstrained, stationarity of
     the conformal energy) or a vertex id (bounds-constrained punctured
@@ -399,8 +405,8 @@ def kkt_check(metric, problem, u, tolerance=1e-8):
         free, lower = _bounds(metric, v_inf)
         ev = _energy.punctured_energy(metric, v_inf, u)
     at_bound, stat, comp, feas = _kkt_residuals(ev.gradient, u[free], lower,
-                                                tolerance)
+                                                KKT_TOL)
     active_set = free[at_bound].tolist()
-    passed = (max(stat, comp, feas) <= tolerance
+    passed = (max(stat, comp, feas) <= KKT_TOL
               and (len(active_set) > 0 or not np.isfinite(lower).any()))
     return KKTReport(passed, stat, feas, comp, active_set, ev.gradient)

@@ -15,7 +15,11 @@ import numpy as np
 from . import mesh_core
 from .errors import IncompatibleShear, OutOfDomain, WrongLength
 
+# Shear sums around a vertex this small, over the largest |shear| (at
+# least 1), are round-off of shears that sum to zero.
 SHEAR_TOL = 1e-8
+# The angle around a flat point: the default cone angle of every vertex.
+FLAT_ANGLE = 2.0 * math.pi
 
 
 class DecoratedMetric:
@@ -62,9 +66,10 @@ class PartialDecoration:
         return cls(np.zeros(n))
 
     @classmethod
-    def all_infinite_except(cls, n, finite_vertices, values=0.0):
+    def all_infinite_except(cls, n, finite_vertices):
+        """No horocycle but the given ones, each as it is (u = 0)."""
         u = np.full(n, np.inf)
-        u[np.asarray(finite_vertices, dtype=int)] = values
+        u[np.asarray(finite_vertices, dtype=int)] = 0.0
         return cls(u)
 
     def is_decorated(self, v):
@@ -84,8 +89,17 @@ class ConeAngleTarget:
         self.theta = theta
 
     @classmethod
-    def uniform(cls, n, value=2.0 * math.pi):
-        return cls(np.full(n, value))
+    def uniform(cls, n):
+        """FLAT_ANGLE at each of n vertices."""
+        return cls(np.full(n, FLAT_ANGLE))
+
+
+def as_target(theta):
+    """theta if it is a ConeAngleTarget, else ConeAngleTarget(theta), whose
+    checks raise OutOfDomain on NaN, -inf and negative angles."""
+    if isinstance(theta, ConeAngleTarget):
+        return theta
+    return ConeAngleTarget(theta)
 
 
 class ShearCoordinates:

@@ -26,7 +26,7 @@ from .errors import (
     WrongKind,
     WrongGenus,
 )
-from .penner import ConeAngleTarget, fiber_shift
+from .penner import ConeAngleTarget, as_target, fiber_shift
 
 TWO_SIDED = "TwoSided"
 POLYHEDRAL = "Polyhedral"
@@ -36,7 +36,13 @@ TWO_SIDED_POLYGON = "TwoSidedPolygon"
 FLAT_TORUS = "FlatTorus"
 CONE_METRIC = "ConeMetric"
 
+# Angle sums this close to pi or 2 pi are equal to it: at its default
+# tolerance the punctured solve holds each angle defect to a hundredth.
 ANGLE_TOL = 1e-7
+# Certificate bounds of an inscribed polyhedron, the acceptance bounds
+# (criterion 5): distance of a face's vertices from its plane, depth of
+# any vertex beyond a face plane, and distance of a vertex from the
+# unit sphere, on which the projection puts it up to round-off.
 PLANARITY_TOL = 1e-8
 CONVEXITY_TOL = 1e-8
 ON_SPHERE_TOL = 1e-9
@@ -56,7 +62,8 @@ BLOCK = 256
 
 
 class PlanarLayout:
-    """Planar development of the disk of triangles avoiding v_inf.
+    """Planar development of the disk of triangles avoiding v_inf; the
+    disk, its angles and angle sums stay on the evaluation laid out.
 
     Attributes:
         corner_pos: (3T,) complex array, the position of each corner of
@@ -66,24 +73,13 @@ class PlanarLayout:
         residual: worst position mismatch between corners at the same
             vertex, relative to the layout diameter.
         boundary_cycle: vertex ids around the disk boundary, ccw.
-        sub: the Subcomplex that was laid out.
-        angles: (T, 3) array, the angles opposite sides 0, 1, 2 of each
-            kept triangle (NaN on the other triangles), the evaluation's.
-        theta_tilde: realized angle sums per vertex, the evaluation's.
-        lengths: array of euclidean lengths per edge (inf on the edges
-            at v_inf).
     """
 
-    def __init__(self, corner_pos, vertex_pos, residual, boundary_cycle,
-                 sub, angles, theta_tilde, lengths):
+    def __init__(self, corner_pos, vertex_pos, residual, boundary_cycle):
         self.corner_pos = corner_pos
         self.vertex_pos = vertex_pos
         self.residual = residual
         self.boundary_cycle = boundary_cycle
-        self.sub = sub
-        self.angles = angles
-        self.theta_tilde = theta_tilde
-        self.lengths = lengths
 
 
 class Realization:
@@ -99,19 +95,20 @@ class Realization:
             setattr(self, key, value)
 
 
-def _realizable(ev):
-    """(kind, sub, v_inf) for classify_realizable: sub is the Subcomplex
-    the punctured evaluation ev summed over, v_inf the vertex it omits."""
+def classify_realizable(ev):
+    """TwoSided or Polyhedral for a punctured EnergyEvaluation, from its
+    subcomplex (the cells avoiding v_inf); raises NotRealizable with a
+    diagnostic when its adjusted Delaunay data fails the realizability
+    conditions (an optimizer failure upstream)."""
     sub = ev.subcomplex
     if sub is None:
         raise WrongKind("the sphere back-end needs a punctured evaluation")
-    v_inf = int(np.argmin(sub.vertex_mask))
     if sub.classification == mesh_core.LINEAR_GRAPH:
-        return TWO_SIDED, sub, v_inf
+        return TWO_SIDED
     if sub.classification != mesh_core.DISK_TRIANGULATION:
         raise NotRealizable(
             "cells avoiding vertex %d form neither a path nor a disk"
-            % v_inf)
+            % np.argmin(sub.vertex_mask))
     verts = np.array(sub.kept_vertices)
     theta = ev.theta_tilde[verts]
     boundary = np.isin(verts, list(sub.boundary_vertices))
@@ -123,14 +120,7 @@ def _realizable(ev):
             ("boundary vertex %d has angle sum %.12g > pi" if boundary[i]
              else "interior vertex %d has angle sum %.12g != 2 pi")
             % (verts[i], theta[i]))
-    return POLYHEDRAL, sub, v_inf
-
-
-def classify_realizable(ev):
-    """TwoSided or Polyhedral for a punctured EnergyEvaluation; raises
-    NotRealizable with a diagnostic when its adjusted Delaunay data fails
-    the realizability conditions (an optimizer failure upstream)."""
-    return _realizable(ev)[0]
+    return POLYHEDRAL
 
 
 def _develop(tri, kept, lengths, angles):
@@ -203,9 +193,9 @@ def _polygons(group, z, sides):
 
 def layout_disk(ev):
     """Planar development of the disk of a punctured EnergyEvaluation."""
-    kind, sub, _ = _realizable(ev)
-    if kind != POLYHEDRAL:
+    if classify_realizable(ev) != POLYHEDRAL:
         raise WrongKind("layout_disk requires the polyhedral case")
+    sub = ev.subcomplex
     rtri = ev.delaunay.metric.triangulation
     u, ends = ev.delaunay.u.u, rtri.edge_verts
     lengths = np.exp((ev.delaunay.metric.lam + u[ends[:, 0]]
@@ -238,8 +228,7 @@ def layout_disk(ev):
         raise LayoutInconsistent(
             "vertex stars fail to close (relative residual %g)" % residual)
     return PlanarLayout(pos, dict(zip(verts.tolist(), vpos[verts].tolist())),
-                        residual, cycle.tolist(), sub, angles,
-                        ev.theta_tilde, lengths)
+                        residual, cycle.tolist())
 
 
 def _to_sphere(z):
@@ -269,9 +258,10 @@ def _merged_bottom_faces(result, sub):
 
 
 def polyhedron_from_layout(layout, ev):
-    """Read the layout as ideal points (v_inf at infinity), normalize the
-    Moebius gauge, project to the unit sphere, and certify convexity."""
-    v_inf = int(np.argmin(layout.sub.vertex_mask))
+    """Read the layout of the disk of ev as ideal points (v_inf at
+    infinity), normalize the Moebius gauge, project to the unit sphere,
+    and certify convexity."""
+    v_inf = int(np.argmin(ev.subcomplex.vertex_mask))
     rtri = ev.delaunay.metric.triangulation
 
     # Moebius normalization: centroid zero, mean squared radius one.
@@ -286,7 +276,7 @@ def polyhedron_from_layout(layout, ev):
     positions = dict(zip(order, pts[order]))
 
     # Bottom faces: the merged kept triangles, each a cyclic polygon.
-    face = _merged_bottom_faces(ev.delaunay, layout.sub)
+    face = _merged_bottom_faces(ev.delaunay, ev.subcomplex)
     sides = np.flatnonzero(np.repeat(face >= 0, 3))
     sides = sides[face[sides // 3] != face[rtri.glue[sides] // 3]]
     sides, bottom_size = _polygons(face[sides // 3],
@@ -298,7 +288,7 @@ def polyhedron_from_layout(layout, ev):
     # face).  Each chain holds both of its end corners.
     cycle = np.array(layout.boundary_cycle)
     m = len(cycle)
-    corner = np.flatnonzero(layout.theta_tilde[cycle] < math.pi - ANGLE_TOL)
+    corner = np.flatnonzero(ev.theta_tilde[cycle] < math.pi - ANGLE_TOL)
     if not corner.size:
         raise NotRealizable("disk boundary has no convex corner")
     side_size = np.diff(corner, append=corner[0] + m) + 2
@@ -352,9 +342,10 @@ def _certify_polyhedron(pts, vert, size):
 
 def two_sided_polygon(ev):
     """Degenerate realization: all ideal vertices on one circle."""
-    kind, sub, v_inf = _realizable(ev)
-    if kind != TWO_SIDED:
+    if classify_realizable(ev) != TWO_SIDED:
         raise WrongKind("two_sided_polygon requires the two-sided case")
+    sub = ev.subcomplex
+    v_inf = int(np.argmin(sub.vertex_mask))
     rtri = ev.delaunay.metric.triangulation
 
     # Order the path vertices from its smaller end to the other.
@@ -384,7 +375,7 @@ def uniformize_sphere(metric, v_inf, opts=None):
     result, with the flips from the previous iterate, not the input."""
     report = _optimize.minimize_punctured_energy(metric, v_inf, opts)
     ev, report.evaluation = report.evaluation, None
-    if classify_realizable(ev) == TWO_SIDED:
+    if ev.subcomplex.classification == mesh_core.LINEAR_GRAPH:
         realization = two_sided_polygon(ev)
     else:
         realization = polyhedron_from_layout(layout_disk(ev), ev)
@@ -524,7 +515,9 @@ def uniformize_torus(metric, opts=None):
 
 
 def prescribe_cone_angles(metric, target, opts=None):
-    """Flat-with-cone-points metric with the prescribed angles."""
+    """Flat-with-cone-points metric with the prescribed angles; a target
+    that is not a ConeAngleTarget is wrapped as one."""
+    target = as_target(target)
     report = _optimize.minimize_conformal_energy(metric, target, opts)
     ev, report.evaluation = report.evaluation, None
     met = fiber_shift(ev.surface, report.u_final)

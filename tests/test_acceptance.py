@@ -183,7 +183,7 @@ def test_criterion_2_scaling_identities():
     # Conformal energy: invariant under u + h when Gauss-Bonnet holds.
     sphere = surfaces.random_sphere(8, rng, lam_range=(-1, 1))
     n = sphere.triangulation.num_vertices
-    gb = ConeAngleTarget.uniform(n, 2 * math.pi * (n - 2) / n)
+    gb = ConeAngleTarget(np.full(n, 2 * math.pi * (n - 2) / n))
     for _ in range(10):
         u = rng.uniform(-0.4, 0.4, n)
         h = rng.uniform(-2, 2)

@@ -36,6 +36,7 @@ from uniformizer.errors import (
     ArcOverflow,
     DegenerateQuad,
     FanInconsistent,
+    OutOfDomain,
     SameVertex,
     UnknownVertex,
     WrongLength,
@@ -432,6 +433,29 @@ def test_decoration_of_wrong_length_rejected(call, length):
     u[3] = np.inf
     with pytest.raises(WrongLength, match="for 6 vertices"):
         call(surfaces.octahedron_sphere(), PartialDecoration(u))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, u: make_delaunay(m, u).metric.lam,
+    lambda m, u: make_delaunay(m, u, mode=ADJUSTED).metric.lam,
+    lambda m, u: check_delaunay(m, u).violations,
+    lambda m, u: delaunay_margin(m, u, 0),
+], ids=["make_delaunay", "make_delaunay_adjusted", "check_delaunay",
+        "delaunay_margin"])
+def test_decoration_may_be_an_array(call):
+    # An array is wrapped as a PartialDecoration: the same result, and
+    # OutOfDomain (not AttributeError) for NaN and -inf entries.
+    rng = np.random.default_rng(8)
+    metric = surfaces.random_sphere(12, rng, (-2.0, 2.0))
+    u = rng.uniform(-1.0, 1.0, 12)
+    u[0] = np.inf
+    expect = call(metric, PartialDecoration(u))
+    assert np.array_equal(call(metric, u.copy()), expect)
+    assert np.array_equal(call(metric, list(u)), expect)
+    for value in (np.nan, -np.inf):
+        u[3] = value
+        with pytest.raises(OutOfDomain):
+            call(metric, u)
 
 
 def test_horocycle_distance_errors():

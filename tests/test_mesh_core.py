@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from helpers import is_isomorphic
-from uniformizer import mesh_core, surfaces
+from uniformizer import delaunay, energy, mesh_core, penner, surfaces
 from uniformizer.errors import (
     DegenerateFlip,
     EulerMismatch,
     NonOrientable,
     OutOfDomain,
+    UniformizerError,
+    UnknownEdge,
     UnknownTriangle,
     UnknownVertex,
     UnmatchedSide,
@@ -235,6 +237,35 @@ def test_check_vertex_returns_the_id_as_an_int():
     for v in (2, np.int64(2), np.intp(2)):
         index = mesh_core.check_vertex(tri, v)
         assert type(index) is int and index == 2
+
+
+@pytest.mark.parametrize("e", [-1, 99, 1.5, True, "x"])
+@pytest.mark.parametrize("call", [
+    lambda e: mesh_core.check_edge(
+        surfaces.octahedron_sphere().triangulation, e),
+    lambda e: mesh_core.flip_edge(
+        surfaces.octahedron_sphere().triangulation, e),
+    lambda e: mesh_core.flip_edges(
+        surfaces.octahedron_sphere().triangulation, [0, e]),
+    lambda e: delaunay.delaunay_margin(surfaces.square_torus(), None, e),
+    lambda e: energy.crossflip_c2_check(
+        surfaces.square_torus(), penner.ConeAngleTarget.uniform(1), e),
+], ids=["check_edge", "flip_edge", "flip_edges", "delaunay_margin",
+        "crossflip_c2_check"])
+def test_edge_ids_are_checked(call, e):
+    # No id wraps (-1 is not the last edge), truncates (1.5 and True are
+    # not edge 1) or runs off the tables into a raw IndexError.
+    with pytest.raises(UnknownEdge) as err:
+        call(e)
+    assert isinstance(err.value, (UniformizerError, IndexError))
+    assert "not in range" in str(err.value)
+
+
+def test_check_edge_returns_the_id_as_an_int():
+    tri = surfaces.octahedron_sphere().triangulation
+    for e in (11, np.int64(11), np.intp(11)):
+        index = mesh_core.check_edge(tri, e)
+        assert type(index) is int and index == 11
 
 
 def test_random_builders_reject_too_few_vertices():

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from uniformizer import energy, mesh_core, optimize, surfaces
+from uniformizer import energy, mesh_core, optimize, realize, surfaces
 from uniformizer.delaunay import horocycle_distances_to
 from uniformizer.errors import (
     GaussBonnetViolated,
@@ -94,6 +94,27 @@ def test_u_out_of_domain_rejected(call, value):
     with pytest.raises(OutOfDomain) as err:
         call(surfaces.octahedron_sphere(), u)
     assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, t: realize.prescribe_cone_angles(m, t).theta_tilde,
+    lambda m, t: minimize_conformal_energy(m, t).u_final,
+    lambda m, t: energy.conformal_energy(m, t, np.zeros(6)).gradient,
+    lambda m, t: energy.fixed_triangulation_energy(m, t),
+], ids=["prescribe_cone_angles", "minimize_conformal_energy",
+        "conformal_energy", "fixed_triangulation_energy"])
+def test_cone_target_may_be_an_array(call):
+    # An array is wrapped as a ConeAngleTarget: the same result, and
+    # OutOfDomain (not AttributeError) for NaN and -inf angles.
+    metric = surfaces.octahedron_sphere()
+    theta = OCTAHEDRON_TARGET.theta.copy()
+    expect = call(metric, OCTAHEDRON_TARGET)
+    assert np.array_equal(call(metric, theta), expect)
+    assert np.array_equal(call(metric, list(theta)), expect)
+    for value in (math.nan, -math.inf):
+        theta[2] = value
+        with pytest.raises(OutOfDomain):
+            call(metric, theta)
 
 
 def test_bounds_match_the_distance_dict():

@@ -137,9 +137,10 @@ def test_classify_rejects_boundary_angle_sum_over_pi():
 def test_sphere_realization_builds_no_subcomplex_and_no_angle(monkeypatch):
     # After the solve, realize reads the disk, its angles and its angle
     # sums off the final evaluation: no subcomplex is built and no
-    # triangle angle is computed.  classify_realizable and layout_disk
+    # triangle angle is computed.  uniformize_sphere and layout_disk
     # both read the subcomplex's cached classification, so it is found
-    # once.
+    # once, and only layout_disk runs the angle-sum check of
+    # classify_realizable (its one np.isin over the kept vertices).
     calls = Counter()
     solved = []
 
@@ -158,6 +159,7 @@ def test_sphere_realization_builds_no_subcomplex_and_no_angle(monkeypatch):
     for name in ("subcomplex_avoiding", "classify_subcomplex"):
         monkeypatch.setattr(mesh_core, name,
                             counted(name, getattr(mesh_core, name)))
+    monkeypatch.setattr(np, "isin", counted("isin", np.isin))
     monkeypatch.setattr(energy, "_side_angles",
                         counted("_side_angles", energy._side_angles))
     monkeypatch.setattr(realize._optimize, "minimize_punctured_energy",
@@ -165,7 +167,7 @@ def test_sphere_realization_builds_no_subcomplex_and_no_angle(monkeypatch):
     real = uniformize_sphere(surfaces.octahedron_sphere(), 0)
     assert real.kind == INSCRIBED_POLYHEDRON
     assert solved
-    assert calls == {"classify_subcomplex": 1}
+    assert calls == {"classify_subcomplex": 1, "isin": 1}
 
 
 def test_sphere_steps_reject_a_conformal_evaluation():
@@ -367,12 +369,16 @@ def test_layout_edge_length_fidelity():
     layout = real.layout
     rtri = real.delaunay.metric.triangulation
     se = rtri.side_edge
-    for t in layout.sub.kept_triangles:
+    # Euclidean lengths from the shifted lambdas of the final Delaunay data.
+    u, ends = real.delaunay.u.u, rtri.edge_verts
+    lengths = np.exp((real.delaunay.metric.lam + u[ends[:, 0]]
+                      + u[ends[:, 1]]) / 2.0)
+    for t in mesh_core.subcomplex_avoiding(rtri, 0).kept_triangles:
         for i in range(3):
             pa = layout.corner_pos[3 * t + i]
             pb = layout.corner_pos[3 * t + (i + 1) % 3]
             realized = abs(pb - pa)
-            expect = layout.lengths[se[3 * t + i]]
+            expect = lengths[se[3 * t + i]]
             assert realized == pytest.approx(expect, rel=1e-9)
 
 
