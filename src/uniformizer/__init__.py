@@ -3,7 +3,7 @@
 Subpackages:
 
     mesh_core   combinatorics: gluings, flips, subcomplexes
-    penner      decorated metrics, shears, Ptolemy relation
+    penner      decorated metrics, fiber shift, Ptolemy relation
     delaunay    weighted Delaunay flip algorithm and distances
     energy      triangle potential and the two convex energies
     optimize    Newton solvers and KKT verification
@@ -44,10 +44,7 @@ from .penner import (
     DecoratedMetric,
     PartialDecoration,
     ConeAngleTarget,
-    ShearCoordinates,
     fiber_shift,
-    shear_from_penner,
-    penner_from_shear,
     ptolemy_update,
 )
 from .delaunay import (

@@ -82,6 +82,7 @@ from .errors import (
     DegenerateQuad,
     FanInconsistent,
     FlipLimitExceeded,
+    OutOfDomain,
     SameVertex,
     TriangleInequalityViolated,
     WrongLength,
@@ -341,8 +342,12 @@ def make_delaunay(metric, u=None, mode=PLAIN):
     Only strict violations (margin < -tol) are flipped; equality cases
     are collected as nonessential edges.  Edges whose two sides lie in
     the same triangle are skipped (no quad to test).  A u without one
-    entry per vertex raises WrongLength before any flip.
+    entry per vertex raises WrongLength, and a mode other than PLAIN and
+    ADJUSTED OutOfDomain, before any flip.
     """
+    if mode not in (PLAIN, ADJUSTED):
+        raise OutOfDomain("mode %r is neither %r nor %r"
+                          % (mode, PLAIN, ADJUSTED))
     tri = metric.triangulation
     u = _decoration(tri, u)
     max_flips = MAX_FLIPS_PER_EDGE * tri.num_edges + MAX_FLIPS_EXTRA

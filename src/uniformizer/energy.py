@@ -22,13 +22,16 @@ line-search trial that is rejected costs no derivatives, and the
 converged iterate and kkt_check, which read only the gradient, build no
 Hessian.  The *_value names return the value alone.
 
-Both depend on their metric argument only through the decorated surface
-it carries: Ptolemy flips leave the surface and its horocycle lengths
-unchanged, its Delaunay decomposition is unique, and the energy is the
-same on every triangulation of that decomposition.
-EnergyEvaluation.surface is the evaluated surface in base lambda on its
-Delaunay triangulation; passed back as the metric it gives the same
-energy with fewer flips.
+Both run one Delaunay step, _shifted_delaunay: the flip algorithm on
+the base lambdas weighted by exp(-u), whose Ptolemy updates commute with
+the fiber shift by u, then the shift of the result.  Both depend on their
+metric argument only through the decorated surface it carries: Ptolemy
+flips leave the surface and its horocycle lengths unchanged, its
+Delaunay decomposition is unique, and the energy is the same on every
+triangulation of that decomposition.  So an evaluation's
+delaunay.metric, the surface in base lambda on its Delaunay
+triangulation, passed back as the metric gives the same energy with
+fewer flips.
 """
 
 import functools
@@ -39,15 +42,17 @@ import scipy.sparse as sp
 
 from . import delaunay as _delaunay
 from . import mesh_core
-from .errors import NotNeutral, TriangleInequalityViolated, WrongLength
+from .errors import NotNeutral, OutOfDomain, TriangleInequalityViolated
 from .penner import (
     DecoratedMetric,
     PartialDecoration,
     as_target,
-    fiber_shift,
     _log_horocycle_lengths,
+    _per_vertex,
     ptolemy_update,
 )
+# Unused here, but bench/spans.py traces the fiber shift through this name.
+from .penner import fiber_shift  # noqa: F401
 
 # Series coefficients for the Lobachevsky function on (-pi/2, pi/2]:
 #   L(x) = x - x log|2x| + sum_k  zeta(2k) / (k (2k+1) pi^(2k)) x^(2k+1)
@@ -236,23 +241,22 @@ class EnergyEvaluation:
 
     The value is computed at once; gradient and theta_tilde on first use,
     and the Hessian separately on its own first use, all from the same
-    Delaunay result and angles.  gradient and hessian are indexed by
-    free_vertices (all vertices for the conformal energy, the kept ones
-    of subcomplex for the punctured energy).  theta_tilde holds
-    the realized angle sums, angles the (T', 3) triangle angles they sum.
-    The punctured energy sums over subcomplex, the cells avoiding the
+    Delaunay result and angles.  delaunay is that result, in base
+    lambda, and lam its lambdas shifted by u (+inf on the edges at an
+    undecorated vertex).  gradient and hessian are indexed by all
+    vertices for the conformal energy, and by the kept vertices of
+    subcomplex for the punctured energy.  theta_tilde holds the realized
+    angle sums, angles the (T', 3) triangle angles they sum.  The
+    punctured energy sums over subcomplex, the cells avoiding the
     distinguished vertex: the disk the sphere back-end reads (None for
-    the conformal energy).  surface is the evaluated decorated surface in
-    base lambda (the shift by u taken out) on the Delaunay triangulation
-    of this evaluation: the same surface as the input metric, so it may
-    stand in for it in the next evaluation of the same energy.
+    the conformal energy).
     """
 
-    def __init__(self, value, delaunay_result, surface, cells, angles,
+    def __init__(self, value, delaunay_result, lam, cells, angles,
                  gradient_of, subcomplex=None):
         self.value = value
         self.delaunay = delaunay_result
-        self.surface = surface
+        self.lam = lam
         self.angles = angles
         self.subcomplex = subcomplex
         # The (triangulation, triangles, edges) _evaluate summed over,
@@ -273,25 +277,18 @@ class EnergyEvaluation:
         return self._gradient_of(*self._sums)
 
     @functools.cached_property
-    def free_vertices(self):
-        sub = self.subcomplex
-        return (list(range(self._cells[0].num_vertices)) if sub is None
-                else sub.kept_vertices)
-
-    @functools.cached_property
     def hessian(self):
         sub = self.subcomplex
         return _hessian(*self._cells, self.angles,
                         slice(None) if sub is None else sub.vertex_mask)
 
 
-def _per_vertex(tri, u):
-    """u as a float array, one value per vertex of tri, or WrongLength."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (tri.num_vertices,):
-        raise WrongLength("u of shape %s for %d vertices"
-                          % (u.shape, tri.num_vertices))
-    return u
+def _shifted_delaunay(metric, u, mode):
+    """(result, lam): the Delaunay run of metric weighted by u in the
+    given mode, and its lambdas shifted by u."""
+    result = _delaunay.make_delaunay(metric, PartialDecoration(u), mode=mode)
+    ends = result.metric.triangulation.edge_verts
+    return result, result.metric.lam + u[ends[:, 0]] + u[ends[:, 1]]
 
 
 def conformal_energy(metric, target, u):
@@ -305,14 +302,14 @@ def conformal_energy(metric, target, u):
     """
     target = as_target(target)
     u = _per_vertex(metric.triangulation, u)
-    result = _delaunay.make_delaunay(fiber_shift(metric, u))
-    met = result.metric
-    tri = met.triangulation
-    value, angles = _evaluate(tri, met.lam)
-    value -= float(target.theta @ _log_horocycle_lengths(met))
+    if not np.all(np.isfinite(u)):
+        raise OutOfDomain("u must be finite at every vertex")
+    result, lam = _shifted_delaunay(metric, u, _delaunay.PLAIN)
+    tri = result.metric.triangulation
+    value, angles = _evaluate(tri, lam)
+    value -= float(target.theta @ (_log_horocycle_lengths(metric) - u))
     return EnergyEvaluation(
-        value, result, fiber_shift(met, -u),
-        (tri, slice(None), slice(None)), angles,
+        value, result, lam, (tri, slice(None), slice(None)), angles,
         lambda theta_tilde, degree: target.theta - theta_tilde)
 
 
@@ -333,20 +330,18 @@ def punctured_energy(metric, v_inf, u):
     mesh_core.check_vertex(metric.triangulation, v_inf)
     u_ext = _per_vertex(metric.triangulation, u).copy()
     u_ext[v_inf] = np.inf
-    result = _delaunay.make_delaunay(metric, PartialDecoration(u_ext),
-                                     mode=_delaunay.ADJUSTED)
+    # The shifted lambdas are finite on the kept edges (both ends
+    # decorated).
+    result, lam = _shifted_delaunay(metric, u_ext, _delaunay.ADJUSTED)
     tri = result.metric.triangulation
     sub = mesh_core.subcomplex_avoiding(tri, v_inf)
     free = sub.vertex_mask
-    ends = tri.edge_verts
-    # Shifted lambdas, finite on the kept edges (both ends decorated).
-    lam = result.metric.lam + u_ext[ends[:, 0]] + u_ext[ends[:, 1]]
     triangles, edges = sub.triangle_mask, sub.edge_mask
     value, angles = _evaluate(tri, lam, triangles, edges)
     value -= 2.0 * math.pi * float(np.sum(
         _log_horocycle_lengths(metric)[free] - u_ext[free]))
     return EnergyEvaluation(
-        value, result, result.metric, (tri, triangles, edges), angles,
+        value, result, lam, (tri, triangles, edges), angles,
         lambda theta_tilde, degree:
             math.pi * (degree[free] + 2) - theta_tilde[free], sub)
 

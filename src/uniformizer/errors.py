@@ -42,10 +42,6 @@ class UnknownEdge(UniformizerError, IndexError):
 
 # --- Penner algebra --------------------------------------------------------
 
-class IncompatibleShear(UniformizerError):
-    """Shear coordinates do not sum to zero around every vertex."""
-
-
 class OutOfDomain(UniformizerError, ValueError):
     """An input value is NaN or outside its range: lambdas are finite, u
     is finite or +inf (and not +inf everywhere), cone angles are finite

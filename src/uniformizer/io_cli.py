@@ -227,17 +227,13 @@ def ingest_obj(path):
 
 
 def emit_obj(path, realization):
-    """Write a realization's vertices and faces as an ASCII OBJ."""
+    """Write a sphere realization's vertices (points in space) and faces
+    as an ASCII OBJ."""
     order = sorted(realization.vertex_positions)
     index = {v: i + 1 for i, v in enumerate(order)}
     lines = []
     for v in order:
-        p = np.asarray(realization.vertex_positions[v], dtype=float)
-        if np.iscomplexobj(realization.vertex_positions[v]) or p.shape == ():
-            z = complex(realization.vertex_positions[v])
-            p = np.array([z.real, z.imag, 0.0])
-        elif p.shape == (2,):
-            p = np.array([p[0], p[1], 0.0])
+        p = realization.vertex_positions[v]
         lines.append("v %s %s %s" % (_fmt(p[0]), _fmt(p[1]), _fmt(p[2])))
     for face in realization.faces:
         lines.append("f " + " ".join(str(index[v]) for v in face))
@@ -424,12 +420,29 @@ def _cmd_uniformize_torus(args):
     return 0
 
 
+def _uniform_angles(tri):
+    """One cone angle per vertex, all equal up to rounding, that sum to
+    the Gauss-Bonnet total 2 pi (2g - 2 + n) in floating point.
+
+    Each angle is a multiple of the total's ulp, and so is every partial
+    sum, exactly: the angles sum to the total in any order.  The
+    remainder of that division adds one ulp to each of the first
+    vertices, so no angle is off total / n by more than one ulp of the
+    total.
+    """
+    n = tri.num_vertices
+    total = 2.0 * math.pi * (2 * tri.genus - 2 + n)
+    step = math.ulp(total)
+    base, extra = divmod(round(total / step), n)
+    theta = np.full(n, base * step)
+    theta[:extra] = (base + 1) * step
+    return theta
+
+
 def _cmd_prescribe_angles(args):
     sf = _load_input(args.input)
-    tri = sf.triangulation
     if args.theta == "uniform":
-        total = 2.0 * math.pi * (2 * tri.genus - 2 + tri.num_vertices)
-        theta = np.full(tri.num_vertices, total / tri.num_vertices)
+        theta = _uniform_angles(sf.triangulation)
     else:
         with open(args.theta) as fh:
             theta = np.array([float(ln) for ln in fh.read().split()])

@@ -408,11 +408,11 @@ class Subcomplex:
         vertex_mask, edge_mask, triangle_mask: boolean arrays over the
             parent's cells, True on the kept ones.
         kept_vertices, kept_edges, kept_triangles: sorted id lists.
-        boundary_vertices, boundary_edges: subsets of the kept cells that
-            touch a non-kept triangle of the parent.
+        boundary_vertices: the kept vertices that touch a non-kept
+            triangle of the parent.
         classification: the verdict of classify_subcomplex.
 
-    The id lists, boundary sets and classification are derived on first
+    The id lists, boundary set and classification are derived on first
     use from the masks, which are never written after construction.
     """
 
@@ -440,20 +440,12 @@ class Subcomplex:
         return np.flatnonzero(self.triangle_mask).tolist()
 
     @functools.cached_property
-    def _outside(self):
-        """Per flat side (or corner), whether its triangle is not kept."""
-        return np.repeat(~self.triangle_mask, 3)
-
-    @functools.cached_property
-    def boundary_edges(self):
-        return set(np.flatnonzero(self.edge_mask & self._outside[
-            self.parent.edge_sides].any(axis=1)).tolist())
-
-    @functools.cached_property
     def boundary_vertices(self):
         parent = self.parent
+        # Per flat corner, whether its triangle is not kept.
+        outside = np.repeat(~self.triangle_mask, 3)
         return set(np.flatnonzero(self.vertex_mask & (np.bincount(
-            parent.corner_vertex, self._outside,
+            parent.corner_vertex, outside,
             minlength=parent.num_vertices) > 0)).tolist())
 
     @functools.cached_property
@@ -641,8 +633,7 @@ def subdivide_triangle(tri, t):
     """1-to-3 subdivision: a new vertex inside triangle t joined to its
     corners.  Returns a new Triangulation (ids are rebuilt)."""
     nt = tri.num_triangles
-    if not 0 <= t < nt:
-        raise UnknownTriangle("no triangle %r" % (t,))
+    t = _check_id(t, nt, UnknownTriangle, "triangle")
     glue = np.empty(3 * nt + 6, dtype=np.intp)
     glue[:3 * nt] = tri.glue
     _split_in_place(glue, t, nt)

@@ -10,13 +10,14 @@ The loop and kkt_check share the KKT residuals.  A target off
 Gauss-Bonnet by more than the gradient tolerance is rejected at once:
 the pinned vertex would keep that defect as its gradient.
 
-The loop warm-starts its evaluations from the surface of the last
-accepted one (EnergyEvaluation.surface).  This is exact, not an
-approximation: the energies depend only on the decorated surface, which
-the flips between two triangulations do not change.  Each line-search
-trial is a full evaluation whose derivatives are computed only if they
-are read, and the accepted trial is the next iterate, so the flip
-algorithm runs once per trial and never again for the accepted point.
+The loop warm-starts its evaluations from the Delaunay result of the
+last accepted one, in base lambda (EnergyEvaluation.delaunay.metric).
+This is exact, not an approximation: the energies depend only on the
+decorated surface, which the flips between two triangulations do not
+change.  Each line-search trial is a full evaluation whose derivatives
+are computed only if they are read, and the accepted trial is the next
+iterate, so the flip algorithm runs once per trial and never again for
+the accepted point.
 A converged report carries its last evaluation; kkt_check stays a cold
 evaluation from the input metric, independent of the solver's path.
 
@@ -46,7 +47,12 @@ from .errors import (
     OutOfDomain,
     TriangleInequalityViolated,
 )
-from .penner import ConeAngleTarget, PartialDecoration, as_target
+from .penner import (
+    ConeAngleTarget,
+    PartialDecoration,
+    _per_vertex,
+    as_target,
+)
 
 CONVERGED = "Converged"
 ITER_LIMIT = "IterLimit"
@@ -116,6 +122,16 @@ class SolveReport:
         self.evaluation = evaluation
 
 
+def _options(opts, tolerance):
+    """opts, or the default SolveOptions with the given gradient tolerance
+    when it is None; anything else raises OutOfDomain."""
+    if opts is None:
+        return SolveOptions(gradient_tolerance=tolerance)
+    if not isinstance(opts, SolveOptions):
+        raise OutOfDomain("opts must be a SolveOptions, not %r" % (opts,))
+    return opts
+
+
 def _factor_solve(matrix, rhs):
     """x with matrix x = rhs from one symmetric-mode SuperLU factor (see
     the module docstring); NaN when the factor is exactly singular."""
@@ -175,7 +191,9 @@ def _solve_spd(hessian, rhs):
 
 
 def gauss_bonnet_defect(metric, target):
-    """Sum of target angles, one per vertex, minus 2 pi (2g - 2 + n)."""
+    """Sum of target angles, one per vertex, minus 2 pi (2g - 2 + n).  A
+    target that is not a ConeAngleTarget is wrapped as one."""
+    target = as_target(target)
     tri = metric.triangulation
     if len(target.theta) != tri.num_vertices:
         raise GaussBonnetViolated("target has %d angles for %d vertices"
@@ -193,7 +211,7 @@ def minimize_conformal_energy(metric, target, opts=None, u0=None):
     is not a ConeAngleTarget is wrapped as one.
     """
     target = as_target(target)
-    opts = opts or SolveOptions()
+    opts = _options(opts, CONFORMAL_TOL)
     n = metric.triangulation.num_vertices
     defect = gauss_bonnet_defect(metric, target)
     bound = min(GAUSS_BONNET_TOL, opts.gradient_tolerance)
@@ -232,8 +250,8 @@ def _newton(energy, metric, u, free, lower, opts, t0):
     step that does not lower the energy raises LineSearchFailure.
 
     Every line-search trial is warm-started with energy(surface, u) from
-    the surface of the current iterate, already Delaunay at its u, so
-    the flip algorithm only has to follow the step.  The accepted trial
+    the Delaunay result of the current iterate, already Delaunay at its
+    u, so the flip algorithm only has to follow the step.  The accepted trial
     becomes the next iterate.
     """
     ev = energy(metric, u)
@@ -307,7 +325,7 @@ def _newton(energy, metric, u, free, lower, opts, t0):
             trial = u.copy()
             trial[free] = np.maximum(uf + alpha * step, lower)
             try:
-                trial_ev = energy(ev.surface, trial)
+                trial_ev = energy(ev.delaunay.metric, trial)
                 f_trial = trial_ev.value
             except (OverflowError, TriangleInequalityViolated):
                 f_trial = math.inf
@@ -356,7 +374,7 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
     A start u0 is raised to the bounds; off v_inf its entries must be
     finite or +inf, as in a PartialDecoration (OutOfDomain).
     """
-    opts = opts or SolveOptions(gradient_tolerance=PUNCTURED_TOL)
+    opts = _options(opts, PUNCTURED_TOL)
     tri = metric.triangulation
     if tri.genus != 0 or tri.num_vertices < 3:
         raise WrongGenus("need genus 0 with at least 3 vertices, got "
@@ -369,7 +387,7 @@ def minimize_punctured_energy(metric, v_inf, opts=None, u0=None):
     if u0 is None:
         u[free] = bounds
     else:
-        start = PartialDecoration(_energy._per_vertex(tri, u0)[free])
+        start = PartialDecoration(_per_vertex(tri, u0)[free])
         u[free] = np.maximum(start.u, bounds)
     u[v_inf] = np.inf
 

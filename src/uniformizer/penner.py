@@ -12,21 +12,25 @@ import math
 
 import numpy as np
 
-from . import mesh_core
-from .errors import IncompatibleShear, OutOfDomain, WrongLength
+from .errors import OutOfDomain, WrongLength
 
-# Shear sums around a vertex this small, over the largest |shear| (at
-# least 1), are round-off of shears that sum to zero.
-SHEAR_TOL = 1e-8
 # The angle around a flat point: the default cone angle of every vertex.
 FLAT_ANGLE = 2.0 * math.pi
+
+
+def _floats(x, what):
+    """x as a float array, or OutOfDomain when it is not numbers."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise OutOfDomain("%s: %s" % (what, exc)) from None
 
 
 class DecoratedMetric:
     """A triangulation with one finite lambda per edge."""
 
     def __init__(self, triangulation, lam):
-        lam = np.asarray(lam, dtype=float)
+        lam = _floats(lam, "lambda")
         if lam.shape != (triangulation.num_edges,):
             raise WrongLength("lambda of shape %s for %d edges"
                               % (lam.shape, triangulation.num_edges))
@@ -54,7 +58,7 @@ class PartialDecoration:
     """
 
     def __init__(self, u):
-        u = np.asarray(u, dtype=float)
+        u = _floats(u, "u")
         if np.any(np.isnan(u)) or np.any(u == -np.inf):
             raise OutOfDomain("u entries must be finite or +inf")
         if not np.any(np.isfinite(u)):
@@ -72,9 +76,6 @@ class PartialDecoration:
         u[np.asarray(finite_vertices, dtype=int)] = 0.0
         return cls(u)
 
-    def is_decorated(self, v):
-        return np.isfinite(self.u[v])
-
     def __len__(self):
         return len(self.u)
 
@@ -83,7 +84,7 @@ class ConeAngleTarget:
     """Target cone angles Theta_v >= 0 (radians), one per vertex."""
 
     def __init__(self, theta):
-        theta = np.asarray(theta, dtype=float)
+        theta = _floats(theta, "cone angles")
         if np.any(theta < 0) or not np.all(np.isfinite(theta)):
             raise OutOfDomain("cone angles must be finite and >= 0")
         self.theta = theta
@@ -102,60 +103,13 @@ def as_target(theta):
     return ConeAngleTarget(theta)
 
 
-class ShearCoordinates:
-    """Per-edge shear; sums to zero around every vertex."""
-
-    def __init__(self, triangulation, sigma, check=True):
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (triangulation.num_edges,):
-            raise ValueError("sigma must have one entry per edge")
-        self.triangulation = triangulation
-        self.sigma = sigma
-        if check:
-            err = np.max(np.abs(self.vertex_sums()))
-            scale = max(1.0, float(np.max(np.abs(sigma))))
-            if err > SHEAR_TOL * scale:
-                raise IncompatibleShear(
-                    "shear sums around vertices reach %g" % err)
-
-    def vertex_sums(self):
-        """Sum of sigma over edge-ends at each vertex."""
-        tri = self.triangulation
-        return np.bincount(tri.edge_verts.ravel(), np.repeat(self.sigma, 2),
-                           minlength=tri.num_vertices)
-
-
-def arc_lengths(lam_triple):
-    """Horocyclic arc lengths cut off at the corners of a decorated triangle.
-
-    The arc at the corner opposite side i has length
-    alpha_i = exp((lam_i - lam_j - lam_k) / 2).  The inverse relation is
-    lam_i = -log(alpha_j) - log(alpha_k).
-    """
-    l1, l2, l3 = lam_triple
-    return (math.exp((l1 - l2 - l3) / 2.0),
-            math.exp((l2 - l3 - l1) / 2.0),
-            math.exp((l3 - l1 - l2) / 2.0))
-
-
-def lambdas_from_arcs(alpha_triple):
-    """Inverse of arc_lengths."""
-    a1, a2, a3 = alpha_triple
-    return (-math.log(a2) - math.log(a3),
-            -math.log(a3) - math.log(a1),
-            -math.log(a1) - math.log(a2))
-
-
-def corner_arc(metric, k):
-    """Arc length at corner k (flat index): the arc of the horocycle at
-    that corner cut off by the two adjacent sides."""
-    se = metric.triangulation.side_edge
-    t, s = divmod(k, 3)
-    lam = metric.lam
-    e_opp = se[3 * t + (s + 1) % 3]       # side opposite corner s
-    e_in = se[3 * t + s]                  # the two sides meeting corner s
-    e_out = se[3 * t + (s + 2) % 3]
-    return math.exp((lam[e_opp] - lam[e_in] - lam[e_out]) / 2.0)
+def _per_vertex(tri, u):
+    """u as a float array, one value per vertex of tri, or WrongLength."""
+    u = _floats(u, "u")
+    if u.shape != (tri.num_vertices,):
+        raise WrongLength("u of shape %s for %d vertices"
+                          % (u.shape, tri.num_vertices))
+    return u
 
 
 def _log_corner_arcs(side_edge, lam):
@@ -177,66 +131,17 @@ def _log_horocycle_lengths(metric):
     return top + np.log(np.bincount(cv, np.exp(x - top[cv]), minlength=n))
 
 
-def horocycle_length(metric, v):
-    """Total length c_v of the decorating horocycle at vertex v."""
-    mesh_core.check_vertex(metric.triangulation, v)
-    return float(np.exp(_log_horocycle_lengths(metric)[v]))
-
-
 def fiber_shift(metric, u):
     """Shift the decoration: lambda'_e = lambda_e + u_v1 + u_v2.
 
     Parametrizes the fiber of decorated surfaces over the same hyperbolic
-    structure; u must be finite at every vertex.
-    """
-    u = np.asarray(u, dtype=float)
-    ends = metric.triangulation.edge_verts
-    return DecoratedMetric(metric.triangulation,
-                           metric.lam + (u[ends[:, 0]] + u[ends[:, 1]]))
-
-
-def shear_from_penner(metric):
-    """Shear coordinate per edge: sigma_e = (lam_a - lam_b + lam_c - lam_d)/2
-    where a, b, c, d are the quad sides around e in cyclic order (a and c
-    share a vertex with the head of e in their respective triangles).
+    structure; u must be finite at every vertex, and a u without one
+    entry per vertex raises WrongLength.
     """
     tri = metric.triangulation
-    _, _, ka, kb, kc, kd = mesh_core._quad_sides(tri, slice(None))
-    la, lb, lc, ld = metric.lam[tri.side_edge[[ka, kb, kc, kd]]]
-    return ShearCoordinates(tri, 0.5 * (la - lb + lc - ld), check=False)
-
-
-def penner_from_shear(shear, anchor_arcs):
-    """Reconstruct a decorated metric realizing the given shear.
-
-    The horocycle at each vertex is fixed by prescribing one arc length:
-    anchor_arcs[v] is the arc at the first corner of the vertex's corner
-    cycle.  Walking the cycle counterclockwise, consecutive corner arcs
-    are related by the shear of the crossed edge, arc' = arc*exp(-sigma);
-    the closing condition is exactly the zero-sum constraint, which is
-    validated up front.
-
-    Returns a DecoratedMetric whose shear_from_penner reproduces the input.
-    """
-    tri = shear.triangulation
-    err = np.max(np.abs(shear.vertex_sums())) if tri.num_edges else 0.0
-    scale = max(1.0, float(np.max(np.abs(shear.sigma))))
-    if err > SHEAR_TOL * scale:
-        raise IncompatibleShear("shear sums around vertices reach %g" % err)
-
-    # Log arc length per corner, chained around each vertex.
-    log_arc = np.zeros(3 * tri.num_triangles)
-    sigma = shear.sigma[tri.side_edge].tolist()
-    for v, cycle in enumerate(tri.vertex_corners):
-        x = math.log(anchor_arcs[v])
-        for k in cycle:
-            log_arc[k] = x
-            x -= sigma[k]
-
-    # lam_e = -log(arc at one adjacent corner) - log(arc at the other):
-    # side k1 joins corners k1 and the next one, whose arcs determine it.
-    k1 = tri.edge_sides[:, 0]
-    return DecoratedMetric(tri, -log_arc[k1] - log_arc[mesh_core._next(k1)])
+    u = _per_vertex(tri, u)
+    ends = tri.edge_verts
+    return DecoratedMetric(tri, metric.lam + (u[ends[:, 0]] + u[ends[:, 1]]))
 
 
 def ptolemy_update(la, lb, lc, ld, le):

@@ -197,9 +197,7 @@ def layout_disk(ev):
         raise WrongKind("layout_disk requires the polyhedral case")
     sub = ev.subcomplex
     rtri = ev.delaunay.metric.triangulation
-    u, ends = ev.delaunay.u.u, rtri.edge_verts
-    lengths = np.exp((ev.delaunay.metric.lam + u[ends[:, 0]]
-                      + u[ends[:, 1]]) / 2.0)
+    lengths = np.exp(ev.lam / 2.0)
     kept = sub.triangle_mask
     angles = np.full((rtri.num_triangles, 3), np.nan)
     angles[kept] = ev.angles
@@ -464,7 +462,7 @@ def uniformize_torus(metric, opts=None):
     target = ConeAngleTarget.uniform(tri.num_vertices)
     report = _optimize.minimize_conformal_energy(metric, target, opts)
     ev, report.evaluation = report.evaluation, None
-    met = fiber_shift(ev.surface, report.u_final)
+    met = fiber_shift(ev.delaunay.metric, report.u_final)
     rtri = met.triangulation
     pos, base = _develop(rtri, np.ones(rtri.num_triangles, dtype=bool),
                          met.lengths, ev.angles)
@@ -520,7 +518,7 @@ def prescribe_cone_angles(metric, target, opts=None):
     target = as_target(target)
     report = _optimize.minimize_conformal_energy(metric, target, opts)
     ev, report.evaluation = report.evaluation, None
-    met = fiber_shift(ev.surface, report.u_final)
+    met = fiber_shift(ev.delaunay.metric, report.u_final)
     achieved = ev.theta_tilde
     return Realization(CONE_METRIC, {}, [],
                        {"max_angle_error":

@@ -3,8 +3,8 @@ energies, one triangle and one edge at a time.
 
 The vectorized evaluator in uniformizer.energy must agree with these
 scalar formulas; the tests compare the two.  Only the Delaunay flip
-algorithm, the combinatorics, fiber_shift and the corner arcs are
-shared with the package.
+algorithm, the combinatorics and fiber_shift are shared with the
+package.
 """
 
 import math
@@ -15,7 +15,7 @@ from scipy.special import zeta
 
 from uniformizer import delaunay, mesh_core
 from uniformizer.errors import TriangleInequalityViolated
-from uniformizer.penner import PartialDecoration, corner_arc, fiber_shift
+from uniformizer.penner import PartialDecoration, fiber_shift
 
 _LOB_COEF = [zeta(2 * k) / (k * (2 * k + 1) * math.pi ** (2 * k))
              for k in range(1, 31)]
@@ -30,6 +30,18 @@ def lobachevsky(theta):
     for c in _LOB_COEF[::-1]:
         s = s * x2 + c
     return x - x * math.log(abs(2.0 * x)) + s * x2 * x
+
+
+def corner_arc(metric, k):
+    """Arc length at corner k (flat index): the arc of the horocycle at
+    that corner cut off by the two adjacent sides."""
+    se = metric.triangulation.side_edge
+    t, s = divmod(k, 3)
+    lam = metric.lam
+    e_opp = se[3 * t + (s + 1) % 3]       # side opposite corner s
+    e_in = se[3 * t + s]                  # the two sides meeting corner s
+    e_out = se[3 * t + (s + 2) % 3]
+    return math.exp((lam[e_opp] - lam[e_in] - lam[e_out]) / 2.0)
 
 
 def horocycle_length(metric, v):

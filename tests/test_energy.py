@@ -33,6 +33,7 @@ from uniformizer.energy import (
 )
 from uniformizer.errors import (
     NotNeutral,
+    OutOfDomain,
     TriangleInequalityViolated,
     UnknownVertex,
 )
@@ -227,6 +228,16 @@ def test_conformal_energy_hessian_kernel_is_constants():
     assert evals[1] > 1e-8
 
 
+def test_conformal_energy_rejects_infinite_u():
+    # The flip algorithm takes u = +inf as a missing horocycle; the
+    # conformal energy needs every horocycle.
+    metric = surfaces.octahedron_sphere()
+    u = np.zeros(6)
+    u[2] = np.inf
+    with pytest.raises(OutOfDomain):
+        conformal_energy(metric, ConeAngleTarget.uniform(6), u)
+
+
 def test_conformal_energy_scale_invariance():
     metric = surfaces.square_torus()
     target = ConeAngleTarget.uniform(1)
@@ -237,7 +248,7 @@ def test_conformal_energy_scale_invariance():
 
 def test_conformal_energy_theta_decomposition():
     # E_theta(u) = E_0(u) - sum theta_v (log c_v - u_v).
-    from uniformizer.penner import horocycle_length
+    from uniformizer.penner import _log_horocycle_lengths
     rng = np.random.default_rng(28)
     metric = surfaces.random_sphere(7, rng)
     n = metric.triangulation.num_vertices
@@ -248,8 +259,9 @@ def test_conformal_energy_theta_decomposition():
         u = rng.uniform(-1, 1, n)
         lhs = conformal_energy_value(metric, target, u)
         rhs = conformal_energy_value(metric, zero, u)
+        log_c = _log_horocycle_lengths(metric)
         for v in range(n):
-            rhs -= theta[v] * (math.log(horocycle_length(metric, v)) - u[v])
+            rhs -= theta[v] * (log_c[v] - u[v])
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -365,7 +377,7 @@ def test_punctured_energy_degenerate_subcomplex():
     metric = surfaces.three_vertex_sphere()
     u = np.zeros(3)
     ev = punctured_energy(metric, 0, u)
-    assert ev.free_vertices == [1, 2]
+    assert ev.subcomplex.kept_vertices == [1, 2]
     assert dense(ev.hessian).shape == (2, 2)
     g_fd = fd_gradient(
         lambda x: punctured_energy_value(metric, 0,
@@ -386,7 +398,8 @@ def test_punctured_energy_exposes_its_subcomplex():
     ev = punctured_energy(metric, 2, np.zeros(6))
     sub = ev.subcomplex
     assert sub.parent is ev.delaunay.metric.triangulation
-    assert ev.free_vertices == sub.kept_vertices == [0, 1, 3, 4, 5]
+    assert sub.kept_vertices == [0, 1, 3, 4, 5]
+    assert len(ev.gradient) == 5
     assert len(ev.angles) == len(sub.kept_triangles)
     assert conformal_energy(metric, ConeAngleTarget.uniform(6),
                             np.zeros(6)).subcomplex is None

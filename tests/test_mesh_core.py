@@ -370,9 +370,6 @@ def test_subcomplex_masks_match_cell_scan():
             assert sub.kept_vertices == sorted(keep)
             assert sub.kept_edges == edges
             assert sub.kept_triangles == tris
-            assert sub.boundary_edges == {
-                e for e in edges
-                if {k // 3 for k in tri.edge_sides[e].tolist()} & out}
             assert sub.boundary_vertices == {
                 v for v in keep
                 if {k // 3 for k in tri.vertex_corners[v]} & out}

@@ -31,7 +31,7 @@ def test_uniformize_sphere_outputs_are_plain_ints():
 
     sub = mesh_core.subcomplex_avoiding(result.metric.triangulation, 0)
     for cells in (sub.kept_vertices, sub.kept_edges, sub.kept_triangles,
-                  sub.boundary_vertices, sub.boundary_edges):
+                  sub.boundary_vertices):
         assert _plain(cells)
 
     # real.delaunay holds the solver's final evaluation, whose flips lead

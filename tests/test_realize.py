@@ -447,10 +447,12 @@ def test_flat_back_ends_keep_the_zero_mean_metric():
             cold.theta_tilde,
             real.theta_tilde if hasattr(real, "theta_tilde")
             else 2.0 * math.pi, rtol=0, atol=1e-8)
-        # Same surface: the same horocycle lengths at every vertex.
+        # Same surface: the same horocycle lengths at every vertex.  The
+        # cold Delaunay result is in base lambda.
         np.testing.assert_allclose(
             penner._log_horocycle_lengths(real.metric),
-            penner._log_horocycle_lengths(cold.delaunay.metric),
+            penner._log_horocycle_lengths(
+                penner.fiber_shift(cold.delaunay.metric, u)),
             rtol=0, atol=1e-10)
 
 

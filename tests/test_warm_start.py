@@ -1,5 +1,6 @@
-"""The solvers evaluate each energy from the surface of the previous
-accepted evaluation instead of the input metric (a warm start).  The
+"""The solvers evaluate each energy from the Delaunay result, in base
+lambda, of the previous accepted evaluation instead of the input metric
+(a warm start).  The
 energies depend only on the decorated surface, so a warm evaluation must
 agree with a cold one from the input metric up to the round-off of the
 flip chain between them."""
@@ -27,7 +28,7 @@ DRIFT_REL = 1e-10
 
 
 def _recorded(monkeypatch, name):
-    """Replace energy.<name> by a wrapper that records (surface, u, result)."""
+    """Replace energy.<name> by a wrapper that records (metric, u, result)."""
     calls = []
     original = getattr(energy, name)
 
@@ -43,7 +44,11 @@ def _recorded(monkeypatch, name):
 def _assert_no_drift(warm, cold):
     assert abs(warm.value - cold.value) <= DRIFT_REL * max(1.0,
                                                            abs(cold.value))
-    assert np.array_equal(warm.free_vertices, cold.free_vertices)
+    assert (warm.subcomplex is None) == (cold.subcomplex is None)
+    if cold.subcomplex is not None:
+        assert (warm.subcomplex.kept_vertices
+                == cold.subcomplex.kept_vertices)
+    assert warm.gradient.shape == cold.gradient.shape
     assert (np.max(np.abs(warm.gradient - cold.gradient))
             <= DRIFT_REL * 2.0 * np.pi)
 
@@ -62,7 +67,6 @@ def test_punctured_warm_evaluation_matches_cold(monkeypatch):
     cold = energy.punctured_energy(metric, 0, report.u_final)
     _assert_no_drift(warm, cold)
     assert check_delaunay(warm.delaunay.metric, warm.delaunay.u).ok
-    assert warm.surface is warm.delaunay.metric
 
 
 def test_conformal_warm_evaluation_matches_cold(monkeypatch):
@@ -82,12 +86,13 @@ def test_conformal_warm_evaluation_matches_cold(monkeypatch):
     # invariant under that shift.
     cold = energy.conformal_energy(metric, target, report.u_final)
     _assert_no_drift(warm, cold)
-    assert check_delaunay(warm.delaunay.metric).ok
-
-    # The warm surface is the Delaunay result with the shift taken out.
-    assert warm.surface.triangulation is warm.delaunay.metric.triangulation
-    assert np.allclose(fiber_shift(warm.surface, u).lam,
-                       warm.delaunay.metric.lam, rtol=0.0, atol=1e-12)
+    # The Delaunay result is in base lambda, Delaunay when weighted by u,
+    # and its shift by u is the evaluation's lambda.
+    assert check_delaunay(warm.delaunay.metric, warm.delaunay.u).ok
+    assert np.array_equal(warm.delaunay.u.u, u)
+    assert check_delaunay(fiber_shift(warm.delaunay.metric, u)).ok
+    assert np.allclose(fiber_shift(warm.delaunay.metric, u).lam,
+                       warm.lam, rtol=0.0, atol=1e-12)
 
 
 def test_stalling_sphere_certifies_or_raises():
@@ -117,17 +122,17 @@ def test_stalling_sphere_certifies_or_raises():
     lambda: surfaces.random_torus(12, np.random.default_rng(4)),
 ])
 def test_warm_surface_is_exact_start(make):
-    # Evaluating again from an evaluation's own surface needs no flips
-    # and reproduces it.
+    # Evaluating again from an evaluation's own Delaunay result needs no
+    # flips and reproduces it.
     metric = make()
     n = metric.triangulation.num_vertices
     u = np.random.default_rng(9).uniform(-0.3, 0.3, n)
     if metric.triangulation.genus == 0:
         first = energy.punctured_energy(metric, 0, u)
-        again = energy.punctured_energy(first.surface, 0, u)
+        again = energy.punctured_energy(first.delaunay.metric, 0, u)
     else:
         target = ConeAngleTarget.uniform(n)
         first = energy.conformal_energy(metric, target, u)
-        again = energy.conformal_energy(first.surface, target, u)
+        again = energy.conformal_energy(first.delaunay.metric, target, u)
     assert again.delaunay.flips == []
     _assert_no_drift(again, first)
