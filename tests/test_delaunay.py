@@ -214,6 +214,43 @@ def test_flip_log_replay_reverses_exactly():
     assert is_isomorphic(tri, metric.triangulation)
 
 
+def _shears(tri, lam):
+    # Shear coordinate per edge, sigma_e = (lam_a - lam_b + lam_c - lam_d)/2
+    # over the quad sides a, b, c, d around e.
+    from uniformizer import mesh_core
+    _, _, ka, kb, kc, kd = mesh_core._quad_sides(tri, slice(None))
+    la, lb, lc, ld = lam[tri.side_edge[[ka, kb, kc, kd]]]
+    return 0.5 * (la - lb + lc - ld)
+
+
+def test_shear_preserved_by_flip_sequence():
+    # The flips change the chart, not the surface.  Replaying the flip
+    # log, each flip of e with shear s leaves every shear outside its
+    # quad unchanged, negates s, and moves the quad sides by the shear
+    # flip law: a and c by +log(1 + e^s), b and d by -log(1 + e^-s).
+    from uniformizer import mesh_core
+    rng = np.random.default_rng(13)
+    metric = surfaces.random_sphere(10, rng)
+    result = make_delaunay(metric)
+    assert result.flips
+    tri = metric.triangulation
+    lam = metric.lam.copy()
+    for e, before, after in result.flips:
+        assert lam[e] == pytest.approx(before, abs=1e-12)
+        s_before = _shears(tri, lam)
+        s = s_before[e]
+        _, _, ka, kb, kc, kd = mesh_core._quad_sides(tri, e)
+        expected = s_before.copy()
+        np.add.at(expected, tri.side_edge[[ka, kc]], np.log1p(np.exp(s)))
+        np.add.at(expected, tri.side_edge[[kb, kd]], -np.log1p(np.exp(-s)))
+        expected[e] = -s
+        tri = mesh_core.flip_edge(tri, e)
+        lam[e] = after
+        np.testing.assert_allclose(_shears(tri, lam), expected,
+                                   rtol=0, atol=1e-10)
+    np.testing.assert_allclose(lam, result.metric.lam, rtol=0, atol=1e-12)
+
+
 def test_punctured_faces_are_the_triangles_at_each_vertex():
     # With several undecorated vertices, each punctured face lists the
     # triangles around its vertex, in increasing order.
