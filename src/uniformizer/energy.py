@@ -47,6 +47,7 @@ from .penner import (
     DecoratedMetric,
     PartialDecoration,
     as_target,
+    _floats,
     _log_horocycle_lengths,
     _per_vertex,
     ptolemy_update,
@@ -137,9 +138,14 @@ def lobachevsky(theta):
 
     Pi-periodic and odd; evaluated by reducing the argument to
     (-pi/2, pi/2] and summing the classical power series, accurate to
-    about 1e-15 absolute.
+    about 1e-15 absolute.  A theta that is not one number raises
+    OutOfDomain.
     """
-    return float(_lobachevsky(np.float64(theta)))
+    theta = _floats(theta, "theta")
+    if theta.shape:
+        raise OutOfDomain("theta must be one number, not shape %s"
+                          % (theta.shape,))
+    return float(_lobachevsky(theta))
 
 
 def euclidean_angles(l1, l2, l3):
@@ -229,11 +235,13 @@ def fixed_triangulation_energy(metric, target):
     half-lambdas, minus pi times the lambda total, minus the target
     angles times the log horocycle lengths.  Requires every triangle to
     satisfy the triangle inequalities in ell = exp(lambda/2).  A target
-    that is not a ConeAngleTarget is wrapped as one.
+    that is not a ConeAngleTarget is wrapped as one; one without an
+    angle per vertex raises WrongLength.
     """
+    theta = _per_vertex(metric.triangulation, as_target(target).theta,
+                        "cone angles")
     return (_evaluate(metric.triangulation, metric.lam)[0]
-            - float(as_target(target).theta
-                    @ _log_horocycle_lengths(metric)))
+            - float(theta @ _log_horocycle_lengths(metric)))
 
 
 class EnergyEvaluation:
@@ -298,19 +306,21 @@ def conformal_energy(metric, target, u):
     Returns an EnergyEvaluation over all vertices: the gradient at v is
     target angle minus realized angle sum, and the Hessian is the
     cotangent Laplacian of the Delaunay triangulation (kernel: constant
-    vectors).  A target that is not a ConeAngleTarget is wrapped as one.
+    vectors).  A target that is not a ConeAngleTarget is wrapped as one;
+    one without an angle per vertex raises WrongLength.
     """
-    target = as_target(target)
+    theta = _per_vertex(metric.triangulation, as_target(target).theta,
+                        "cone angles")
     u = _per_vertex(metric.triangulation, u)
     if not np.all(np.isfinite(u)):
         raise OutOfDomain("u must be finite at every vertex")
     result, lam = _shifted_delaunay(metric, u, _delaunay.PLAIN)
     tri = result.metric.triangulation
     value, angles = _evaluate(tri, lam)
-    value -= float(target.theta @ (_log_horocycle_lengths(metric) - u))
+    value -= float(theta @ (_log_horocycle_lengths(metric) - u))
     return EnergyEvaluation(
         value, result, lam, (tri, slice(None), slice(None)), angles,
-        lambda theta_tilde, degree: target.theta - theta_tilde)
+        lambda theta_tilde, degree: theta - theta_tilde)
 
 
 def conformal_energy_value(metric, target, u):

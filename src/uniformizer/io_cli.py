@@ -193,7 +193,9 @@ def write_report(path, entries):
 
 def ingest_obj(path):
     """Closed triangle mesh -> (Triangulation, DecoratedMetric) with
-    lambda = 2 log(edge length)."""
+    lambda = 2 log(edge length).  A vertex line with fewer than three
+    coordinates, and a face index outside 1..n for n vertices (relative
+    indices included), raise FormatError."""
     verts = []
     faces = []
     with open(path) as fh:
@@ -202,6 +204,9 @@ def ingest_obj(path):
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
+                if len(parts) < 4:
+                    raise FormatError("vertex line %r has fewer than three "
+                                      "coordinates" % ln.strip())
                 verts.append(np.array([float(x) for x in parts[1:4]]))
             elif parts[0] == "f":
                 idx = [int(p.split("/")[0]) for p in parts[1:]]
@@ -210,6 +215,10 @@ def ingest_obj(path):
                 faces.append(tuple(i - 1 for i in idx))
     if not faces:
         raise OpenMesh("no faces in %s" % path)
+    bad = [i for face in faces for i in face if not 0 <= i < len(verts)]
+    if bad:
+        raise FormatError("face index %d names none of the %d vertices"
+                          % (bad[0] + 1, len(verts)))
     try:
         tri, labels = mesh_core.build_from_faces(faces)
     except UniformizerError as exc:

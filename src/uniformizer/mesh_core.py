@@ -51,6 +51,7 @@ from .errors import (
     DegenerateFlip,
     UnknownEdge,
     UnknownTriangle,
+    OutOfDomain,
     UnknownVertex,
 )
 
@@ -258,6 +259,8 @@ def _closed_surface(glue, genus_hint):
     """The Triangulation of a gluing involution; raises EulerMismatch
     unless it is one connected closed oriented surface, of genus
     genus_hint when that is given."""
+    if genus_hint is not None:
+        genus_hint = _check_count(genus_hint, 0, "genus_hint")
     tri = Triangulation(glue, *_derive_tables(glue))
     parts = _components(tri.num_triangles,
                         *(tri.edge_sides // 3).T).max() + 1
@@ -465,6 +468,18 @@ def _check_id(i, count, error, cell):
     return index
 
 
+def _check_count(n, least, what):
+    """n as an int, or OutOfDomain unless n is an integer (not a bool)
+    of at least least."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = least - 1
+    if isinstance(n, bool) or count < least:
+        raise OutOfDomain("%s %r is not an integer >= %d" % (what, n, least))
+    return count
+
+
 def check_vertex(tri, v):
     """v as an int, or UnknownVertex unless v is an integer id of tri."""
     return _check_id(v, tri.num_vertices, UnknownVertex, "vertex")
@@ -594,11 +609,16 @@ def _glue_of_faces(faces):
     Raises at the first of these in corner order: a face that is not a
     triangle or a directed edge seen before; then at the first directed
     edge without a reverse, then at the first side glued to itself."""
-    lengths = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
-    nontri = np.flatnonzero(lengths != 3)
-    nf = nontri[0] if nontri.size else len(faces)
-    values, ids = np.unique(np.asarray(faces[:nf]).reshape(-1),
-                            return_inverse=True)
+    try:
+        lengths = np.fromiter(map(len, faces), dtype=np.intp,
+                              count=len(faces))
+        nontri = np.flatnonzero(lengths != 3)
+        nf = nontri[0] if nontri.size else len(faces)
+        labels = np.asarray(faces[:nf]).reshape(3 * nf)
+    except (TypeError, ValueError):
+        raise UnmatchedSide(
+            "faces must be sequences of vertex labels") from None
+    values, ids = np.unique(labels, return_inverse=True)
     head, tail = ids, ids[_next(np.arange(len(ids)))]
     key = head * len(values) + tail
     order = np.argsort(key, kind="stable")

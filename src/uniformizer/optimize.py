@@ -413,7 +413,7 @@ def kkt_check(metric, problem, u):
     the conformal energy) or a vertex id (bounds-constrained punctured
     problem, with bounds recomputed from scratch).
     """
-    u = np.asarray(u, dtype=float)
+    u = _per_vertex(metric.triangulation, u)
     if isinstance(problem, ConeAngleTarget):
         ev = _energy.conformal_energy(metric, problem, u)
         free = np.arange(len(u))

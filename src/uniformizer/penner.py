@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import OutOfDomain, WrongLength
+from . import mesh_core
+from .errors import OutOfDomain, UnknownVertex, WrongLength
 
 # The angle around a flat point: the default cone angle of every vertex.
 FLAT_ANGLE = 2.0 * math.pi
@@ -67,13 +68,14 @@ class PartialDecoration:
 
     @classmethod
     def zeros(cls, n):
-        return cls(np.zeros(n))
+        return cls(np.zeros(mesh_core._check_count(n, 0, "vertex count")))
 
     @classmethod
     def all_infinite_except(cls, n, finite_vertices):
         """No horocycle but the given ones, each as it is (u = 0)."""
-        u = np.full(n, np.inf)
-        u[np.asarray(finite_vertices, dtype=int)] = 0.0
+        u = np.full(mesh_core._check_count(n, 0, "vertex count"), np.inf)
+        u[[mesh_core._check_id(v, len(u), UnknownVertex, "vertex")
+           for v in np.ravel(finite_vertices).tolist()]] = 0.0
         return cls(u)
 
     def __len__(self):
@@ -92,7 +94,8 @@ class ConeAngleTarget:
     @classmethod
     def uniform(cls, n):
         """FLAT_ANGLE at each of n vertices."""
-        return cls(np.full(n, FLAT_ANGLE))
+        return cls(np.full(mesh_core._check_count(n, 0, "vertex count"),
+                           FLAT_ANGLE))
 
 
 def as_target(theta):
@@ -103,13 +106,13 @@ def as_target(theta):
     return ConeAngleTarget(theta)
 
 
-def _per_vertex(tri, u):
-    """u as a float array, one value per vertex of tri, or WrongLength."""
-    u = _floats(u, "u")
-    if u.shape != (tri.num_vertices,):
-        raise WrongLength("u of shape %s for %d vertices"
-                          % (u.shape, tri.num_vertices))
-    return u
+def _per_vertex(tri, x, what="u"):
+    """x as a float array, one value per vertex of tri, or WrongLength."""
+    x = _floats(x, what)
+    if x.shape != (tri.num_vertices,):
+        raise WrongLength("%s of shape %s for %d vertices"
+                          % (what, x.shape, tri.num_vertices))
+    return x
 
 
 def _log_corner_arcs(side_edge, lam):

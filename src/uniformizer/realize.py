@@ -50,10 +50,8 @@ ON_SPHERE_TOL = 1e-9
 LAYOUT_TOL = 1e-8
 # Round-off bound on the two holonomies of a side, over the layout extent.
 HOLONOMY_TOL = 1e-8
-# Deck translations this short are zero, this little apart collinear.
+# Deck translations this little apart are collinear.
 LATTICE_TOL = 1e-8
-# Lattice coordinates this close to integers are integers up to round-off.
-INTEGER_TOL = 1e-6
 # The torus certificate holds tau to 1e-8, so a tau this close to the
 # boundary of the fundamental domain is taken to lie on it.
 TAU_BOUNDARY_TOL = 1e-8
@@ -382,37 +380,6 @@ def uniformize_sphere(metric, v_inf, opts=None):
     return realization
 
 
-def _lattice_from_translations(translations):
-    """Basis of the rank-2 lattice generated by an array of (near-lattice)
-    vectors."""
-    vecs = translations[np.abs(translations) > LATTICE_TOL]
-    if not vecs.size:
-        raise LayoutInconsistent("no nonzero deck translations found")
-    v1 = complex(vecs[np.argmin(np.abs(vecs))])
-    indep = vecs[np.abs((vecs / v1).imag) * abs(v1) > LATTICE_TOL]
-    if not indep.size:
-        raise LayoutInconsistent("deck translations are collinear")
-    v1, v2 = _lagrange_reduce(v1, complex(indep[np.argmin(np.abs(indep))]))
-
-    # Absorb the first translation that is not an integer combination
-    # yet, until none is left.
-    for _ in range(100):
-        a, b = _coords(vecs, v1, v2)
-        off = np.flatnonzero(np.maximum(np.abs(a - np.round(a)),
-                                        np.abs(b - np.round(b)))
-                             > INTEGER_TOL)
-        if not off.size:
-            break
-        i = off[0]
-        worst = complex(vecs[i] - np.round(a[i]) * v1 - np.round(b[i]) * v2)
-        if abs(worst) < abs(v1):
-            v2, v1 = v1, worst
-        else:
-            v2 = worst
-        v1, v2 = _lagrange_reduce(v1, v2)
-    return v1, v2
-
-
 def _coords(t, v1, v2):
     det = (v1.real * v2.imag - v1.imag * v2.real)
     a = (t.real * v2.imag - t.imag * v2.real) / det
@@ -420,41 +387,32 @@ def _coords(t, v1, v2):
     return a, b
 
 
-def _lagrange_reduce(v1, v2):
-    if abs(v2) < abs(v1):
-        v1, v2 = v2, v1
+def _reduce_basis(v1, v2):
+    """The basis of the lattice of (v1, v2) whose modulus tau = v2/v1 lies
+    in the standard fundamental domain of the modular group: Re in
+    (-1/2, 1/2], |tau| >= 1, upper half plane, and Re >= 0 where
+    |tau| = 1 (the two boundary arcs are identified by -1/tau)."""
+    if (v1.conjugate() * v2).imag < 0:
+        v2 = -v2
     for _ in range(200):
-        mu = round((v2.real * v1.real + v2.imag * v1.imag) / abs(v1) ** 2)
-        v2 = v2 - mu * v1
-        if abs(v2) >= abs(v1):
+        v2 = v2 - round((v2 / v1).real) * v1
+        if abs(v2 / v1) >= 1.0 - TAU_BOUNDARY_TOL:
             break
-        v1, v2 = v2, v1
+        v1, v2 = v2, -v1
+    tau = v2 / v1
+    if tau.real <= -0.5 + TAU_BOUNDARY_TOL:
+        v2 = v2 + v1
+    elif tau.real < 0 and abs(abs(tau) - 1.0) <= TAU_BOUNDARY_TOL:
+        v1, v2 = v2, -v1
     return v1, v2
 
 
-def _normalize_tau(tau):
-    """Move tau into the standard fundamental domain of the modular
-    group: Re in (-1/2, 1/2], |tau| >= 1, upper half plane, and Re >= 0
-    where |tau| = 1 (the two boundary arcs are identified by -1/tau)."""
-    if tau.imag < 0:
-        tau = tau.conjugate()
-    for _ in range(200):
-        tau = complex(tau.real - round(tau.real), tau.imag)
-        if abs(tau) < 1.0 - TAU_BOUNDARY_TOL:
-            tau = -1.0 / tau
-        else:
-            break
-    re = tau.real
-    if re <= -0.5 + TAU_BOUNDARY_TOL:
-        re += 1.0
-    if re < 0 and abs(abs(tau) - 1.0) <= TAU_BOUNDARY_TOL:
-        re = -re
-    return complex(re, tau.imag)
-
-
 def uniformize_torus(metric, opts=None):
-    """Flat uniformization of a genus-1 surface: returns the lattice and
-    the normalized modulus tau."""
+    """Flat uniformization of a genus-1 surface: returns the normalized
+    modulus tau and its lattice basis (v1, v2), with tau = v2/v1.  The
+    basis is read off a tree-cotree split of the development, and reduced
+    once, at unit covolume, so that tau lies in the standard fundamental
+    domain."""
     tri = metric.triangulation
     if tri.genus != 1:
         raise WrongGenus("uniformize_torus needs genus 1, got genus %d"
@@ -483,15 +441,31 @@ def uniformize_torus(metric, opts=None):
             "holonomy across edge %d is not a translation (%g)"
             % (rtri.side_edge[k[bad[0]]], gap[bad[0]]))
 
-    v1, v2 = _lattice_from_translations(translations)
-    # Unit covolume, orientation with positive area.
-    area = v1.real * v2.imag - v1.imag * v2.real
-    if area < 0:
-        v1, v2 = v2, v1
-        area = -area
-    s = 1.0 / math.sqrt(area)
+    # Tree-cotree split (Eppstein, SODA 2003): the development tree spans
+    # the dual graph, so a spanning tree of the vertices over the V + 1
+    # edges it does not cross leaves two edges, whose deck translations
+    # are a basis of the lattice.
+    a, b = rtri.corner_vertex[k], rtri.corner_vertex[mesh_core._next(k)]
+    pred = csgraph.breadth_first_order(
+        mesh_core._graph(rtri.num_vertices, a, b), 0, directed=False)[1]
+    # Each vertex but the root keeps its first edge from its parent.
+    child = np.where(pred[b] == a, b, np.where(pred[a] == b, a, -1))
+    child, first = np.unique(child, return_index=True)
+    cotree = np.delete(np.arange(len(k)), first[child >= 0])
+    if len(cotree) != 2:
+        raise LayoutInconsistent(
+            "tree-cotree split leaves %d edges, not 2" % len(cotree))
+    w1, w2 = map(complex, translations[cotree])
+    # area / |longer| is the shorter one's distance from the longer's
+    # line; a NaN fails the test.
+    area = abs((w1.conjugate() * w2).imag)
+    if not area > LATTICE_TOL * max(abs(w1), abs(w2)):
+        raise LayoutInconsistent("deck translations are collinear")
+    v1, v2 = _reduce_basis(w1, w2)
+    # Unit covolume; the reduced basis is positively oriented.
+    s = 1.0 / math.sqrt((v1.conjugate() * v2).imag)
     v1, v2 = v1 * s, v2 * s
-    tau = _normalize_tau(v2 / v1)
+    tau = v2 / v1
     # Residual: holonomy mismatch or distance of a deck translation from
     # the lattice, whichever is larger, at unit covolume.
     deck = translations * s

@@ -131,7 +131,7 @@ def square_torus_refined(u=None, rng=None):
 def random_sphere(n_vertices, rng, lam_range=(-2.0, 2.0)):
     """Random genus-0 surface: repeated 1-to-3 splits of the tetrahedron
     plus independent uniform lambdas."""
-    if n_vertices < 4:
+    if mesh_core._check_count(n_vertices, 0, "vertex count") < 4:
         raise OutOfDomain("need at least 4 vertices")
     glue = mesh_core._glue_of_faces(_TETRAHEDRON_FACES)[0]
     return _grow(glue, n_vertices - 4, rng, lam_range)
@@ -139,7 +139,7 @@ def random_sphere(n_vertices, rng, lam_range=(-2.0, 2.0)):
 
 def random_torus(n_vertices, rng, lam_range=(-2.0, 2.0)):
     """Random genus-1 surface grown from the one-vertex torus."""
-    if n_vertices < 1:
+    if mesh_core._check_count(n_vertices, 0, "vertex count") < 1:
         raise OutOfDomain("need at least 1 vertex")
     glue = mesh_core._glue_of_records(_ONE_VERTEX_TORUS_GLUING)
     return _grow(glue, n_vertices - 1, rng, lam_range)
@@ -147,7 +147,7 @@ def random_torus(n_vertices, rng, lam_range=(-2.0, 2.0)):
 
 def random_genus2(n_vertices, rng, lam_range=(-2.0, 2.0)):
     """Random genus-2 surface grown from genus2_one_vertex."""
-    if n_vertices < 1:
+    if mesh_core._check_count(n_vertices, 0, "vertex count") < 1:
         raise OutOfDomain("need at least 1 vertex")
     glue = mesh_core._glue_of_records(_GENUS2_GLUING)
     return _grow(glue, n_vertices - 1, rng, lam_range)
@@ -156,7 +156,11 @@ def random_genus2(n_vertices, rng, lam_range=(-2.0, 2.0)):
 def _grow(glue, splits, rng, lam_range):
     """The surface of a gluing after the given number of 1-to-3 splits,
     each of a triangle drawn with rng.integers, with lambdas drawn
-    uniformly from lam_range."""
+    uniformly from lam_range, a finite interval (OutOfDomain if not)."""
+    lo, hi = lam_range
+    if not 0.0 <= hi - lo < math.inf:
+        raise OutOfDomain("lam_range %r is not a finite interval"
+                          % (lam_range,))
     nt = len(glue) // 3
     grown = np.empty(len(glue) + 6 * splits, dtype=np.intp)
     grown[:len(glue)] = glue
@@ -164,5 +168,5 @@ def _grow(glue, splits, rng, lam_range):
         mesh_core._split_in_place(grown, int(rng.integers(nt)), nt)
         nt += 2
     tri = mesh_core.Triangulation(grown, *mesh_core._derive_tables(grown))
-    lam = rng.uniform(lam_range[0], lam_range[1], size=tri.num_edges)
+    lam = rng.uniform(lo, hi, size=tri.num_edges)
     return DecoratedMetric(tri, lam)

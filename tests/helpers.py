@@ -3,7 +3,7 @@
 import numpy as np
 
 from uniformizer import mesh_core
-from uniformizer.penner import DecoratedMetric
+from uniformizer.penner import DecoratedMetric, ptolemy_update
 
 # The squares of a unit cube on the vertices v = (v & 1, v >> 1 & 1,
 # v >> 2 & 1), each ccw seen from outside.
@@ -56,6 +56,43 @@ def cube_sphere():
     lam = 2.0 * np.log(np.linalg.norm(xyz[ends[:, 0]] - xyz[ends[:, 1]],
                                       axis=1))
     return DecoratedMetric(tri, lam), labels
+
+
+def relabelled(metric, rng):
+    """The same decorated surface with its triangles permuted and each
+    triangle's sides rotated; vertex and edge ids stay as they are."""
+    tri = metric.triangulation
+    nt = tri.num_triangles
+    # old[k] is the side that becomes side k.
+    old = (3 * rng.permutation(nt)[:, None]
+           + (np.arange(3) + rng.integers(3, size=(nt, 1))) % 3).ravel()
+    new = np.empty_like(old)
+    new[old] = np.arange(len(old))
+    return DecoratedMetric(mesh_core.Triangulation(
+        new[tri.glue[old]], tri.side_edge[old], tri.corner_vertex[old],
+        tri.num_vertices), metric.lam)
+
+
+def random_flips(metric, rng, rounds=1):
+    """The same decorated surface after rounds of Ptolemy flips, each of
+    a random set of edges whose quads share no triangle."""
+    for _ in range(rounds):
+        tri = metric.triangulation
+        used = np.zeros(tri.num_triangles, dtype=bool)
+        edges = []
+        for e in rng.permutation(tri.num_edges).tolist():
+            t1, t2 = tri.edge_sides[e] // 3
+            if t1 != t2 and not used[t1] and not used[t2] \
+                    and rng.random() < 0.5:
+                used[[t1, t2]] = True
+                edges.append(e)
+        _, _, ka, kb, kc, kd = mesh_core._quad_sides(tri, edges)
+        lam = metric.lam.copy()
+        side_lam = lam[tri.side_edge]
+        lam[edges] = ptolemy_update(side_lam[ka], side_lam[kb], side_lam[kc],
+                                    side_lam[kd], lam[edges])
+        metric = DecoratedMetric(mesh_core.flip_edges(tri, edges), lam)
+    return metric
 
 
 def canonical_form(tri):

@@ -11,7 +11,12 @@ faces, tau, lattice, residual_lattice).  The sphere oracle derives the
 disk itself from the bare DelaunayResult: it builds the subcomplex
 avoiding v_inf and measures its lengths, angles and angle sums with the
 angle kernel (_disk_angles), where realize reads them off the solver's
-final evaluation.  Everything after them is the old loop code.
+final evaluation.  Everything after them is the old loop code.  The
+torus oracle finds its lattice by the old numerical search over all
+deck translations (Lagrange reduction, then absorbing any translation
+off the lattice) and normalizes tau on its own, where realize reduces
+the tree-cotree basis once; so its basis may differ from realize's by a
+change of basis of the same lattice.
 """
 
 import cmath
@@ -275,6 +280,39 @@ def reference_sphere(result, v_inf):
     return layout, positions, faces, diagnostics
 
 
+def _lagrange_reduce(v1, v2):
+    if abs(v2) < abs(v1):
+        v1, v2 = v2, v1
+    for _ in range(200):
+        mu = round((v2.real * v1.real + v2.imag * v1.imag) / abs(v1) ** 2)
+        v2 = v2 - mu * v1
+        if abs(v2) >= abs(v1):
+            break
+        v1, v2 = v2, v1
+    return v1, v2
+
+
+def _normalize_tau(tau):
+    """Move tau into the standard fundamental domain of the modular
+    group: Re in (-1/2, 1/2], |tau| >= 1, upper half plane, and Re >= 0
+    where |tau| = 1."""
+    tol = realize.TAU_BOUNDARY_TOL
+    if tau.imag < 0:
+        tau = tau.conjugate()
+    for _ in range(200):
+        tau = complex(tau.real - round(tau.real), tau.imag)
+        if abs(tau) < 1.0 - tol:
+            tau = -1.0 / tau
+        else:
+            break
+    re = tau.real
+    if re <= -0.5 + tol:
+        re += 1.0
+    if re < 0 and abs(abs(tau) - 1.0) <= tol:
+        re = -re
+    return complex(re, tau.imag)
+
+
 def _lattice_from_translations(translations, tol=1e-8):
     """Basis of the rank-2 lattice generated by (near-lattice) vectors."""
     vecs = [t for t in translations if abs(t) > tol]
@@ -286,7 +324,7 @@ def _lattice_from_translations(translations, tol=1e-8):
     if not indep:
         raise LayoutInconsistent("deck translations are collinear")
     v2 = min(indep, key=abs)
-    v1, v2 = realize._lagrange_reduce(v1, v2)
+    v1, v2 = _lagrange_reduce(v1, v2)
 
     # Absorb any translation that is not an integer combination yet.
     for _ in range(100):
@@ -303,7 +341,7 @@ def _lattice_from_translations(translations, tol=1e-8):
             v2, v1 = v1, worst
         else:
             v2 = worst
-        v1, v2 = realize._lagrange_reduce(v1, v2)
+        v1, v2 = _lagrange_reduce(v1, v2)
     return v1, v2
 
 
@@ -351,7 +389,7 @@ def reference_torus(met):
         area = -area
     s = 1.0 / math.sqrt(area)
     v1, v2 = v1 * s, v2 * s
-    tau = realize._normalize_tau(v2 / v1)
+    tau = _normalize_tau(v2 / v1)
     # Residual: holonomy mismatch or distance of a deck translation from
     # the lattice, whichever is larger, at unit covolume.
     deck = np.array(translations) * s

@@ -11,13 +11,21 @@ import pytest
 
 from uniformizer import (
     delaunay,
+    energy,
     io_cli,
+    mesh_core,
     optimize,
     penner,
     realize,
     surfaces,
 )
-from uniformizer.errors import OutOfDomain, UnknownTriangle, WrongLength
+from uniformizer.errors import (
+    OutOfDomain,
+    UnknownTriangle,
+    UnknownVertex,
+    UnmatchedSide,
+    WrongLength,
+)
 from uniformizer.mesh_core import subdivide_triangle
 
 OCTAHEDRON = surfaces.octahedron_sphere()
@@ -25,6 +33,9 @@ OCTAHEDRON = surfaces.octahedron_sphere()
 FLAT = np.full(6, 4.0 * math.pi / 3.0)
 # u = +inf at vertex 0, as in a punctured evaluation.
 PUNCTURED = penner.PartialDecoration([np.inf, 0, 0, 0, 0, 0])
+# The one-vertex torus: two triangles, three edges.
+TORUS_RECORDS = [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))]
+RNG = np.random.default_rng(0)
 
 
 @pytest.mark.parametrize("call, expect", [
@@ -47,11 +58,34 @@ PUNCTURED = penner.PartialDecoration([np.inf, 0, 0, 0, 0, 0])
     (lambda: penner.PartialDecoration("x"), OutOfDomain),
     (lambda: penner.DecoratedMetric(OCTAHEDRON.triangulation, "x"),
      OutOfDomain),
+    (lambda: energy.fixed_triangulation_energy(OCTAHEDRON, FLAT[:5]),
+     WrongLength),
+    (lambda: energy.conformal_energy(OCTAHEDRON, FLAT[:5], np.zeros(6)),
+     WrongLength),
+    (lambda: optimize.kkt_check(OCTAHEDRON, 0, "x"), OutOfDomain),
+    (lambda: mesh_core.build_from_faces("x"), UnmatchedSide),
+    (lambda: mesh_core.build_from_gluings(TORUS_RECORDS, genus_hint="x"),
+     OutOfDomain),
+    (lambda: energy.lobachevsky("x"), OutOfDomain),
+    (lambda: penner.PartialDecoration.all_infinite_except(3, [5]),
+     UnknownVertex),
+    (lambda: penner.PartialDecoration.zeros(-1), OutOfDomain),
+    (lambda: penner.ConeAngleTarget.uniform(-1), OutOfDomain),
+    (lambda: penner.ConeAngleTarget.uniform(2.5), OutOfDomain),
+    (lambda: surfaces.random_sphere(10, RNG, (2, -2)), OutOfDomain),
+    (lambda: surfaces.random_sphere(10, RNG, (math.nan, 1)), OutOfDomain),
+    (lambda: surfaces.random_sphere(4.5, RNG), OutOfDomain),
 ], ids=["fiber_shift_short_u", "fiber_shift_long_u",
         "make_delaunay_mode", "make_delaunay_mode_no_u",
         "punctured_opts", "conformal_opts", "subdivide_float_id",
         "gauss_bonnet_array", "gauss_bonnet_nan", "target_string",
-        "decoration_string", "metric_string"])
+        "decoration_string", "metric_string", "fixed_energy_short_target",
+        "conformal_energy_short_target", "kkt_u_string",
+        "faces_string", "genus_hint_string", "lobachevsky_string",
+        "decoration_unknown_vertex", "decoration_negative_count",
+        "target_negative_count", "target_float_count",
+        "random_range_reversed", "random_range_nan",
+        "random_float_count"])
 def test_wrong_input_raises_a_package_error(call, expect):
     if isinstance(expect, type) and issubclass(expect, Exception):
         with pytest.raises(expect):

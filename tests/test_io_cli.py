@@ -122,6 +122,26 @@ def test_ingest_obj_rejects_open_mesh(tmp_path):
         io_cli.ingest_obj(str(path))
 
 
+@pytest.mark.parametrize("fourth, last_line", [
+    ("9", "v -1 -1 1"),
+    # Index 0 would read as the last vertex, 4: the tetrahedron again.
+    ("0", "v -1 -1 1"),
+    # Relative index -1 is vertex 4 in OBJ, but would read as vertex 3.
+    ("-1", "v -1 -1 1"),
+    ("4", "v -1 -1"),
+], ids=["past_last", "zero", "relative", "two_coordinates"])
+def test_check_rejects_malformed_obj(tmp_path, capsys, fourth, last_line):
+    # The closed tetrahedron, its faces naming vertex 4 as fourth.
+    lines = [ln.replace("4", fourth) if ln.startswith("f") else ln
+             for ln in TETRA_OBJ.replace("v -1 -1 1", last_line).split("\n")]
+    path = tmp_path / "bad.obj"
+    path.write_text("\n".join(lines))
+    with pytest.raises(FormatError):
+        io_cli.ingest_obj(str(path))
+    assert io_cli.cli_dispatch(["check", str(path)]) == 2
+    assert "FormatError" in capsys.readouterr().err
+
+
 def _pinched_obj(tmp_path):
     """An OBJ of a random sphere in which two vertices whose stars share
     no vertex take one label: a pinched, non-manifold vertex."""

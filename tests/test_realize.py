@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import types
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from uniformizer import energy, mesh_core, penner, realize, surfaces
 from uniformizer.energy import punctured_energy
 from uniformizer.errors import (
     GaussBonnetViolated,
+    LayoutInconsistent,
     NotRealizable,
     UnknownVertex,
     WrongGenus,
@@ -27,7 +29,7 @@ from uniformizer.realize import (
     FLAT_TORUS,
     INSCRIBED_POLYHEDRON,
     TWO_SIDED_POLYGON,
-    _normalize_tau,
+    _reduce_basis,
     classify_realizable,
     prescribe_cone_angles,
     two_sided_polygon,
@@ -293,6 +295,37 @@ def test_uniformize_torus_rejects_genus_zero():
         uniformize_torus(surfaces.three_vertex_sphere())
 
 
+def test_torus_split_must_leave_two_edges(monkeypatch):
+    # A vertex tree that reaches no vertex leaves all V + 1 edges.
+    def nothing_reached(graph, root, directed):
+        return np.array([root]), np.full(graph.shape[0], -9999)
+
+    monkeypatch.setattr(realize, "csgraph", types.SimpleNamespace(
+        breadth_first_order=nothing_reached))
+    metric = surfaces.random_torus(5, np.random.default_rng(5), (-1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LayoutInconsistent, match="leaves 6 edges"):
+            uniformize_torus(metric)
+
+
+def test_torus_collinear_translations_raise(monkeypatch):
+    # Projecting the development onto a line keeps every holonomy a
+    # translation, but makes all of them collinear.
+    develop = realize._develop
+
+    def projected(*args):
+        pos, base = develop(*args)
+        return pos.real + 0j, base
+
+    monkeypatch.setattr(realize, "_develop", projected)
+    metric = surfaces.random_torus(5, np.random.default_rng(5), (-1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LayoutInconsistent, match="collinear"):
+            uniformize_torus(metric)
+
+
 def test_hexagonal_torus_modulus():
     # All-zero lambda on the one-vertex torus is the hexagonal torus
     # (both triangles equilateral): tau = exp(i pi / 3), the boundary
@@ -312,13 +345,15 @@ def test_hexagonal_torus_modulus():
     (1j, 1j),
     (0.5j, 2j),
     (0.3 + 1.7j, 0.3 + 1.7j),
-    (-0.3 - 1.7j, -0.3 + 1.7j),
+    (-0.3 - 1.7j, 0.3 + 1.7j),
     (-0.49 + 1.7j, -0.49 + 1.7j),
 ])
 def test_normalize_tau_boundary_convention(tau, expect):
     # Folding moves a tau that is on a boundary up to round-off by a
-    # lattice step or a reflection, which keeps that round-off.
-    out = _normalize_tau(tau)
+    # lattice step or by -1/tau, which keeps that round-off.  A basis
+    # (1, tau) with Im tau < 0 is oriented by negating tau.
+    v1, v2 = _reduce_basis(1 + 0j, tau)
+    out = v2 / v1
     assert abs(out - expect) < 1e-11
     assert -0.5 < out.real <= 0.5 + 1e-11 and abs(out) >= 1.0 - 1e-11
     if abs(abs(out) - 1.0) < 1e-11:
