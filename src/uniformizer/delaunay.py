@@ -91,7 +91,7 @@ from .penner import (
     DecoratedMetric,
     PartialDecoration,
     _log_corner_arcs,
-    ptolemy_update,
+    _ptolemy,
 )
 
 log = logging.getLogger(__name__)
@@ -123,40 +123,20 @@ class DelaunayResult:
             Delaunay triangulation.
         u: the PartialDecoration the run was weighted by.
         flips: list of (edge-id, lambda-before, lambda-after).
-        nonessential_edges: set of edge ids with margin ~ 0.
-        punctured_faces: dict undecorated-vertex -> tuple of triangle ids
-            fanned around it (adjusted mode only).
-
-    The last two are computed on first use, from the final margins and
-    scales of every edge and the run's mode.
+        nonessential_edges: set of edge ids with margin ~ 0, computed on
+            first use from the final margins and scales of every edge.
     """
 
-    def __init__(self, metric, u, flips, margin, scale, mode):
+    def __init__(self, metric, u, flips, margin, scale):
         self.metric = metric
         self.u = u
         self.flips = flips
         self._margin, self._scale = margin, scale
-        self._mode = mode
 
     @functools.cached_property
     def nonessential_edges(self):
         return _edge_set(np.abs(self._margin)
                          <= NONESSENTIAL_REL * self._scale)
-
-    @functools.cached_property
-    def punctured_faces(self):
-        if self._mode != ADJUSTED:
-            return {}
-        # (vertex, triangle) codes of the corners at undecorated vertices,
-        # sorted and without repeats: each vertex's triangles in order.
-        tri = self.metric.triangulation
-        cv = tri.corner_vertex
-        k = np.flatnonzero(~np.isfinite(self.u.u)[cv])
-        nt = tri.num_triangles
-        code = np.unique(cv[k] * nt + k // 3)
-        verts, start = np.unique(code // nt, return_index=True)
-        return {v: tuple(faces.tolist()) for v, faces in zip(
-            verts.tolist(), np.split(code % nt, start[1:]))}
 
 
 def _quad(tri, e):
@@ -289,7 +269,7 @@ class _FlipState:
         lam = self.lam
         x = lam[edges]
         le = x[2::6]
-        lf = ptolemy_update(x[4::6], x[0::6], x[1::6], x[3::6], le)
+        lf = _ptolemy(x[4::6], x[0::6], x[1::6], x[3::6], le)
         lam[batch] = lf
         # The terms of the new triangles, as _triangle_terms computes
         # them, from their lambdas and corners.
@@ -375,7 +355,7 @@ def make_delaunay(metric, u=None, mode=PLAIN):
                                       state.edge_sides)
         log.debug("make_delaunay: %d flips on %r", len(flips), tri)
     return DelaunayResult(DecoratedMetric(tri, state.lam), u, flips,
-                          state.margin, state.scale, mode)
+                          state.margin, state.scale)
 
 
 class DelaunayCheck:

@@ -170,7 +170,7 @@ def triangle_potential(x1, x2, x3):
     The domain requires strict triangle inequalities for exp(x_i);
     the scaling relation value(x + h) = value(x) + pi*h holds exactly.
     """
-    x = np.array([x1, x2, x3], dtype=float)
+    x = _floats([x1, x2, x3], "half-lambdas")
     a = _triangle_angles([0, 1, 2], 2.0 * x, [0])[0]
     value = float(a @ x + np.sum(_lobachevsky(a)))
     c1, c2, c3 = 1.0 / np.tan(a)

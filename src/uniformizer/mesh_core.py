@@ -82,9 +82,6 @@ class Triangulation:
             increasing order.
         edge_verts: (E, 2) array, the vertices at the start and the end
             of each edge's first side.
-        vertex_corners: tuple of tuples, the corner cycle around each
-            vertex in counterclockwise order, starting at its smallest
-            corner.
     """
 
     def __init__(self, glue, side_edge, corner_vertex, num_vertices,
@@ -115,14 +112,6 @@ class Triangulation:
         return np.stack([self.corner_vertex[k], self.corner_vertex[_next(k)]],
                         axis=1)
 
-    @functools.cached_property
-    def vertex_corners(self):
-        cycles = [None] * self.num_vertices
-        cv = self.corner_vertex.tolist()
-        for cycle in _corner_cycles(self.glue.tolist()):
-            cycles[cv[cycle[0]]] = cycle
-        return tuple(cycles)
-
     @property
     def num_triangles(self):
         return len(self.glue) // 3
@@ -144,31 +133,6 @@ class Triangulation:
             self.num_triangles, self.num_edges, self.num_vertices, self.genus)
 
 
-def _corner_cycles(glue):
-    """The corner cycles of a gluing (a list), one per vertex, each
-    starting at its smallest corner and listed in the order of those
-    corners.
-
-    Walking counterclockwise around the vertex at corner (t, s): cross
-    side (t, s) to its glued side (t', s'); the corner at the far end of
-    that side, (t', s'+1), is identified with (t, s) and is the next
-    corner in the cycle.
-    """
-    seen = [False] * len(glue)
-    cycles = []
-    for k0 in range(len(glue)):
-        if seen[k0]:
-            continue
-        cycle = []
-        k = k0
-        while not seen[k]:
-            seen[k] = True
-            cycle.append(k)
-            k = _next(glue[k])
-        cycles.append(tuple(cycle))
-    return cycles
-
-
 def _derive_tables(glue):
     """(side_edge, corner_vertex, num_vertices) of a validated gluing
     involution.  Edges are numbered in the order of their smaller side,
@@ -177,9 +141,10 @@ def _derive_tables(glue):
     first = np.flatnonzero(corners < glue)
     side_edge = np.empty_like(glue)
     side_edge[first] = side_edge[glue[first]] = np.arange(len(first))
-    # The smallest corner of each vertex cycle (see _corner_cycles), by
-    # pointer doubling: after j steps low[k] is the smallest of the 2^j
-    # corners from k on.  It stops changing once 2^j covers every cycle.
+    # The corners of a vertex form an orbit of k -> _next(glue[k]).  Its
+    # smallest corner, by pointer doubling: after j steps low[k] is the
+    # smallest of the 2^j corners from k on.  It stops changing once 2^j
+    # covers every orbit.
     step = _next(glue)
     low = corners
     while True:
@@ -410,46 +375,22 @@ class Subcomplex:
         parent: the ambient Triangulation.
         vertex_mask, edge_mask, triangle_mask: boolean arrays over the
             parent's cells, True on the kept ones.
-        kept_vertices, kept_edges, kept_triangles: sorted id lists.
-        boundary_vertices: the kept vertices that touch a non-kept
-            triangle of the parent.
         classification: the verdict of classify_subcomplex.
 
-    The id lists, boundary set and classification are derived on first
-    use from the masks, which are never written after construction.
+    The classification is derived on first use from the masks, which are
+    never written after construction.
     """
 
-    def __init__(self, parent, kept_vertices):
+    def __init__(self, parent, vertices):
         self.parent = parent
-        if not isinstance(kept_vertices, np.ndarray):
-            kept_vertices = np.fromiter(kept_vertices, np.intp)
+        if not isinstance(vertices, np.ndarray):
+            vertices = np.fromiter(vertices, np.intp)
         keep = np.zeros(parent.num_vertices, dtype=bool)
-        keep[kept_vertices] = True
+        keep[vertices] = True
         self.vertex_mask = keep
         self.edge_mask = keep[parent.edge_verts].all(axis=1)
         self.triangle_mask = keep[parent.corner_vertex].reshape(-1, 3) \
             .all(axis=1)
-
-    @functools.cached_property
-    def kept_vertices(self):
-        return np.flatnonzero(self.vertex_mask).tolist()
-
-    @functools.cached_property
-    def kept_edges(self):
-        return np.flatnonzero(self.edge_mask).tolist()
-
-    @functools.cached_property
-    def kept_triangles(self):
-        return np.flatnonzero(self.triangle_mask).tolist()
-
-    @functools.cached_property
-    def boundary_vertices(self):
-        parent = self.parent
-        # Per flat corner, whether its triangle is not kept.
-        outside = np.repeat(~self.triangle_mask, 3)
-        return set(np.flatnonzero(self.vertex_mask & (np.bincount(
-            parent.corner_vertex, outside,
-            minlength=parent.num_vertices) > 0)).tolist())
 
     @functools.cached_property
     def classification(self):

@@ -191,15 +191,13 @@ def _solve_spd(hessian, rhs):
 
 
 def gauss_bonnet_defect(metric, target):
-    """Sum of target angles, one per vertex, minus 2 pi (2g - 2 + n).  A
-    target that is not a ConeAngleTarget is wrapped as one."""
-    target = as_target(target)
+    """Sum of target angles, one per vertex (else WrongLength), minus
+    2 pi (2g - 2 + n).  A target that is not a ConeAngleTarget is wrapped
+    as one."""
     tri = metric.triangulation
-    if len(target.theta) != tri.num_vertices:
-        raise GaussBonnetViolated("target has %d angles for %d vertices"
-                                  % (len(target.theta), tri.num_vertices))
+    theta = _per_vertex(tri, as_target(target).theta, "cone angles")
     expected = 2.0 * math.pi * (2 * tri.genus - 2 + tri.num_vertices)
-    return float(np.sum(target.theta)) - expected
+    return float(np.sum(theta)) - expected
 
 
 def minimize_conformal_energy(metric, target, opts=None, u0=None):

@@ -152,8 +152,14 @@ def ptolemy_update(la, lb, lc, ld, le):
 
     (a, c) and (b, d) are the opposite side pairs of the quadrilateral
     around the old diagonal e.  Evaluated as a log-sum-exp so huge lambdas
-    cannot overflow; works elementwise on arrays.
+    cannot overflow; works elementwise on arrays of one shape, and raises
+    OutOfDomain on anything else.
     """
+    return _ptolemy(*_floats([la, lb, lc, ld, le], "lambdas"))
+
+
+def _ptolemy(la, lb, lc, ld, le):
+    """ptolemy_update on numbers or float arrays, unchecked."""
     p = (la + lc) / 2.0
     q = (lb + ld) / 2.0
     m = np.maximum(p, q)

@@ -28,9 +28,6 @@ from .errors import (
 )
 from .penner import ConeAngleTarget, as_target, fiber_shift
 
-TWO_SIDED = "TwoSided"
-POLYHEDRAL = "Polyhedral"
-
 INSCRIBED_POLYHEDRON = "InscribedPolyhedron"
 TWO_SIDED_POLYGON = "TwoSidedPolygon"
 FLAT_TORUS = "FlatTorus"
@@ -94,31 +91,35 @@ class Realization:
 
 
 def classify_realizable(ev):
-    """TwoSided or Polyhedral for a punctured EnergyEvaluation, from its
-    subcomplex (the cells avoiding v_inf); raises NotRealizable with a
-    diagnostic when its adjusted Delaunay data fails the realizability
-    conditions (an optimizer failure upstream)."""
+    """The realization kind, TwoSidedPolygon or InscribedPolyhedron, of a
+    punctured EnergyEvaluation's subcomplex (the cells avoiding v_inf);
+    raises NotRealizable with a diagnostic when its adjusted Delaunay
+    data fails the realizability conditions (an optimizer failure)."""
     sub = ev.subcomplex
     if sub is None:
         raise WrongKind("the sphere back-end needs a punctured evaluation")
     if sub.classification == mesh_core.LINEAR_GRAPH:
-        return TWO_SIDED
+        return TWO_SIDED_POLYGON
     if sub.classification != mesh_core.DISK_TRIANGULATION:
         raise NotRealizable(
             "cells avoiding vertex %d form neither a path nor a disk"
             % np.argmin(sub.vertex_mask))
-    verts = np.array(sub.kept_vertices)
-    theta = ev.theta_tilde[verts]
-    boundary = np.isin(verts, list(sub.boundary_vertices))
-    bad = np.flatnonzero(np.where(boundary, theta > math.pi + ANGLE_TOL,
-                                  np.abs(theta - 2.0 * math.pi) > ANGLE_TOL))
+    # A boundary vertex has a corner in a triangle that is not kept.
+    parent = sub.parent
+    boundary = np.bincount(parent.corner_vertex,
+                           np.repeat(~sub.triangle_mask, 3),
+                           minlength=parent.num_vertices) > 0
+    theta = ev.theta_tilde
+    bad = np.flatnonzero(sub.vertex_mask & np.where(
+        boundary, theta > math.pi + ANGLE_TOL,
+        np.abs(theta - 2.0 * math.pi) > ANGLE_TOL))
     if bad.size:
-        i = bad[0]
+        v = bad[0]
         raise NotRealizable(
-            ("boundary vertex %d has angle sum %.12g > pi" if boundary[i]
+            ("boundary vertex %d has angle sum %.12g > pi" if boundary[v]
              else "interior vertex %d has angle sum %.12g != 2 pi")
-            % (verts[i], theta[i]))
-    return POLYHEDRAL
+            % (v, theta[v]))
+    return INSCRIBED_POLYHEDRON
 
 
 def _develop(tri, kept, lengths, angles):
@@ -191,7 +192,7 @@ def _polygons(group, z, sides):
 
 def layout_disk(ev):
     """Planar development of the disk of a punctured EnergyEvaluation."""
-    if classify_realizable(ev) != POLYHEDRAL:
+    if classify_realizable(ev) != INSCRIBED_POLYHEDRON:
         raise WrongKind("layout_disk requires the polyhedral case")
     sub = ev.subcomplex
     rtri = ev.delaunay.metric.triangulation
@@ -338,16 +339,16 @@ def _certify_polyhedron(pts, vert, size):
 
 def two_sided_polygon(ev):
     """Degenerate realization: all ideal vertices on one circle."""
-    if classify_realizable(ev) != TWO_SIDED:
+    if classify_realizable(ev) != TWO_SIDED_POLYGON:
         raise WrongKind("two_sided_polygon requires the two-sided case")
     sub = ev.subcomplex
     v_inf = int(np.argmin(sub.vertex_mask))
     rtri = ev.delaunay.metric.triangulation
 
     # Order the path vertices from its smaller end to the other.
-    ends = rtri.edge_verts[sub.kept_edges]
+    ends = rtri.edge_verts[sub.edge_mask]
     deg = np.bincount(ends.ravel(), minlength=rtri.num_vertices)
-    start = min(v for v in sub.kept_vertices if deg[v] <= 1)
+    start = np.flatnonzero(sub.vertex_mask & (deg <= 1))[0]
     path = csgraph.breadth_first_order(
         mesh_core._graph(rtri.num_vertices, *ends.T), start,
         directed=False, return_predecessors=False).tolist()

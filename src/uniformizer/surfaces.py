@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mesh_core
 from .errors import OutOfDomain
-from .penner import DecoratedMetric
+from .penner import DecoratedMetric, fiber_shift
 
 
 _TETRAHEDRON_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
@@ -36,13 +36,13 @@ _GENUS2_GLUING = [
 ]
 
 
-def three_vertex_sphere(lam=0.0):
+def three_vertex_sphere():
     """Two triangles glued along their boundaries: the smallest sphere
     triangulation, with 3 vertices and 3 edges."""
     tri = mesh_core.build_from_gluings(
         [((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 2), (1, 2))],
         genus_hint=0)
-    return DecoratedMetric(tri, np.full(tri.num_edges, float(lam)))
+    return DecoratedMetric(tri, np.zeros(tri.num_edges))
 
 
 def one_vertex_torus(lam=None):
@@ -60,21 +60,21 @@ def square_torus():
     return one_vertex_torus([0.0, 0.0, math.log(2.0)])
 
 
-def tetrahedron_sphere(lam=0.0):
+def tetrahedron_sphere():
     """Boundary of the regular tetrahedron; all 6 edge lengths equal."""
     tri, labels = mesh_core.build_from_faces(_TETRAHEDRON_FACES,
                                              genus_hint=0)
     assert labels == sorted(labels)
-    return DecoratedMetric(tri, np.full(tri.num_edges, float(lam)))
+    return DecoratedMetric(tri, np.zeros(tri.num_edges))
 
 
-def octahedron_sphere(lam=0.0):
+def octahedron_sphere():
     """Boundary of the regular octahedron (6 vertices, 12 edges)."""
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
              (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4)]
     tri, labels = mesh_core.build_from_faces(faces, genus_hint=0)
     assert labels == sorted(labels)
-    return DecoratedMetric(tri, np.full(tri.num_edges, float(lam)))
+    return DecoratedMetric(tri, np.zeros(tri.num_edges))
 
 
 def genus2_one_vertex(lam=None):
@@ -87,14 +87,14 @@ def genus2_one_vertex(lam=None):
     return DecoratedMetric(tri, np.asarray(lam, dtype=float))
 
 
-def square_torus_refined(u=None, rng=None):
+def square_torus_refined(rng=None):
     """The square torus with the diagonal subdivided at its midpoint.
 
     Connecting the midpoint to the two opposite square corners cuts the
     unit square into four right isoceles triangles, so the refinement
     stays flat (angle sum 2 pi at both vertices) and Delaunay.  Passing
-    u (a log factor per vertex) or an rng applies a conformal rescale
-    of the edge lengths, which keeps the conformal class.
+    an rng applies a random conformal rescale of the edge lengths, which
+    keeps the conformal class.
 
         D---------C        t0 = A B M   t1 = B C M
         | \\ t2  / |        t2 = C D M   t3 = D A M
@@ -120,11 +120,9 @@ def square_torus_refined(u=None, rng=None):
     lam[tri.side_edge[0::3]] = 0.0
     metric = DecoratedMetric(tri, lam)
 
-    if rng is not None and u is None:
-        u = rng.uniform(-0.3, 0.3, size=tri.num_vertices)
-    if u is not None:
-        from .penner import fiber_shift
-        metric = fiber_shift(metric, np.asarray(u, dtype=float))
+    if rng is not None:
+        metric = fiber_shift(metric,
+                             rng.uniform(-0.3, 0.3, size=tri.num_vertices))
     return metric
 
 

@@ -58,6 +58,48 @@ def cube_sphere():
     return DecoratedMetric(tri, lam), labels
 
 
+def corner_cycles(glue):
+    """The corner cycles of a gluing (a list), one per vertex, each
+    starting at its smallest corner and listed in the order of those
+    corners.
+
+    Walking counterclockwise around the vertex at corner (t, s): cross
+    side (t, s) to its glued side (t', s'); the corner at the far end of
+    that side, (t', s'+1), is identified with (t, s) and is the next
+    corner in the cycle.
+    """
+    seen = [False] * len(glue)
+    cycles = []
+    for k0 in range(len(glue)):
+        if seen[k0]:
+            continue
+        cycle = []
+        k = k0
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = mesh_core._next(glue[k])
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def vertex_corners(tri):
+    """The corner cycle around each vertex of tri, counterclockwise from
+    its smallest corner, indexed by vertex id."""
+    cycles = [None] * tri.num_vertices
+    for cycle in corner_cycles(tri.glue.tolist()):
+        cycles[tri.corner_vertex[cycle[0]]] = cycle
+    return cycles
+
+
+def boundary_vertices(sub):
+    """The kept vertices of a subcomplex that have a corner in a triangle
+    that is not kept."""
+    corners = vertex_corners(sub.parent)
+    return {v for v in np.flatnonzero(sub.vertex_mask).tolist()
+            if not all(sub.triangle_mask[k // 3] for k in corners[v])}
+
+
 def relabelled(metric, rng):
     """The same decorated surface with its triangles permuted and each
     triangle's sides rotated; vertex and edge ids stay as they are."""

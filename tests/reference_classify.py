@@ -8,46 +8,50 @@ of the check that decided it ("path", "unused", "chi", "connected",
 
 from collections import deque
 
+import numpy as np
+
+from helpers import vertex_corners
 from uniformizer import mesh_core
 
 
 def reference_classify(sub):
-    if not sub.kept_vertices:
+    verts, edges, tris = (np.flatnonzero(mask).tolist() for mask in (
+        sub.vertex_mask, sub.edge_mask, sub.triangle_mask))
+    if not verts:
         return mesh_core.OTHER, "path"
     parent = sub.parent
-    if not sub.kept_triangles:
-        return (_is_path(sub) and mesh_core.LINEAR_GRAPH
+    if not tris:
+        return (_is_path(parent, verts, edges) and mesh_core.LINEAR_GRAPH
                 or mesh_core.OTHER), "path"
 
     se = parent.side_edge.tolist()
     cv = parent.corner_vertex.tolist()
     # Disk check.  Every kept vertex and edge must lie in a kept triangle.
-    tset = set(sub.kept_triangles)
+    tset = set(tris)
     used_edges = set()
     used_verts = set()
     edge_tri_count = {}
-    for t in sub.kept_triangles:
+    for t in tris:
         for i in range(3):
             e = se[3 * t + i]
             used_edges.add(e)
             edge_tri_count[e] = edge_tri_count.get(e, 0) + 1
             used_verts.add(cv[3 * t + i])
-    if used_edges != set(sub.kept_edges) or used_verts != set(sub.kept_vertices):
+    if used_edges != set(edges) or used_verts != set(verts):
         return mesh_core.OTHER, "unused"
     if any(c > 2 for c in edge_tri_count.values()):
         return mesh_core.OTHER, "three"
 
-    chi = (len(sub.kept_vertices) - len(sub.kept_edges)
-           + len(sub.kept_triangles))
+    chi = len(verts) - len(edges) + len(tris)
     if chi != 1:
         return mesh_core.OTHER, "chi"
 
     # Connectivity over triangles via shared edges.
     edge_tris = {}
-    for t in sub.kept_triangles:
+    for t in tris:
         for i in range(3):
             edge_tris.setdefault(se[3 * t + i], []).append(t)
-    start = sub.kept_triangles[0]
+    start = tris[0]
     seen = {start}
     queue = deque([start])
     while queue:
@@ -57,13 +61,14 @@ def reference_classify(sub):
                 if t2 not in seen:
                     seen.add(t2)
                     queue.append(t2)
-    if len(seen) != len(sub.kept_triangles):
+    if len(seen) != len(tris):
         return mesh_core.OTHER, "connected"
 
     # Vertex links: the kept corners around each vertex must be contiguous
     # in the parent corner cycle (one fan), ruling out pinched vertices.
-    for v in sub.kept_vertices:
-        cycle = parent.vertex_corners[v]
+    corners = vertex_corners(parent)
+    for v in verts:
+        cycle = corners[v]
         flags = [k // 3 in tset for k in cycle]
         runs = sum(1 for i in range(len(flags))
                    if flags[i] and not flags[i - 1])
@@ -100,16 +105,15 @@ def reference_classify(sub):
     return mesh_core.DISK_TRIANGULATION, "disk"
 
 
-def _is_path(sub):
+def _is_path(parent, verts, edges):
     """True when the kept vertices and edges form a simple path."""
-    parent = sub.parent
-    nv = len(sub.kept_vertices)
-    ne = len(sub.kept_edges)
+    nv = len(verts)
+    ne = len(edges)
     if ne != nv - 1:
         return False
     ev = parent.edge_verts.tolist()
-    deg = {v: 0 for v in sub.kept_vertices}
-    for e in sub.kept_edges:
+    deg = {v: 0 for v in verts}
+    for e in edges:
         a, b = ev[e]
         if a == b:
             return False
@@ -120,12 +124,12 @@ def _is_path(sub):
     # ne = nv - 1 and max degree 2: a path iff connected.
     if nv == 1:
         return True
-    adj = {v: [] for v in sub.kept_vertices}
-    for e in sub.kept_edges:
+    adj = {v: [] for v in verts}
+    for e in edges:
         a, b = ev[e]
         adj[a].append(b)
         adj[b].append(a)
-    seen = {sub.kept_vertices[0]}
+    seen = {verts[0]}
     queue = deque(seen)
     while queue:
         v = queue.popleft()

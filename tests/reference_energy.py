@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import zeta
 
+from helpers import vertex_corners
 from uniformizer import delaunay, mesh_core
 from uniformizer.errors import TriangleInequalityViolated
 from uniformizer.penner import PartialDecoration, fiber_shift
@@ -44,9 +45,11 @@ def corner_arc(metric, k):
     return math.exp((lam[e_opp] - lam[e_in] - lam[e_out]) / 2.0)
 
 
-def horocycle_length(metric, v):
-    return sum(corner_arc(metric, k)
-               for k in metric.triangulation.vertex_corners[v])
+def horocycle_lengths(metric):
+    """The total horocycle length at each vertex: its corner arcs summed
+    around the vertex."""
+    return [sum(corner_arc(metric, k) for k in cycle)
+            for cycle in vertex_corners(metric.triangulation)]
 
 
 def euclidean_angles(l1, l2, l3):
@@ -120,9 +123,10 @@ def conformal_energy(metric, target, u):
     value, theta_tilde, hessian = _energy(
         tri, met.lam, range(tri.num_triangles), range(tri.num_edges),
         {v: v for v in range(n)})
+    lengths = horocycle_lengths(met)
     for v in range(n):
         if target.theta[v] != 0.0:
-            value -= target.theta[v] * math.log(horocycle_length(met, v))
+            value -= target.theta[v] * math.log(lengths[v])
     return value, target.theta - theta_tilde, hessian
 
 
@@ -134,19 +138,19 @@ def punctured_energy(metric, v_inf, u):
                                     mode=delaunay.ADJUSTED)
     tri = result.metric.triangulation
     sub = mesh_core.subcomplex_avoiding(tri, v_inf)
+    free, edges, tris = (np.flatnonzero(mask).tolist() for mask in (
+        sub.vertex_mask, sub.edge_mask, sub.triangle_mask))
     lam = {}
-    for e in sub.kept_edges:
+    for e in edges:
         a, b = tri.edge_verts[e]
         lam[e] = result.metric.lam[e] + u_ext[a] + u_ext[b]
-    free = sub.kept_vertices
     index = {v: -1 for v in range(tri.num_vertices)}
     index.update((v, i) for i, v in enumerate(free))
-    value, theta_tilde, hessian = _energy(tri, lam, sub.kept_triangles,
-                                          sub.kept_edges, index)
+    value, theta_tilde, hessian = _energy(tri, lam, tris, edges, index)
     gradient = np.zeros(len(free))
+    lengths = horocycle_lengths(metric)
     for i, v in enumerate(free):
-        value -= 2.0 * math.pi * (math.log(horocycle_length(metric, v))
-                                  - u_ext[v])
+        value -= 2.0 * math.pi * (math.log(lengths[v]) - u_ext[v])
         deg1, deg2 = mesh_core.vertex_degrees(tri, sub, v)
         gradient[i] = -theta_tilde[v] + math.pi * (deg2 - deg1 + 2)
     return value, gradient, hessian

@@ -144,15 +144,15 @@ def _layout_disk(result, v_inf):
     sub = mesh_core.subcomplex_avoiding(rtri, v_inf)
     assert mesh_core.classify_subcomplex(sub) == mesh_core.DISK_TRIANGULATION
     lengths, angles, theta_tilde = _disk_angles(result, sub)
+    tris = np.flatnonzero(sub.triangle_mask).tolist()
 
-    corner_pos, _ = _layout_triangles(rtri, sub.kept_triangles, lengths,
-                                      angles)
+    corner_pos, _ = _layout_triangles(rtri, tris, lengths, angles)
 
     # First placement wins per vertex; record the worst mismatch.
     cv = rtri.corner_vertex.tolist()
     vertex_pos = {}
     mismatch = 0.0
-    for t in sub.kept_triangles:
+    for t in tris:
         for i in range(3):
             k = 3 * t + i
             v = cv[k]
@@ -169,7 +169,7 @@ def _layout_disk(result, v_inf):
         raise LayoutInconsistent(
             "vertex stars fail to close (relative residual %g)" % residual)
 
-    walk = _region_boundary_walk(rtri.glue.tolist(), sub.kept_triangles)
+    walk = _region_boundary_walk(rtri.glue.tolist(), tris)
     boundary_cycle = [cv[k] for k in walk]
     return {"corner_pos": corner_pos, "vertex_pos": vertex_pos,
             "residual": residual, "boundary_cycle": boundary_cycle,
@@ -187,9 +187,8 @@ def _merged_bottom_faces(result, sub):
     """Kept triangles merged across nonessential kept edges: a list of
     sorted triangle lists, ordered by their smallest triangle."""
     rtri = result.metric.triangulation
-    tris = np.array(sub.kept_triangles, dtype=np.intp)
-    kept = np.zeros(rtri.num_triangles, dtype=bool)
-    kept[tris] = True
+    kept = sub.triangle_mask
+    tris = np.flatnonzero(kept)
     pairs = rtri.edge_sides[sorted(result.nonessential_edges)] // 3
     pairs = pairs[kept[pairs].all(axis=1)]
     labels = mesh_core._components(rtri.num_triangles, *pairs.T)[tris]

@@ -104,8 +104,8 @@ def _flip_rounds(tri, lam, uexp, select, flips, max_flips):
 
 
 def make_delaunay(metric, u=None, mode=None):
-    """(triangulation, lam, flips, nonessential_edges, punctured_faces),
-    as make_delaunay computes them."""
+    """(triangulation, lam, flips, nonessential_edges), as make_delaunay
+    computes them."""
     tri = metric.triangulation
     if u is None:
         u = PartialDecoration.zeros(tri.num_vertices)
@@ -119,7 +119,6 @@ def make_delaunay(metric, u=None, mode=None):
         tri, lam, uexp, lambda tri, margin, tol: margin < -tol, flips,
         max_flips)
 
-    punctured = {}
     if mode == ADJUSTED:
         undecorated = ~np.isfinite(u.u)
 
@@ -131,14 +130,6 @@ def make_delaunay(metric, u=None, mode=None):
 
         tri, margin, scale = _flip_rounds(tri, lam, uexp, fannable, flips,
                                           max_flips)
-        # (vertex, triangle) codes of the corners at undecorated vertices,
-        # sorted and without repeats: each vertex's triangles in order.
-        k = np.flatnonzero(undecorated[tri.corner_vertex])
-        nt = tri.num_triangles
-        code = np.unique(tri.corner_vertex[k] * nt + k // 3)
-        verts, start = np.unique(code // nt, return_index=True)
-        punctured = {v: tuple(faces.tolist()) for v, faces in zip(
-            verts.tolist(), np.split(code % nt, start[1:]))}
 
     return (tri, lam, flips,
-            _edge_set(np.abs(margin) <= NONESSENTIAL_REL * scale), punctured)
+            _edge_set(np.abs(margin) <= NONESSENTIAL_REL * scale))

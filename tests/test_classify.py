@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 
+from helpers import vertex_corners
 from reference_classify import reference_classify
 from uniformizer import mesh_core, surfaces
 
@@ -29,9 +30,9 @@ def _kept_sets(n, rng):
 def _pinched(sub):
     """True when the kept corners around some kept vertex form two or
     more separate fans."""
-    kept = set(sub.kept_triangles)
-    for v in sub.kept_vertices:
-        flags = [k // 3 in kept for k in sub.parent.vertex_corners[v]]
+    corners = vertex_corners(sub.parent)
+    for v in np.flatnonzero(sub.vertex_mask).tolist():
+        flags = [sub.triangle_mask[k // 3] for k in corners[v]]
         if sum(f and not flags[i - 1] for i, f in enumerate(flags)) > 1:
             return True
     return False

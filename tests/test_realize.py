@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import CUBE_QUADS, cube_sphere
+from helpers import CUBE_QUADS, boundary_vertices, cube_sphere
 from uniformizer import energy, mesh_core, penner, realize, surfaces
 from uniformizer.energy import punctured_energy
 from uniformizer.errors import (
@@ -22,6 +22,7 @@ from uniformizer.errors import (
     UnknownVertex,
     WrongGenus,
     WrongKind,
+    WrongLength,
 )
 from uniformizer.optimize import minimize_punctured_energy
 from uniformizer.penner import ConeAngleTarget, DecoratedMetric
@@ -107,7 +108,7 @@ def test_classify_rejects_boundary_angle_sum_over_pi():
     result = punctured_energy(metric, 0, u).delaunay
     rtri = result.metric.triangulation
     sub = mesh_core.subcomplex_avoiding(rtri, 0)
-    b = min(sub.boundary_vertices)
+    b = min(boundary_vertices(sub))
     # Lengthen the sides opposite b in its kept triangles, within the
     # triangle inequality, so that each angle at b passes pi / 2.
     bad_lam = result.metric.lam.copy()
@@ -142,7 +143,7 @@ def test_sphere_realization_builds_no_subcomplex_and_no_angle(monkeypatch):
     # triangle angle is computed.  uniformize_sphere and layout_disk
     # both read the subcomplex's cached classification, so it is found
     # once, and only layout_disk runs the angle-sum check of
-    # classify_realizable (its one np.isin over the kept vertices).
+    # classify_realizable.
     calls = Counter()
     solved = []
 
@@ -161,7 +162,9 @@ def test_sphere_realization_builds_no_subcomplex_and_no_angle(monkeypatch):
     for name in ("subcomplex_avoiding", "classify_subcomplex"):
         monkeypatch.setattr(mesh_core, name,
                             counted(name, getattr(mesh_core, name)))
-    monkeypatch.setattr(np, "isin", counted("isin", np.isin))
+    monkeypatch.setattr(realize, "classify_realizable",
+                        counted("classify_realizable",
+                                realize.classify_realizable))
     monkeypatch.setattr(energy, "_side_angles",
                         counted("_side_angles", energy._side_angles))
     monkeypatch.setattr(realize._optimize, "minimize_punctured_energy",
@@ -169,7 +172,7 @@ def test_sphere_realization_builds_no_subcomplex_and_no_angle(monkeypatch):
     real = uniformize_sphere(surfaces.octahedron_sphere(), 0)
     assert real.kind == INSCRIBED_POLYHEDRON
     assert solved
-    assert calls == {"classify_subcomplex": 1, "isin": 1}
+    assert calls == {"classify_subcomplex": 1, "classify_realizable": 1}
 
 
 def test_sphere_steps_reject_a_conformal_evaluation():
@@ -193,7 +196,7 @@ def test_merged_bottom_faces_match_pairwise_merging():
         sub = mesh_core.subcomplex_avoiding(tri, v_inf)
         ness = set(rng.choice(tri.num_edges, tri.num_edges // 2,
                               replace=False).tolist())
-        groups = [{t} for t in sub.kept_triangles]
+        groups = [{t} for t in np.flatnonzero(sub.triangle_mask).tolist()]
         for e in ness:
             t1, t2 = (tri.edge_sides[e] // 3).tolist()
             g1 = next((g for g in groups if t1 in g), None)
@@ -208,8 +211,9 @@ def test_merged_bottom_faces_match_pairwise_merging():
         merged = [np.flatnonzero(face == f).tolist()
                   for f in range(face.max() + 1)]
         assert merged == sorted(map(sorted, groups))
-        assert (face[sub.kept_triangles] >= 0).all()
-        assert np.count_nonzero(face >= 0) == len(sub.kept_triangles)
+        assert (face[sub.triangle_mask] >= 0).all()
+        assert np.count_nonzero(face >= 0) \
+            == np.count_nonzero(sub.triangle_mask)
 
 
 def test_cube_faces_merge_across_nonessential_diagonals():
@@ -408,7 +412,8 @@ def test_layout_edge_length_fidelity():
     u, ends = real.delaunay.u.u, rtri.edge_verts
     lengths = np.exp((real.delaunay.metric.lam + u[ends[:, 0]]
                       + u[ends[:, 1]]) / 2.0)
-    for t in mesh_core.subcomplex_avoiding(rtri, 0).kept_triangles:
+    sub = mesh_core.subcomplex_avoiding(rtri, 0)
+    for t in np.flatnonzero(sub.triangle_mask).tolist():
         for i in range(3):
             pa = layout.corner_pos[3 * t + i]
             pb = layout.corner_pos[3 * t + (i + 1) % 3]
@@ -495,6 +500,7 @@ def test_prescribe_cone_angles_rejects_wrong_angle_count():
     metric = surfaces.octahedron_sphere()
     for count in (5, 7):
         target = ConeAngleTarget(np.full(count, 2.0 * math.pi * 4 / count))
-        with pytest.raises(GaussBonnetViolated) as err:
+        with pytest.raises(WrongLength) as err:
             prescribe_cone_angles(metric, target)
-        assert str(err.value) == "target has %d angles for 6 vertices" % count
+        assert str(err.value) \
+            == "cone angles of shape (%d,) for 6 vertices" % count

@@ -69,7 +69,7 @@ def test_make_delaunay_matches_reference_rounds(genus, n, seed, width, kind,
         assert got is (ArcOverflow if want is RuntimeWarning else want)
         return
     assert not isinstance(got, type), got
-    rtri, lam, flips, nonessential, punctured = want
+    rtri, lam, flips, nonessential = want
     gtri = got.metric.triangulation
     assert got.flips == flips
     np.testing.assert_array_equal(got.metric.lam, lam)
@@ -77,7 +77,6 @@ def test_make_delaunay_matches_reference_rounds(genus, n, seed, width, kind,
         np.testing.assert_array_equal(getattr(gtri, table),
                                       getattr(rtri, table))
     assert got.nonessential_edges == nonessential
-    assert got.punctured_faces == punctured
 
 
 def test_overflowing_margin_term_raises_arc_overflow():
