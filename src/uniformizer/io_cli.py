@@ -398,14 +398,15 @@ def _cmd_uniformize_sphere(args):
     sf = _load_input(args.input)
     opts = _optimize.SolveOptions(args.tol, args.max_iter)
     realization = _realize.uniformize_sphere(sf.metric, args.vinf, opts)
+    diagnostics = sorted(realization.diagnostics.items())
     print("kind: %s" % realization.kind)
-    for key, value in sorted(realization.diagnostics.items()):
+    for key, value in diagnostics:
         print("%s: %s" % (key, value))
     if args.out_obj:
         emit_obj(args.out_obj, realization)
     if args.report:
         write_report(args.report,
-                     [("kind", realization.kind)]
+                     [("kind", realization.kind)] + diagnostics
                      + _report_lines(realization.report))
     return 0
 

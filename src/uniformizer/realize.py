@@ -37,14 +37,13 @@ CONE_METRIC = "ConeMetric"
 # tolerance the punctured solve holds each angle defect to a hundredth.
 ANGLE_TOL = 1e-7
 # Certificate bounds of an inscribed polyhedron, the acceptance bounds
-# (criterion 5): distance of a face's vertices from its plane, depth of
-# any vertex beyond a face plane, and distance of a vertex from the
-# unit sphere, on which the projection puts it up to round-off.
+# (criterion 5): the bending, in radians, inside a face and between two
+# faces, and the distance of a vertex from the unit sphere.
 PLANARITY_TOL = 1e-8
 CONVEXITY_TOL = 1e-8
 ON_SPHERE_TOL = 1e-9
-# Round-off bound on a vertex's corner mismatch, over the disk diameter.
-LAYOUT_TOL = 1e-8
+# The solver's tolerance leaves the layout's shears off by up to 5e-7.
+METRIC_TOL = 1e-5
 # Round-off bound on the two holonomies of a side, over the layout extent.
 HOLONOMY_TOL = 1e-8
 # Deck translations this little apart are collinear.
@@ -52,8 +51,6 @@ LATTICE_TOL = 1e-8
 # The torus certificate holds tau to 1e-8, so a tau this close to the
 # boundary of the fundamental domain is taken to lie on it.
 TAU_BOUNDARY_TOL = 1e-8
-# Rows per block of the pairwise reductions, which hold (points, BLOCK).
-BLOCK = 256
 
 
 class PlanarLayout:
@@ -65,15 +62,12 @@ class PlanarLayout:
             the disk by flat corner index (NaN on the other corners).
         vertex_pos: dict vertex-id -> complex position, that of the
             vertex's first corner in kept-triangle order.
-        residual: worst position mismatch between corners at the same
-            vertex, relative to the layout diameter.
         boundary_cycle: vertex ids around the disk boundary, ccw.
     """
 
-    def __init__(self, corner_pos, vertex_pos, residual, boundary_cycle):
+    def __init__(self, corner_pos, vertex_pos, boundary_cycle):
         self.corner_pos = corner_pos
         self.vertex_pos = vertex_pos
-        self.residual = residual
         self.boundary_cycle = boundary_cycle
 
 
@@ -90,14 +84,20 @@ class Realization:
             setattr(self, key, value)
 
 
+def _subcomplex(ev):
+    """The subcomplex of a punctured evaluation, which the back-end reads."""
+    sub = getattr(ev, "subcomplex", None)
+    if sub is None:
+        raise WrongKind("the sphere back-end needs a punctured evaluation")
+    return sub
+
+
 def classify_realizable(ev):
     """The realization kind, TwoSidedPolygon or InscribedPolyhedron, of a
     punctured EnergyEvaluation's subcomplex (the cells avoiding v_inf);
     raises NotRealizable with a diagnostic when its adjusted Delaunay
     data fails the realizability conditions (an optimizer failure)."""
-    sub = ev.subcomplex
-    if sub is None:
-        raise WrongKind("the sphere back-end needs a punctured evaluation")
+    sub = _subcomplex(ev)
     if sub.classification == mesh_core.LINEAR_GRAPH:
         return TWO_SIDED_POLYGON
     if sub.classification != mesh_core.DISK_TRIANGULATION:
@@ -202,30 +202,18 @@ def layout_disk(ev):
     angles[kept] = ev.angles
     pos, _ = _develop(rtri, kept, lengths, angles)
 
-    # Each vertex sits at its first kept corner; record the worst mismatch
-    # of the others.
+    # Each vertex sits at its first kept corner.
     corners = np.flatnonzero(np.repeat(kept, 3))
-    cv = rtri.corner_vertex[corners]
-    verts, first = np.unique(cv, return_index=True)
-    vpos = np.empty(rtri.num_vertices, dtype=complex)
-    vpos[verts] = pos[corners[first]]
-    mismatch = float(np.abs(pos[corners] - vpos[cv]).max())
+    verts, first = np.unique(rtri.corner_vertex[corners], return_index=True)
+    vpos = pos[corners[first]]
 
     # The disk is convex (its boundary angle sums are at most pi), so its
-    # boundary is a convex polygon, and its diameter is that polygon's.
+    # boundary is a convex polygon.
     sides = corners[~kept[rtri.glue[corners] // 3]]
     sides, _ = _polygons(np.zeros(len(sides), dtype=np.intp), pos[sides],
                          sides)
-    cycle = rtri.corner_vertex[sides]
-    zb = vpos[cycle]
-    diameter = max(float(np.abs(zb[i:i + BLOCK, None] - zb).max())
-                   for i in range(0, len(zb), BLOCK))
-    residual = mismatch / diameter
-    if residual > LAYOUT_TOL:
-        raise LayoutInconsistent(
-            "vertex stars fail to close (relative residual %g)" % residual)
-    return PlanarLayout(pos, dict(zip(verts.tolist(), vpos[verts].tolist())),
-                        residual, cycle.tolist())
+    return PlanarLayout(pos, dict(zip(verts.tolist(), vpos.tolist())),
+                        rtri.corner_vertex[sides].tolist())
 
 
 def _to_sphere(z):
@@ -257,8 +245,8 @@ def _merged_bottom_faces(result, sub):
 def polyhedron_from_layout(layout, ev):
     """Read the layout of the disk of ev as ideal points (v_inf at
     infinity), normalize the Moebius gauge, project to the unit sphere,
-    and certify convexity."""
-    v_inf = int(np.argmin(ev.subcomplex.vertex_mask))
+    and certify the polyhedron against the metric of ev."""
+    v_inf = int(np.argmin(_subcomplex(ev).vertex_mask))
     rtri = ev.delaunay.metric.triangulation
 
     # Moebius normalization: centroid zero, mean squared radius one.
@@ -297,44 +285,61 @@ def polyhedron_from_layout(layout, ev):
     size = np.concatenate([bottom_size, side_size])
     vert = np.concatenate([rtri.corner_vertex[sides], chains])
     faces = list(map(np.ndarray.tolist, np.split(vert, np.cumsum(size)[:-1])))
-    diagnostics = _certify_polyhedron(pts, vert, size)
+
+    # Edges inside a face: merged bottom diagonals, v_inf to non-corners.
+    ends = rtri.edge_verts
+    t1, t2 = (face[rtri.edge_sides // 3]).T
+    flat = ((t1 == t2) & (t1 >= 0)) | (
+        (ends == v_inf).any(axis=1) & ~np.isin(ends, cycle[corner]).any(1))
+    z = np.full(rtri.num_vertices, np.inf, dtype=complex)
+    z[verts] = zs
+    diagnostics = _certify_polyhedron(pts, z, rtri, ev.delaunay.metric.lam,
+                                      flat)
     return Realization(INSCRIBED_POLYHEDRON, positions, faces, diagnostics,
                        layout=layout)
 
 
-def _certify_polyhedron(pts, vert, size):
-    """On-sphere, planarity, and convexity certification.
-
-    pts[v] is the position of vertex v; the faces list their vertices
-    one after the other in vert, size[f] of them for face f.
-    """
+def _certify_polyhedron(pts, z, tri, lam, flat):
+    """Certify the polyhedron, vertex v at pts[v] on the sphere and z[v]
+    in the plane (inf at v_inf), against the metric lam on tri; flat
+    marks the edges inside a face.  For edge ij with apexes k and l,
+    w = log(-(z_k - z_i)(z_l - z_j) / ((z_k - z_j)(z_l - z_i))) is
+    -shear + i bending (Bonahon 1996): Re w cancels the shear of lam, and
+    the bending is 0 inside a face, positive elsewhere and sums to 2 pi
+    about each vertex (Rivin, Ann. of Math. 1996)."""
     on_sphere = float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)))
     if on_sphere > ON_SPHERE_TOL:
         raise ConvexityViolated("vertex leaves the sphere by %g" % on_sphere)
 
-    offset = np.cumsum(size) - size
-    face = np.repeat(np.arange(len(size)), size)
-    p = pts[vert]
-    centroid = np.add.reduceat(p, offset) / size[:, None]
-    d = p - centroid[face]
-    # Best-fit plane normal: the eigenvector of the smallest eigenvalue
-    # of the face's scatter matrix.
-    normal = np.linalg.eigh(np.add.reduceat(
-        d[:, :, None] * d[:, None, :], offset))[1][:, :, 0]
-    planarity = float(np.abs(np.einsum("ij,ij->i", d, normal[face])).max())
-    level = np.einsum("ij,ij->i", centroid, normal)
-    convexity = np.inf
-    for i in range(0, len(size), BLOCK):
-        dots = normal[i:i + BLOCK] @ pts.T - level[i:i + BLOCK, None]
-        # Orient each normal so the polyhedron lies on its negative side.
-        convexity = min(convexity, float(-np.minimum(
-            dots.max(axis=1), -dots.min(axis=1)).max()))
+    # Side k1 runs i to j and side k2 back; apex k faces k1, l faces k2.
+    k1, k2 = tri.edge_sides.T
+    nxt, prv = mesh_core._next, mesh_core._prev
+    i, j, k, l = tri.corner_vertex[[k1, nxt(k1), prv(k1), prv(k2)]]
+    # The factors of v_inf, one above and one below, of one sign, cancel.
+    d = z[[k, l, k, l]] - z[[i, j, j, i]]
+    d[~np.isfinite(d)] = 1.0
+    w = np.log(-d[0] * d[1] / (d[2] * d[3]))
+    se = tri.side_edge
+    shear = 0.5 * (lam[se[nxt(k1)]] + lam[se[nxt(k2)]]
+                   - lam[se[prv(k1)]] - lam[se[prv(k2)]])
+    metric = float(np.abs(w.real + shear).max())
+    if metric > METRIC_TOL:
+        raise LayoutInconsistent("layout misses the shear by %g" % metric)
+
+    bend = w.imag
+    turn = np.abs(np.bincount(tri.edge_verts.ravel(), np.repeat(bend, 2))
+                  - 2.0 * math.pi)
+    if turn.max() > ANGLE_TOL:
+        raise ConvexityViolated("bending about vertex %d misses 2 pi by %g"
+                                % (turn.argmax(), turn.max()))
+    planarity = float(np.abs(bend[flat]).max(initial=0.0))
+    convexity = float(bend[~flat].min())
     if planarity > PLANARITY_TOL:
-        raise ConvexityViolated("face planarity residual %g" % planarity)
+        raise ConvexityViolated("edge inside a face bends by %g" % planarity)
     if convexity < -CONVEXITY_TOL:
         raise ConvexityViolated("convexity margin %g" % convexity)
     return {"on_sphere": on_sphere, "planarity": planarity,
-            "convexity_margin": convexity}
+            "convexity_margin": convexity, "metric_residual": metric}
 
 
 def two_sided_polygon(ev):

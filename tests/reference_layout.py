@@ -5,9 +5,14 @@ as a test oracle.
 reference_sphere(result, v_inf) lays out the disk of a polyhedral
 DelaunayResult and assembles and certifies its faces; it returns
 (layout, positions, faces, diagnostics) with layout a dict of the
-PlanarLayout fields it computes.  reference_torus(met) develops the
-Delaunay metric met of a solved torus; it returns (vertex positions,
-faces, tau, lattice, residual_lattice).  The sphere oracle derives the
+PlanarLayout fields it computes.  Two certificates run on the faces:
+the O(F V) one that realize had, which fits a plane to each face and
+checks every vertex against it, and a loop over the edges that takes
+the cross ratio of each edge's quad (_certify_edges).  The diagnostics
+are the second's, with the first's distance from the sphere.
+reference_torus(met) develops the Delaunay metric met of a solved
+torus; it returns (vertex positions, faces, tau, lattice,
+residual_lattice).  The sphere oracle derives the
 disk itself from the bare DelaunayResult: it builds the subcomplex
 avoiding v_inf and measures its lengths, angles and angle sums with the
 angle kernel (_disk_angles), where realize reads them off the solver's
@@ -238,7 +243,52 @@ def _polyhedron_from_layout(layout, result, v_inf):
         chain = [cycle[i % m] for i in range(a, b + 1)]
         faces.append([v_inf] + chain)
 
-    return positions, faces, _certify_polyhedron(positions, faces)
+    zs = dict(zip(verts, zs.tolist()))
+    diagnostics = _certify_edges(result, zs, faces, v_inf)
+    diagnostics["on_sphere"] = _certify_polyhedron(
+        positions, faces)["on_sphere"]
+    return positions, faces, diagnostics
+
+
+def _certify_edges(result, z, faces, v_inf):
+    """Per-edge readings of the polyhedron with planar positions z (a dict,
+    v_inf at infinity) on the final triangulation of result: the worst
+    gap between the log modulus of each edge's cross ratio and the
+    shear of lambda, and the exterior dihedral angles, its argument, on
+    the edges inside a face (two vertices of one face that are not
+    adjacent on it) and on the others."""
+    rtri = result.metric.triangulation
+    cv = rtri.corner_vertex.tolist()
+    se = rtri.side_edge.tolist()
+    lam = result.metric.lam.tolist()
+    inside = set()
+    for face in faces:
+        n = len(face)
+        for a in range(n):
+            for b in range(a + 2, n - (a == 0)):
+                inside.add(frozenset((face[a], face[b])))
+
+    def diff(a, b):
+        # The two factors at v_inf cancel.
+        return 1.0 if v_inf in (a, b) else z[a] - z[b]
+
+    metric = planarity = 0.0
+    convexity = math.inf
+    for k1, k2 in rtri.edge_sides.tolist():
+        t1, s1 = divmod(k1, 3)
+        t2, s2 = divmod(k2, 3)
+        jk, ki = 3 * t1 + (s1 + 1) % 3, 3 * t1 + (s1 + 2) % 3
+        il, lj = 3 * t2 + (s2 + 1) % 3, 3 * t2 + (s2 + 2) % 3
+        i, j, k, l = cv[k1], cv[jk], cv[ki], cv[lj]
+        w = cmath.log(-diff(k, i) * diff(l, j) / (diff(k, j) * diff(l, i)))
+        shear = (lam[se[jk]] + lam[se[il]] - lam[se[ki]] - lam[se[lj]]) / 2
+        metric = max(metric, abs(w.real + shear))
+        if frozenset((i, j)) in inside:
+            planarity = max(planarity, abs(w.imag))
+        else:
+            convexity = min(convexity, w.imag)
+    return {"planarity": planarity, "convexity_margin": convexity,
+            "metric_residual": metric}
 
 
 def _certify_polyhedron(positions, faces):

@@ -24,6 +24,7 @@ from uniformizer.errors import (
     UnknownTriangle,
     UnknownVertex,
     UnmatchedSide,
+    WrongKind,
     WrongLength,
 )
 from uniformizer.mesh_core import subdivide_triangle
@@ -33,6 +34,8 @@ OCTAHEDRON = surfaces.octahedron_sphere()
 FLAT = np.full(6, 4.0 * math.pi / 3.0)
 # u = +inf at vertex 0, as in a punctured evaluation.
 PUNCTURED = penner.PartialDecoration([np.inf, 0, 0, 0, 0, 0])
+# A Delaunay result, where the sphere back-end needs an evaluation.
+RESULT = delaunay.make_delaunay(OCTAHEDRON, PUNCTURED, delaunay.ADJUSTED)
 # The one-vertex torus: two triangles, three edges.
 TORUS_RECORDS = [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))]
 RNG = np.random.default_rng(0)
@@ -80,6 +83,11 @@ RNG = np.random.default_rng(0)
     (lambda: penner.ptolemy_update("x", 1, 1, 1, 1), OutOfDomain),
     (lambda: penner.ptolemy_update([1, 2], [1], 1, 1, 1), OutOfDomain),
     (lambda: energy.triangle_potential("x", 1, 1), OutOfDomain),
+    (lambda: realize.classify_realizable(RESULT), WrongKind),
+    (lambda: realize.layout_disk(RESULT), WrongKind),
+    (lambda: realize.two_sided_polygon(RESULT), WrongKind),
+    (lambda: realize.polyhedron_from_layout(None, RESULT), WrongKind),
+    (lambda: realize.layout_disk(None), WrongKind),
 ], ids=["fiber_shift_short_u", "fiber_shift_long_u",
         "make_delaunay_mode", "make_delaunay_mode_no_u",
         "punctured_opts", "conformal_opts", "subdivide_float_id",
@@ -92,7 +100,9 @@ RNG = np.random.default_rng(0)
         "target_negative_count", "target_float_count",
         "random_range_reversed", "random_range_nan",
         "random_float_count", "ptolemy_string", "ptolemy_ragged",
-        "triangle_potential_string"])
+        "triangle_potential_string", "classify_delaunay_result",
+        "layout_delaunay_result", "two_sided_delaunay_result",
+        "polyhedron_delaunay_result", "layout_none"])
 def test_wrong_input_raises_a_package_error(call, expect):
     if isinstance(expect, type) and issubclass(expect, Exception):
         with pytest.raises(expect):

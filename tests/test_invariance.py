@@ -2,15 +2,19 @@
 triangulated: relabelling the triangles (and rotating their sides), or
 Ptolemy-flipping random disjoint edges, describes the same decorated
 surface, so the torus modulus, the sphere's status, faces, u and the
-Gram matrix of its vertex positions agree to round-off."""
+Gram matrix of its vertex positions agree to round-off.  Nor does the
+sphere's polyhedron depend on the vertex sent to infinity: its faces and
+dihedral angles are those of the one ideal polyhedron with the input's
+metric."""
 
+import cmath
 import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_flips, relabelled
+from helpers import cube_sphere, random_flips, relabelled
 from uniformizer import optimize, realize, surfaces
 
 TRANSFORMS = {
@@ -26,6 +30,9 @@ TOL = 1e-12
 # positions further: by up to 2.7e-10 on the ten spheres below, and by
 # up to 2.0e-9 on the 200 spheres of the benchmark's seeds 0-19.
 GRAM_TOL = 2.0e-9
+# The dihedral angles of the sphere's polyhedron with v_inf = 0 and 7
+# differ by up to 5.5e-9 on the ten spheres below.
+BENDING_TOL = 1e-8
 
 
 def _torus(s):
@@ -83,6 +90,42 @@ def test_sphere_outcome_is_invariant(transform, seed):
             # u is +inf at v_inf in both.
             np.testing.assert_allclose(got[2], u, rtol=0, atol=TOL)
             np.testing.assert_allclose(got[3], gram, rtol=0, atol=GRAM_TOL)
+
+
+def _bending(real):
+    """The exterior dihedral angle of each edge of a polyhedron, by its
+    vertex pair: |arg(-cr)| of the edge's ends and one more vertex of each
+    of its two faces, in the stereographic coordinate of the positions
+    turned by one radian, so that no vertex sits at the pole.  Rotations
+    preserve cross ratios; the absolute value leaves out the orientation
+    of the faces, whose sign the certificate checks."""
+    c, s = np.cos(1.0), np.sin(1.0)
+    z = {v: (x + 1j * (c * y - s * h)) / (1.0 - s * y - c * h)
+         for v, (x, y, h) in real.vertex_positions.items()}
+    faces_of = {}
+    for face in real.faces:
+        for a, b in zip(face, face[1:] + face[:1]):
+            faces_of.setdefault((min(a, b), max(a, b)), []).append(face)
+    bending = {}
+    for (i, j), (f1, f2) in faces_of.items():
+        k = next(v for v in f1 if v not in (i, j))
+        l = next(v for v in f2 if v not in (i, j))
+        bending[i, j] = abs(cmath.phase(-(z[k] - z[i]) * (z[l] - z[j])
+                                        / ((z[k] - z[j]) * (z[l] - z[i]))))
+    return bending
+
+
+@pytest.mark.parametrize("s", range(11), ids=[
+    "sphere %d" % s for s in range(10)] + ["cube"])
+def test_sphere_polyhedron_does_not_depend_on_v_inf(s):
+    metric = _spheres()[s] if s < 10 else cube_sphere()[0]
+    first, second = (realize.uniformize_sphere(metric, v) for v in (0, 7))
+    assert (sorted(tuple(sorted(f)) for f in first.faces)
+            == sorted(tuple(sorted(f)) for f in second.faces))
+    bending, other = _bending(first), _bending(second)
+    assert bending.keys() == other.keys()
+    for edge, angle in bending.items():
+        assert abs(other[edge] - angle) <= BENDING_TOL
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from uniformizer import energy, io_cli, optimize, surfaces
+from uniformizer import energy, io_cli, optimize, realize, surfaces
 from uniformizer.errors import (
     FormatError,
     NonTriangleFace,
@@ -267,6 +267,24 @@ def test_cli_uniformize_sphere_obj_output(tmp_path, capsys):
     for p in verts:
         assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-9)
     assert "status: Converged" in open(report).read()
+
+
+def test_cli_sphere_report_has_the_diagnostics(tmp_path):
+    def report_of(metric):
+        path = str(tmp_path / "s.surf")
+        report = str(tmp_path / "report.txt")
+        io_cli.write_surface(path, metric)
+        assert io_cli.cli_dispatch(["uniformize-sphere", path, "--vinf",
+                                    "0", "--report", report]) == 0
+        return dict(ln.split(": ", 1)
+                    for ln in open(report).read().splitlines())
+
+    entries = report_of(surfaces.octahedron_sphere())
+    assert float(entries["metric_residual"]) <= realize.METRIC_TOL
+    assert float(entries["convexity_margin"]) > 0.0
+    assert float(entries["planarity"]) <= realize.PLANARITY_TOL
+    assert float(entries["on_sphere"]) <= realize.ON_SPHERE_TOL
+    assert report_of(surfaces.three_vertex_sphere())["circle"] == "equator"
 
 
 def test_cli_uniformize_torus(tmp_path, capsys):

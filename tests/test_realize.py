@@ -2,6 +2,7 @@
 polygons, flat tori, and cone metrics."""
 
 import cmath
+import copy
 import itertools
 import math
 import re
@@ -272,7 +273,28 @@ def test_random_sphere_pipeline_certifies():
         if real.kind == INSCRIBED_POLYHEDRON:
             assert real.diagnostics["on_sphere"] < 1e-9
             assert real.diagnostics["convexity_margin"] >= -1e-8
-            assert real.layout.residual < 1e-8
+            assert (real.diagnostics["metric_residual"]
+                    <= realize.METRIC_TOL)
+
+
+@pytest.mark.parametrize("at_v_inf", [False, True])
+def test_certificate_rejects_a_wrong_metric(at_v_inf):
+    # The layout is checked against the metric it realizes: a lambda off
+    # by 1e-3 moves the shears of the four edges around it by 5e-4.
+    metric = surfaces.random_sphere(100, np.random.default_rng(0))
+    ev = minimize_punctured_energy(metric, 0).evaluation
+    layout = realize.layout_disk(ev)
+    real = realize.polyhedron_from_layout(layout, ev)
+    assert real.diagnostics["metric_residual"] <= realize.METRIC_TOL
+    met = ev.delaunay.metric
+    at_inf = (met.triangulation.edge_verts == 0).any(axis=1)
+    lam = met.lam.copy()
+    lam[np.flatnonzero(at_inf == at_v_inf)[0]] += 1e-3
+    wrong = copy.copy(ev)
+    wrong.delaunay = copy.copy(ev.delaunay)
+    wrong.delaunay.metric = DecoratedMetric(met.triangulation, lam)
+    with pytest.raises(LayoutInconsistent, match="shear"):
+        realize.polyhedron_from_layout(layout, wrong)
 
 
 def test_square_torus_modulus():
