@@ -21,7 +21,8 @@ significant digits so that emit -> ingest -> emit is bitwise stable.
 Files are converted a block at a time: the glue block is one split and
 one integer conversion, each value section one float conversion, and
 each block is written with one format.  Errors are those of a
-line-by-line parse, raised at the same first bad line.
+line-by-line parse, raised at the same first bad line; a token that is
+not a number raises FormatError, in the OBJ reader too.
 """
 
 import argparse
@@ -112,6 +113,20 @@ def _floats(block):
     return np.array(block, dtype=float)
 
 
+def _format_errors(read):
+    """read, raising a token that is not a number as FormatError."""
+    @functools.wraps(read)
+    def wrapped(path):
+        try:
+            return read(path)
+        except UniformizerError:
+            raise
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+    return wrapped
+
+
+@_format_errors
 def read_surface(path):
     with open(path) as fh:
         raw = fh.read()
@@ -191,6 +206,7 @@ def write_report(path, entries):
     return text
 
 
+@_format_errors
 def ingest_obj(path):
     """Closed triangle mesh -> (Triangulation, DecoratedMetric) with
     lambda = 2 log(edge length).  A vertex line with fewer than three

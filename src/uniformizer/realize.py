@@ -4,16 +4,16 @@ and cone metrics.
 The sphere pipeline: minimize the punctured energy for a distinguished
 vertex, classify the resulting adjusted Delaunay data, lay out the disk
 of triangles avoiding the distinguished vertex with its euclidean edge
-lengths, read the planar positions as ideal points in the half-space
-model (distinguished vertex at infinity), and project everything to the
-unit sphere, all read off the solver's final punctured evaluation.
-Layout positions use complex numbers internally.
+lengths (a path, when degenerate, on the real axis), read the positions
+as ideal points in the half-space model (distinguished vertex at
+infinity), and project everything to the unit sphere, all read off the
+solver's final punctured evaluation.  Positions are complex numbers.
 """
 
 import math
 
 import numpy as np
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_matrix
 
 from . import mesh_core
 # Unused here, but bench/spans.py traces the energies through this name.
@@ -54,21 +54,28 @@ TAU_BOUNDARY_TOL = 1e-8
 
 
 class PlanarLayout:
-    """Planar development of the disk of triangles avoiding v_inf; the
-    disk, its angles and angle sums stay on the evaluation laid out.
+    """Planar development of the disk of triangles avoiding v_inf, or of
+    the path avoiding it on the real axis; the disk, its angles and angle
+    sums stay on the evaluation laid out.
 
     Attributes:
         corner_pos: (3T,) complex array, the position of each corner of
             the disk by flat corner index (NaN on the other corners).
         vertex_pos: dict vertex-id -> complex position, that of the
-            vertex's first corner in kept-triangle order.
-        boundary_cycle: vertex ids around the disk boundary, ccw.
+            vertex's first corner in kept-triangle order; on a path, its
+            distance along the path from the smaller end.
+        boundary_cycle: vertex ids around the disk boundary, ccw; a path
+            runs from its smaller end to the other and back.
+        corners: int array, the indices in boundary_cycle of the convex
+            corners: boundary vertices with angle sum below pi, and the
+            two ends of a path.
     """
 
-    def __init__(self, corner_pos, vertex_pos, boundary_cycle):
+    def __init__(self, corner_pos, vertex_pos, boundary_cycle, corners):
         self.corner_pos = corner_pos
         self.vertex_pos = vertex_pos
         self.boundary_cycle = boundary_cycle
+        self.corners = corners
 
 
 class Realization:
@@ -191,29 +198,52 @@ def _polygons(group, z, sides):
 
 
 def layout_disk(ev):
-    """Planar development of the disk of a punctured EnergyEvaluation."""
-    if classify_realizable(ev) != INSCRIBED_POLYHEDRON:
-        raise WrongKind("layout_disk requires the polyhedral case")
+    """Planar development of the disk of a punctured EnergyEvaluation, or
+    of its path on the real axis."""
+    two_sided = classify_realizable(ev) == TWO_SIDED_POLYGON
     sub = ev.subcomplex
     rtri = ev.delaunay.metric.triangulation
     lengths = np.exp(ev.lam / 2.0)
     kept = sub.triangle_mask
-    angles = np.full((rtri.num_triangles, 3), np.nan)
-    angles[kept] = ev.angles
-    pos, _ = _develop(rtri, kept, lengths, angles)
+    if two_sided:
+        # Each vertex at its distance along the path from the smaller
+        # end; the boundary runs there and back, turning at the ends.
+        n = rtri.num_vertices
+        a, b = rtri.edge_verts[sub.edge_mask].T
+        deg = np.bincount(np.concatenate([a, b]), minlength=n)
+        start = np.flatnonzero(sub.vertex_mask & (deg <= 1))[0]
+        dist = csgraph.dijkstra(csr_matrix(
+            (lengths[sub.edge_mask], (a, b)), shape=(n, n)),
+            directed=False, indices=start)
+        verts = np.flatnonzero(sub.vertex_mask)
+        vpos = dist[verts] + 0j
+        path = verts[np.argsort(dist[verts])]
+        pos = np.full(3 * rtri.num_triangles, np.nan, dtype=complex)
+        cycle = np.concatenate([path, path[-2:0:-1]])
+        corners = np.array([0, len(path) - 1])
+    else:
+        angles = np.full((rtri.num_triangles, 3), np.nan)
+        angles[kept] = ev.angles
+        pos, _ = _develop(rtri, kept, lengths, angles)
 
-    # Each vertex sits at its first kept corner.
-    corners = np.flatnonzero(np.repeat(kept, 3))
-    verts, first = np.unique(rtri.corner_vertex[corners], return_index=True)
-    vpos = pos[corners[first]]
+        # Each vertex sits at its first kept corner.
+        kc = np.flatnonzero(np.repeat(kept, 3))
+        verts, first = np.unique(rtri.corner_vertex[kc], return_index=True)
+        vpos = pos[kc[first]]
 
-    # The disk is convex (its boundary angle sums are at most pi), so its
-    # boundary is a convex polygon.
-    sides = corners[~kept[rtri.glue[corners] // 3]]
-    sides, _ = _polygons(np.zeros(len(sides), dtype=np.intp), pos[sides],
-                         sides)
+        # The disk is convex (its boundary angle sums are at most pi), so
+        # its boundary is a convex polygon.  Angle sum pi means two
+        # collinear boundary edges, which merge into one side face.
+        sides = kc[~kept[rtri.glue[kc] // 3]]
+        sides, _ = _polygons(np.zeros(len(sides), dtype=np.intp),
+                             pos[sides], sides)
+        cycle = rtri.corner_vertex[sides]
+        corners = np.flatnonzero(
+            ev.theta_tilde[cycle] < math.pi - ANGLE_TOL)
+        if not corners.size:
+            raise NotRealizable("disk boundary has no convex corner")
     return PlanarLayout(pos, dict(zip(verts.tolist(), vpos.tolist())),
-                        rtri.corner_vertex[sides].tolist())
+                        cycle.tolist(), corners)
 
 
 def _to_sphere(z):
@@ -245,7 +275,8 @@ def _merged_bottom_faces(result, sub):
 def polyhedron_from_layout(layout, ev):
     """Read the layout of the disk of ev as ideal points (v_inf at
     infinity), normalize the Moebius gauge, project to the unit sphere,
-    and certify the polyhedron against the metric of ev."""
+    and certify the polyhedron against the metric of ev.  A path has no
+    bottom face: its two side faces make a two-sided polygon."""
     v_inf = int(np.argmin(_subcomplex(ev).vertex_mask))
     rtri = ev.delaunay.metric.triangulation
 
@@ -268,14 +299,10 @@ def polyhedron_from_layout(layout, ev):
                                    layout.corner_pos[sides], sides)
 
     # Side faces: v_inf and the chain of the disk boundary between two
-    # genuine corners (boundary vertices with angle sum < pi are corners;
-    # angle sum pi means two collinear boundary edges merging into one
-    # face).  Each chain holds both of its end corners.
+    # corners.  Each chain holds both of its end corners.
     cycle = np.array(layout.boundary_cycle)
     m = len(cycle)
-    corner = np.flatnonzero(ev.theta_tilde[cycle] < math.pi - ANGLE_TOL)
-    if not corner.size:
-        raise NotRealizable("disk boundary has no convex corner")
+    corner = layout.corners
     side_size = np.diff(corner, append=corner[0] + m) + 2
     step = np.arange(side_size.sum()) - np.repeat(
         np.cumsum(side_size) - side_size, side_size)
@@ -295,8 +322,8 @@ def polyhedron_from_layout(layout, ev):
     z[verts] = zs
     diagnostics = _certify_polyhedron(pts, z, rtri, ev.delaunay.metric.lam,
                                       flat)
-    return Realization(INSCRIBED_POLYHEDRON, positions, faces, diagnostics,
-                       layout=layout)
+    kind = INSCRIBED_POLYHEDRON if bottom_size.size else TWO_SIDED_POLYGON
+    return Realization(kind, positions, faces, diagnostics, layout=layout)
 
 
 def _certify_polyhedron(pts, z, tri, lam, flat):
@@ -316,9 +343,10 @@ def _certify_polyhedron(pts, z, tri, lam, flat):
     nxt, prv = mesh_core._next, mesh_core._prev
     i, j, k, l = tri.corner_vertex[[k1, nxt(k1), prv(k1), prv(k2)]]
     # The factors of v_inf, one above and one below, of one sign, cancel.
+    # + 0j: on the real axis -(1 + 0j) is -1 - 0j, a bend of -pi.
     d = z[[k, l, k, l]] - z[[i, j, j, i]]
     d[~np.isfinite(d)] = 1.0
-    w = np.log(-d[0] * d[1] / (d[2] * d[3]))
+    w = np.log(-d[0] * d[1] / (d[2] * d[3]) + 0j)
     se = tri.side_edge
     shear = 0.5 * (lam[se[nxt(k1)]] + lam[se[nxt(k2)]]
                    - lam[se[prv(k1)]] - lam[se[prv(k2)]])
@@ -342,45 +370,14 @@ def _certify_polyhedron(pts, z, tri, lam, flat):
             "convexity_margin": convexity, "metric_residual": metric}
 
 
-def two_sided_polygon(ev):
-    """Degenerate realization: all ideal vertices on one circle."""
-    if classify_realizable(ev) != TWO_SIDED_POLYGON:
-        raise WrongKind("two_sided_polygon requires the two-sided case")
-    sub = ev.subcomplex
-    v_inf = int(np.argmin(sub.vertex_mask))
-    rtri = ev.delaunay.metric.triangulation
-
-    # Order the path vertices from its smaller end to the other.
-    ends = rtri.edge_verts[sub.edge_mask]
-    deg = np.bincount(ends.ravel(), minlength=rtri.num_vertices)
-    start = np.flatnonzero(sub.vertex_mask & (deg <= 1))[0]
-    path = csgraph.breadth_first_order(
-        mesh_core._graph(rtri.num_vertices, *ends.T), start,
-        directed=False, return_predecessors=False).tolist()
-
-    order = [v_inf] + path
-    n = len(order)
-    positions = {}
-    for i, v in enumerate(order):
-        phi = 2.0 * math.pi * i / n
-        # A circle on the unit sphere (the equator).
-        positions[v] = np.array([math.cos(phi), math.sin(phi), 0.0])
-    faces = [order, list(reversed(order))]
-    return Realization(TWO_SIDED_POLYGON, positions, faces,
-                       {"circle": "equator"}, cyclic_order=order)
-
-
 def uniformize_sphere(metric, v_inf, opts=None):
-    """Full genus-0 pipeline: constrained minimization, classification,
-    and realization as an inscribed polyhedron or two-sided polygon.
+    """Full genus-0 pipeline: constrained minimization, layout, and a
+    certified inscribed polyhedron, or two-sided polygon from a path.
     realization.delaunay is the final evaluation's adjusted Delaunay
     result, with the flips from the previous iterate, not the input."""
     report = _optimize.minimize_punctured_energy(metric, v_inf, opts)
     ev, report.evaluation = report.evaluation, None
-    if ev.subcomplex.classification == mesh_core.LINEAR_GRAPH:
-        realization = two_sided_polygon(ev)
-    else:
-        realization = polyhedron_from_layout(layout_disk(ev), ev)
+    realization = polyhedron_from_layout(layout_disk(ev), ev)
     realization.report = report
     realization.delaunay = ev.delaunay
     return realization

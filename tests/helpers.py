@@ -58,6 +58,37 @@ def cube_sphere():
     return DecoratedMetric(tri, lam), labels
 
 
+def doubled_polygon(x, rng):
+    """(metric, label): the ideal polygon with vertices at the increasing
+    points x_1 < ... < x_k of the real line and at infinity, doubled
+    along its boundary.  label[0] is the vertex at infinity and label[i]
+    that at x_i; the triangles (label[0], label[i], label[i + 1]) on top
+    and (label[0], label[i + 1], label[i]) below sit in shuffled slots.
+    lambda is 2 log|x_i - x_j| between two points and 0 at infinity."""
+    k = len(x)
+    slot = rng.permutation(2 * (k - 1)).tolist()
+    top = {i: slot[i - 1] for i in range(1, k)}
+    bottom = {i: slot[k + i - 2] for i in range(1, k)}
+    gluing = [((top[1], 0), (bottom[1], 2)),
+              ((top[k - 1], 2), (bottom[k - 1], 0))]
+    for i in range(1, k):
+        gluing.append(((top[i], 1), (bottom[i], 1)))
+        if i < k - 1:
+            gluing.append(((top[i], 2), (top[i + 1], 0)))
+            gluing.append(((bottom[i], 0), (bottom[i + 1], 2)))
+    tri = mesh_core.build_from_gluings(gluing, genus_hint=0)
+    cv = tri.corner_vertex.tolist()
+    label = [cv[3 * top[1]]] + [cv[3 * top[i] + 1] for i in range(1, k)] \
+        + [cv[3 * top[k - 1] + 2]]
+    point = np.zeros(k + 1)
+    point[label[1:]] = x
+    finite = (tri.edge_verts != label[0]).all(axis=1)
+    a, b = point[tri.edge_verts[finite]].T
+    lam = np.zeros(tri.num_edges)
+    lam[finite] = 2.0 * np.log(np.abs(a - b))
+    return DecoratedMetric(tri, lam), label
+
+
 def corner_cycles(glue):
     """The corner cycles of a gluing (a list), one per vertex, each
     starting at its smallest corner and listed in the order of those

@@ -22,6 +22,14 @@ def _fmt(x):
     return "%.17g" % x
 
 
+def _number(convert, token):
+    """convert(token); a token that is not a number raises FormatError."""
+    try:
+        return convert(token)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
 def write_surface(path, metric, theta=None, labels=None):
     tri = metric.triangulation
     lines = [FORMAT_LINE, "triangles %d" % tri.num_triangles]
@@ -63,14 +71,14 @@ def read_surface(path):
     header = take().split()
     if len(header) != 2 or header[0] != "triangles":
         raise FormatError("expected 'triangles <T>'")
-    ntri = int(header[1])
+    ntri = _number(int, header[1])
 
     gluing = []
     while pos < len(lines) and lines[pos].startswith("glue "):
         parts = take().split()
         if len(parts) != 5:
             raise FormatError("malformed glue line %r" % " ".join(parts))
-        t1, s1, t2, s2 = map(int, parts[1:])
+        t1, s1, t2, s2 = (_number(int, p) for p in parts[1:])
         gluing.append(((t1, s1), (t2, s2)))
     tri = mesh_core.build_from_gluings(gluing)
     if tri.num_triangles != ntri:
@@ -88,7 +96,7 @@ def read_surface(path):
         if section in ("lambda", "lengths"):
             if lam is not None:
                 raise FormatError("both lambda and lengths given")
-            vals = [float(take()) for _ in range(tri.num_edges)]
+            vals = [_number(float, take()) for _ in range(tri.num_edges)]
             if section == "lengths":
                 if any(v <= 0 for v in vals):
                     raise FormatError("lengths must be strictly positive")
@@ -96,7 +104,7 @@ def read_surface(path):
             lam = np.zeros(tri.num_edges)
             lam[edge_of_line] = vals
         elif section == "theta":
-            theta = np.array([float(take())
+            theta = np.array([_number(float, take())
                               for _ in range(tri.num_vertices)])
         elif section == "labels":
             labels = [take() for _ in range(tri.num_vertices)]

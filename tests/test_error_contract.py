@@ -85,7 +85,6 @@ RNG = np.random.default_rng(0)
     (lambda: energy.triangle_potential("x", 1, 1), OutOfDomain),
     (lambda: realize.classify_realizable(RESULT), WrongKind),
     (lambda: realize.layout_disk(RESULT), WrongKind),
-    (lambda: realize.two_sided_polygon(RESULT), WrongKind),
     (lambda: realize.polyhedron_from_layout(None, RESULT), WrongKind),
     (lambda: realize.layout_disk(None), WrongKind),
 ], ids=["fiber_shift_short_u", "fiber_shift_long_u",
@@ -101,8 +100,8 @@ RNG = np.random.default_rng(0)
         "random_range_reversed", "random_range_nan",
         "random_float_count", "ptolemy_string", "ptolemy_ragged",
         "triangle_potential_string", "classify_delaunay_result",
-        "layout_delaunay_result", "two_sided_delaunay_result",
-        "polyhedron_delaunay_result", "layout_none"])
+        "layout_delaunay_result", "polyhedron_delaunay_result",
+        "layout_none"])
 def test_wrong_input_raises_a_package_error(call, expect):
     if isinstance(expect, type) and issubclass(expect, Exception):
         with pytest.raises(expect):

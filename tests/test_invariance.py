@@ -5,7 +5,7 @@ surface, so the torus modulus, the sphere's status, faces, u and the
 Gram matrix of its vertex positions agree to round-off.  Nor does the
 sphere's polyhedron depend on the vertex sent to infinity: its faces and
 dihedral angles are those of the one ideal polyhedron with the input's
-metric."""
+metric, and its faces are those of the convex hull of its vertices."""
 
 import cmath
 import functools
@@ -13,6 +13,8 @@ import functools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
+from scipy.spatial import ConvexHull
 
 from helpers import cube_sphere, random_flips, relabelled
 from uniformizer import optimize, realize, surfaces
@@ -33,6 +35,8 @@ GRAM_TOL = 2.0e-9
 # The dihedral angles of the sphere's polyhedron with v_inf = 0 and 7
 # differ by up to 5.5e-9 on the ten spheres below.
 BENDING_TOL = 1e-8
+# Hull facets whose plane equations agree to this lie in one face.
+PLANE_TOL = 1e-9
 
 
 def _torus(s):
@@ -126,6 +130,28 @@ def test_sphere_polyhedron_does_not_depend_on_v_inf(s):
     assert bending.keys() == other.keys()
     for edge, angle in bending.items():
         assert abs(other[edge] - angle) <= BENDING_TOL
+
+
+def _hull_faces(positions):
+    """The faces of the convex hull of the positions, each as a sorted
+    vertex tuple: qhull's triangles merged by their plane equations."""
+    verts = sorted(positions)
+    hull = ConvexHull(np.array([positions[v] for v in verts]))
+    eq = hull.equations
+    same = np.abs(eq[:, None] - eq[None]).max(axis=2) <= PLANE_TOL
+    count, label = csgraph.connected_components(same, directed=False)
+    return sorted(tuple(sorted({verts[i] for i in
+                                hull.simplices[label == f].ravel().tolist()}))
+                  for f in range(count))
+
+
+@pytest.mark.parametrize("s", range(11), ids=[
+    "sphere %d" % s for s in range(10)] + ["cube"])
+def test_sphere_faces_match_the_convex_hull(s):
+    metric = _spheres()[s] if s < 10 else cube_sphere()[0]
+    real = realize.uniformize_sphere(metric, 0)
+    assert (_hull_faces(real.vertex_positions)
+            == sorted(tuple(sorted(f)) for f in real.faces))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -90,11 +90,18 @@ def test_surface_comments_and_blank_lines(tmp_path):
      "glue 0 0 1 1\nglue 0 1 1 2\nglue 0 2 1 0\nlengths\n1\n-1\n1\n"),
     ("uniformizer-surface 1\ntriangles 2\n"
      "glue 0 0 1 1\nglue 0 1 1 2\nglue 0 2 1 0\nwhatever\n"),
+    ("uniformizer-surface 1\ntriangles 2\n"
+     "glue 0 0 1 x\nglue 0 1 1 2\nglue 0 2 1 0\nlambda\n0\n0\n0\n"),
+    ("uniformizer-surface 1\ntriangles 2\n"
+     "glue 0 0 1 1\nglue 0 1 1 2\nglue 0 2 1 0\nlambda\n0\nabc\n0\n"),
+    ("uniformizer-surface 1\ntriangles 2\n"
+     "glue 0 0 1 1\nglue 0 1 1 2\nglue 0 2 1 0\nlambda\n0\n0\n0\n"
+     "theta\nabc\n"),
 ])
 def test_surface_malformed_rejected(tmp_path, text):
     path = tmp_path / "bad.surf"
     path.write_text(text)
-    with pytest.raises((UniformizerError, ValueError)):
+    with pytest.raises(UniformizerError):
         io_cli.read_surface(str(path))
 
 
@@ -129,7 +136,10 @@ def test_ingest_obj_rejects_open_mesh(tmp_path):
     # Relative index -1 is vertex 4 in OBJ, but would read as vertex 3.
     ("-1", "v -1 -1 1"),
     ("4", "v -1 -1"),
-], ids=["past_last", "zero", "relative", "two_coordinates"])
+    ("x", "v -1 -1 1"),
+    ("4", "v -1 a 1"),
+], ids=["past_last", "zero", "relative", "two_coordinates",
+        "index_not_a_number", "coordinate_not_a_number"])
 def test_check_rejects_malformed_obj(tmp_path, capsys, fourth, last_line):
     # The closed tetrahedron, its faces naming vertex 4 as fourth.
     lines = [ln.replace("4", fourth) if ln.startswith("f") else ln
@@ -279,12 +289,14 @@ def test_cli_sphere_report_has_the_diagnostics(tmp_path):
         return dict(ln.split(": ", 1)
                     for ln in open(report).read().splitlines())
 
-    entries = report_of(surfaces.octahedron_sphere())
-    assert float(entries["metric_residual"]) <= realize.METRIC_TOL
-    assert float(entries["convexity_margin"]) > 0.0
-    assert float(entries["planarity"]) <= realize.PLANARITY_TOL
-    assert float(entries["on_sphere"]) <= realize.ON_SPHERE_TOL
-    assert report_of(surfaces.three_vertex_sphere())["circle"] == "equator"
+    # The two-sided polygon is certified like a polyhedron.
+    for metric in (surfaces.octahedron_sphere(),
+                   surfaces.three_vertex_sphere()):
+        entries = report_of(metric)
+        assert float(entries["metric_residual"]) <= realize.METRIC_TOL
+        assert float(entries["convexity_margin"]) > 0.0
+        assert float(entries["planarity"]) <= realize.PLANARITY_TOL
+        assert float(entries["on_sphere"]) <= realize.ON_SPHERE_TOL
 
 
 def test_cli_uniformize_torus(tmp_path, capsys):

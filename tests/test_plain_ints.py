@@ -40,8 +40,9 @@ def test_two_sided_polygon_outputs_are_plain_ints():
     real = realize.uniformize_sphere(surfaces.three_vertex_sphere(), 0)
     assert real.kind == realize.TWO_SIDED_POLYGON
     assert all(_plain(face) for face in real.faces)
-    assert _plain(real.cyclic_order)
     assert _plain(real.vertex_positions)
+    assert _plain(real.layout.vertex_pos)
+    assert _plain(real.layout.boundary_cycle)
 
 
 def test_uniformize_torus_outputs_are_plain_ints():

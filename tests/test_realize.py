@@ -13,7 +13,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import CUBE_QUADS, boundary_vertices, cube_sphere
+from helpers import (
+    CUBE_QUADS,
+    boundary_vertices,
+    cube_sphere,
+    doubled_polygon,
+)
 from uniformizer import energy, mesh_core, penner, realize, surfaces
 from uniformizer.energy import punctured_energy
 from uniformizer.errors import (
@@ -34,7 +39,6 @@ from uniformizer.realize import (
     _reduce_basis,
     classify_realizable,
     prescribe_cone_angles,
-    two_sided_polygon,
     uniformize_sphere,
     uniformize_torus,
 )
@@ -79,6 +83,8 @@ def test_three_vertex_sphere_two_sided():
     assert sorted(real.faces[0]) == [0, 1, 2]
     for p in real.vertex_positions.values():
         assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
+    assert real.diagnostics["metric_residual"] <= realize.METRIC_TOL
+    assert real.diagnostics["convexity_margin"] == math.pi
 
 
 def test_classify_rejects_tampered_angles():
@@ -181,8 +187,7 @@ def test_sphere_steps_reject_a_conformal_evaluation():
     ev = energy.conformal_energy(
         surfaces.octahedron_sphere(),
         ConeAngleTarget(np.full(6, 4.0 * math.pi / 3.0)), np.zeros(6))
-    for step in (classify_realizable, realize.layout_disk,
-                 two_sided_polygon):
+    for step in (classify_realizable, realize.layout_disk):
         with pytest.raises(WrongKind):
             step(ev)
 
@@ -235,33 +240,30 @@ def test_cube_faces_merge_across_nonessential_diagonals():
 
 
 def test_two_sided_polygon_orders_a_long_path():
-    # The sphere doubled from the polygon 0, 1, ..., k fanned from 0, with
-    # its triangles in shuffled slots: every triangle has a corner at 0,
-    # so the cells avoiding 0 are the path 1, ..., k.
-    k = 7
-    slot = np.random.default_rng(5).permutation(2 * (k - 1)).tolist()
-    top = {i: slot[i - 1] for i in range(1, k)}        # (0, i, i + 1)
-    bottom = {i: slot[k + i - 2] for i in range(1, k)}  # (0, i + 1, i)
-    gluing = [((top[1], 0), (bottom[1], 2)),
-              ((top[k - 1], 2), (bottom[k - 1], 0))]
-    for i in range(1, k):
-        gluing.append(((top[i], 1), (bottom[i], 1)))
-        if i < k - 1:
-            gluing.append(((top[i], 2), (top[i + 1], 0)))
-            gluing.append(((bottom[i], 0), (bottom[i + 1], 2)))
-    tri = mesh_core.build_from_gluings(gluing, genus_hint=0)
-    cv = tri.corner_vertex.tolist()
-    label = [cv[3 * top[1]]] + [cv[3 * top[i] + 1] for i in range(1, k)] \
-        + [cv[3 * top[k - 1] + 2]]
-    path = label[1:] if label[1] < label[k] else label[:0:-1]
-    ev = types.SimpleNamespace(
-        delaunay=types.SimpleNamespace(
-            metric=types.SimpleNamespace(triangulation=tri)),
-        subcomplex=mesh_core.subcomplex_avoiding(tri, label[0]))
-    real = two_sided_polygon(ev)
-    assert real.kind == TWO_SIDED_POLYGON
-    assert real.cyclic_order == [label[0]] + path
-    assert real.faces == [real.cyclic_order, real.cyclic_order[::-1]]
+    # The doubled polygon on x_1 < ... < x_k, rescaled by a random u:
+    # the cells avoiding its vertex at infinity are the path x_1, ..., x_k,
+    # which the layout puts back on a line, the x_i's up to a Moebius map.
+    rng = np.random.default_rng(5)
+    for k in (3, 7, 12):
+        x = np.sort(rng.uniform(-3.0, 3.0, k))
+        metric, label = doubled_polygon(x, rng)
+        metric = penner.fiber_shift(metric, rng.normal(size=k + 1))
+        real = uniformize_sphere(metric, label[0])
+        assert real.kind == TWO_SIDED_POLYGON
+        path = label[1:] if label[1] < label[k] else label[:0:-1]
+        assert real.layout.boundary_cycle == path + path[-2:0:-1]
+        assert real.faces == [[label[0]] + path, [label[0]] + path[::-1]]
+        assert real.diagnostics["metric_residual"] <= realize.METRIC_TOL
+        assert real.diagnostics["convexity_margin"] == math.pi
+        # Stereographic projection keeps cross ratios; x = inf at the pole.
+        want = np.stack([2.0 * x, 0.0 * x, x * x - 1.0], axis=1) \
+            / (x * x + 1.0)[:, None]
+        got = np.array([real.vertex_positions[v] for v in label[1:]])
+        want, got = (np.vstack([[0.0, 0.0, 1.0], p]) for p in (want, got))
+        quads = [list(q) for q in itertools.combinations(range(k + 1), 4)]
+        np.testing.assert_allclose(
+            [abs_cross_ratio(*got[q]) for q in quads],
+            [abs_cross_ratio(*want[q]) for q in quads], rtol=1e-9)
 
 
 def test_random_sphere_pipeline_certifies():
@@ -270,31 +272,36 @@ def test_random_sphere_pipeline_certifies():
         metric = surfaces.random_sphere(12, rng)
         real = uniformize_sphere(metric, 0)
         assert real.kind in (INSCRIBED_POLYHEDRON, TWO_SIDED_POLYGON)
-        if real.kind == INSCRIBED_POLYHEDRON:
-            assert real.diagnostics["on_sphere"] < 1e-9
-            assert real.diagnostics["convexity_margin"] >= -1e-8
-            assert (real.diagnostics["metric_residual"]
-                    <= realize.METRIC_TOL)
+        assert real.diagnostics["on_sphere"] < 1e-9
+        assert real.diagnostics["convexity_margin"] >= -1e-8
+        assert real.diagnostics["metric_residual"] <= realize.METRIC_TOL
 
 
 @pytest.mark.parametrize("at_v_inf", [False, True])
 def test_certificate_rejects_a_wrong_metric(at_v_inf):
     # The layout is checked against the metric it realizes: a lambda off
-    # by 1e-3 moves the shears of the four edges around it by 5e-4.
-    metric = surfaces.random_sphere(100, np.random.default_rng(0))
-    ev = minimize_punctured_energy(metric, 0).evaluation
-    layout = realize.layout_disk(ev)
-    real = realize.polyhedron_from_layout(layout, ev)
-    assert real.diagnostics["metric_residual"] <= realize.METRIC_TOL
-    met = ev.delaunay.metric
-    at_inf = (met.triangulation.edge_verts == 0).any(axis=1)
-    lam = met.lam.copy()
-    lam[np.flatnonzero(at_inf == at_v_inf)[0]] += 1e-3
-    wrong = copy.copy(ev)
-    wrong.delaunay = copy.copy(ev.delaunay)
-    wrong.delaunay.metric = DecoratedMetric(met.triangulation, lam)
-    with pytest.raises(LayoutInconsistent, match="shear"):
-        realize.polyhedron_from_layout(layout, wrong)
+    # by 1e-3 moves the shears of the four edges around it by 5e-4.  On
+    # the doubled polygon, the edges away from v_inf are the path's.
+    rng = np.random.default_rng(1)
+    polygon, label = doubled_polygon(np.sort(rng.uniform(-3, 3, 7)), rng)
+    for metric, v_inf, kind in [
+            (surfaces.random_sphere(100, np.random.default_rng(0)), 0,
+             INSCRIBED_POLYHEDRON),
+            (polygon, label[0], TWO_SIDED_POLYGON)]:
+        ev = minimize_punctured_energy(metric, v_inf).evaluation
+        layout = realize.layout_disk(ev)
+        real = realize.polyhedron_from_layout(layout, ev)
+        assert real.kind == kind
+        assert real.diagnostics["metric_residual"] <= realize.METRIC_TOL
+        met = ev.delaunay.metric
+        at_inf = (met.triangulation.edge_verts == v_inf).any(axis=1)
+        lam = met.lam.copy()
+        lam[np.flatnonzero(at_inf == at_v_inf)[0]] += 1e-3
+        wrong = copy.copy(ev)
+        wrong.delaunay = copy.copy(ev.delaunay)
+        wrong.delaunay.metric = DecoratedMetric(met.triangulation, lam)
+        with pytest.raises(LayoutInconsistent, match="shear"):
+            realize.polyhedron_from_layout(layout, wrong)
 
 
 def test_square_torus_modulus():
