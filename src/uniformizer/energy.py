@@ -9,7 +9,7 @@ vectorized evaluation path:
   summed over a set of triangles, minus pi times the lambda sum over a
   set of edges, with the angles it used; from those angles _angle_sums
   gives the angle sums and the vertex degrees, and _hessian the
-  cotangent Hessian.
+  cotangent Hessian, whose principal blocks hessian_block cuts.
 
 lobachevsky, euclidean_angles and triangle_potential are scalar views of
 the kernel.  fixed_triangulation_energy evaluates a fixed triangulation;
@@ -289,6 +289,19 @@ class EnergyEvaluation:
         sub = self.subcomplex
         return _hessian(*self._cells, self.angles,
                         slice(None) if sub is None else sub.vertex_mask)
+
+    def hessian_block(self, solve):
+        """The principal block of the Hessian on the boolean mask solve,
+        as canonical CSC: the kept rows of the CSR Hessian read as
+        columns, which for a symmetric matrix are the block in column
+        order, so nothing is sorted or summed again."""
+        h = self.hessian
+        mask = np.repeat(solve, np.diff(h.indptr)) & solve[h.indices]
+        indptr = np.cumsum(np.r_[0, mask])[h.indptr[np.r_[solve, True]]]
+        index = np.cumsum(solve) - 1
+        m = len(indptr) - 1
+        return sp.csc_matrix((h.data[mask], index[h.indices[mask]], indptr),
+                             shape=(m, m))
 
 
 def _shifted_delaunay(metric, u, mode):

@@ -22,7 +22,7 @@ Files are converted a block at a time: the glue block is one split and
 one integer conversion, each value section one float conversion, and
 each block is written with one format.  Errors are those of a
 line-by-line parse, raised at the same first bad line; a token that is
-not a number raises FormatError, in the OBJ reader too.
+not a number raises FormatError, in the OBJ reader and the CLI too.
 """
 
 import argparse
@@ -124,6 +124,13 @@ def _format_errors(read):
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
     return wrapped
+
+
+@_format_errors
+def _read_numbers(path):
+    """The whitespace separated numbers of a file, as floats."""
+    with open(path) as fh:
+        return _floats(fh.read().split())
 
 
 @_format_errors
@@ -388,7 +395,7 @@ def _cmd_delaunay(args):
     tri = sf.triangulation
     u = np.zeros(tri.num_vertices)
     if args.undecorated:
-        for v in map(int, args.undecorated.split(",")):
+        for v in map(_format_errors(int), args.undecorated.split(",")):
             mesh_core.check_vertex(tri, v)
             u[v] = np.inf
     mode = _delaunay.ADJUSTED if args.adjusted else _delaunay.PLAIN
@@ -470,8 +477,7 @@ def _cmd_prescribe_angles(args):
     if args.theta == "uniform":
         theta = _uniform_angles(sf.triangulation)
     else:
-        with open(args.theta) as fh:
-            theta = np.array([float(ln) for ln in fh.read().split()])
+        theta = _read_numbers(args.theta)
     target = ConeAngleTarget(theta)
     opts = _optimize.SolveOptions(args.tol, args.max_iter)
     realization = _realize.prescribe_cone_angles(sf.metric, target, opts)
@@ -487,8 +493,7 @@ def _cmd_prescribe_angles(args):
 
 def _cmd_energy(args):
     sf = _load_input(args.input)
-    with open(args.u) as fh:
-        u = np.array([float(x) for x in fh.read().split()])
+    u = _read_numbers(args.u)
     if args.vinf is None:
         ev = _energy.conformal_energy(sf.metric, _file_target(sf), u)
     else:

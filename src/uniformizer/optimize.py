@@ -4,8 +4,8 @@ Both run one primal active-set projected Newton loop, _newton, fed with
 the energy, the start and the lower bounds.  The punctured energy is
 bounded below by minus the horocycle distances to the distinguished
 vertex.  The conformal energy has no bounds (-inf) and is scale
-invariant under Gauss-Bonnet, so with no finite bound _newton re-centres
-its steps to zero mean and leaves PIN_VERTEX out of the linear solve.
+invariant under Gauss-Bonnet, so with no finite bound PIN_VERTEX takes
+no Newton step, the one gauge; u is re-centred to zero mean at the end.
 The loop and kkt_check share the KKT residuals.  A target off
 Gauss-Bonnet by more than the gradient tolerance is rejected at once:
 the pinned vertex would keep that defect as its gradient.
@@ -21,11 +21,12 @@ the accepted point.
 A converged report carries its last evaluation; kkt_check stays a cold
 evaluation from the input metric, independent of the solver's path.
 
-Each Newton system is solved with one SuperLU factor in symmetric mode,
-on a minimum-degree ordering of A^T + A with diagonal pivots, as suits
-the SPD Hessian (George & Liu 1981; Li, ACM TOMS 2005).  The default
-column ordering with partial pivoting is meant for unsymmetric systems:
-on the 40 x 40 lattice torus its factor has 1.7 times the fill.
+Each Newton block (EnergyEvaluation.hessian_block) is solved with one
+SuperLU factor in symmetric mode, on a minimum-degree ordering of
+A^T + A with diagonal pivots, as suits the SPD Hessian (George & Liu
+1981; Li, ACM TOMS 2005).  The default column ordering with partial
+pivoting is meant for unsymmetric systems: on the 40 x 40 lattice torus
+its factor has 1.7 times the fill.
 """
 
 import math
@@ -74,7 +75,7 @@ SHRINK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 # The line search has stalled when its share of the step falls below this.
 MIN_STEP = 1e-14
-# Left out of each conformal Newton solve: the Hessian kills constants.
+# Takes no conformal Newton step, the one gauge: H kills constants.
 PIN_VERTEX = 0
 # Shift of a Hessian that cannot be factored, over its mean diagonal
 # plus one: enough for a factor, too small to change the step much.
@@ -94,10 +95,12 @@ class SolveOptions:
 
     def __init__(self, gradient_tolerance=CONFORMAL_TOL,
                  max_iterations=MAX_ITERATIONS):
-        if not (isinstance(gradient_tolerance, numbers.Real)
-                and isinstance(max_iterations, numbers.Integral)
-                and gradient_tolerance > 0 and max_iterations > 0):  # or NaN
-            raise OutOfDomain("real tolerance and integer limit must be > 0")
+        tol, limit = gradient_tolerance, max_iterations
+        if (bool in (type(tol), type(limit))
+                or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf
+                        and isinstance(limit, numbers.Integral)
+                        and limit > 0)):
+            raise OutOfDomain("tolerance < inf and integer limit must be > 0")
         self.gradient_tolerance = gradient_tolerance
         self.max_iterations = max_iterations
 
@@ -142,29 +145,6 @@ def _factor_solve(matrix, rhs):
     except RuntimeError:  # "Factor is exactly singular"
         return np.full(len(rhs), np.nan)
     return lu.solve(rhs)
-
-
-def _principal_csc(matrix, keep):
-    """The principal submatrix matrix[keep][:, keep] of a canonical CSR
-    matrix, keep a boolean mask, as a CSC matrix.
-
-    Read off the CSR arrays directly: the stored entries of the kept rows
-    and columns, in column order and by row within a column, which are
-    the entries and the order that scipy's fancy slices and csc_matrix
-    give.  The values are copied, never summed again.
-    """
-    n = matrix.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-    cols = matrix.indices
-    mask = keep[rows] & keep[cols]
-    index = np.cumsum(keep) - 1
-    m = int(index[-1]) + 1 if n else 0
-    col = index[cols[mask]]
-    order = np.argsort(col, kind="stable")
-    indptr = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(col, minlength=m), out=indptr[1:])
-    return sp.csc_matrix((matrix.data[mask][order],
-                          index[rows[mask]][order], indptr), shape=(m, m))
 
 
 def _solve_spd(hessian, rhs):
@@ -243,8 +223,8 @@ def _newton(energy, metric, u, free, lower, opts, t0):
 
     The inactive variables take a Newton step, which is cut at the
     nearest bound (ratio test) and backtracked to sufficient decrease.
-    With no finite bound (the scale-invariant conformal energy) the step
-    is re-centred to zero mean and PIN_VERTEX takes none.  An accepted
+    With no finite bound (the scale-invariant conformal energy)
+    PIN_VERTEX takes no Newton step.  An accepted
     step that does not lower the energy raises LineSearchFailure.
 
     Every line-search trial is warm-started with energy(surface, u) from
@@ -254,7 +234,6 @@ def _newton(energy, metric, u, free, lower, opts, t0):
     """
     ev = energy(metric, u)
     bounded = bool(np.any(np.isfinite(lower)))
-    project = (lambda s: s) if bounded else (lambda s: s - s.mean())
     shifted_any = False
     # Flips of the iterates' evaluations, each counted from its warm start.
     flips_total = len(ev.delaunay.flips)
@@ -285,20 +264,17 @@ def _newton(energy, metric, u, free, lower, opts, t0):
         solve = ~active
         if not bounded:
             solve[PIN_VERTEX] = False
-        fidx = np.nonzero(solve)[0]
-        if len(fidx) == 0:
+        if not solve.any():
             raise failure(LINE_SEARCH_FAILURE, it,
                           "all variables active but KKT residual %g" % resid)
-        s_f, shifted = _solve_spd(_principal_csc(ev.hessian, solve),
-                                  -g[fidx])
+        s_f, shifted = _solve_spd(ev.hessian_block(solve), -g[solve])
         shifted_any = shifted_any or shifted
         step = np.zeros(len(free))
-        step[fidx] = s_f
-        step = project(step)
+        step[solve] = s_f
 
         slope = float(g @ step)
         if slope >= 0:
-            step = project(np.where(active, 0.0, -g))
+            step = np.where(active, 0.0, -g)
             slope = float(g @ step)
             if slope >= 0:
                 raise failure(LINE_SEARCH_FAILURE, it,

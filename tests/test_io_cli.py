@@ -435,6 +435,28 @@ def test_cli_delaunay_undecorated(tmp_path, capsys):
         assert "UnknownVertex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["prescribe-angles", "--theta", "NUMBERS"],
+    ["energy", "--u", "NUMBERS"],
+    ["energy", "--u", "NUMBERS", "--vinf", "0"],
+    ["delaunay", "--undecorated", "1,x"],
+    ["delaunay", "--undecorated", "1.5"],
+], ids=["theta_file", "u_file", "u_file_punctured", "undecorated",
+        "undecorated_not_an_integer"])
+def test_cli_token_not_a_number_exit_2(tmp_path, capsys, command):
+    # A number file or vertex list with a token that is not a number is a
+    # FormatError, reported on one line like a bad surface file.
+    path = str(tmp_path / "o.surf")
+    numbers = tmp_path / "numbers.txt"
+    io_cli.write_surface(path, surfaces.octahedron_sphere())
+    numbers.write_text("0\n" * 5 + "abc\n")
+    argv = [str(numbers) if arg == "NUMBERS" else arg for arg in command]
+    assert io_cli.cli_dispatch(argv[:1] + [path] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: FormatError: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_arc_overflow_exit_2(tmp_path, capsys):
     # lambda = 3000 on one edge overflows a horocyclic arc; the CLI must
     # report an error, not leak an OverflowError traceback.

@@ -30,7 +30,6 @@ from uniformizer.optimize import (
     LINE_SEARCH_FAILURE,
     SolveOptions,
     _bounds,
-    _principal_csc,
     _solve_spd,
     gauss_bonnet_defect,
     kkt_check,
@@ -44,7 +43,10 @@ def test_solve_options_validation():
     for bad in ({"gradient_tolerance": 0.0}, {"gradient_tolerance": math.nan},
                 {"max_iterations": 0}, {"max_iterations": 2.5},
                 {"max_iterations": "500"}, {"gradient_tolerance": "a"},
-                {"gradient_tolerance": None}):
+                {"gradient_tolerance": None}, {"gradient_tolerance": True},
+                {"max_iterations": True}, {"max_iterations": np.bool_(True)},
+                {"gradient_tolerance": math.inf},
+                {"gradient_tolerance": np.float64(np.inf)}):
         with pytest.raises(OutOfDomain):
             SolveOptions(**bad)
     with pytest.raises(OutOfDomain, match="integer limit must be > 0"):
@@ -255,6 +257,26 @@ def test_conformal_determinism():
     r2 = minimize_conformal_energy(metric, target)
     np.testing.assert_array_equal(r1.u_final, r2.u_final)
     assert r1.iterations == r2.iterations
+
+
+@pytest.mark.parametrize("make, n", [
+    (surfaces.random_torus, 50), (surfaces.random_genus2, 30)],
+    ids=["torus", "genus2"])
+def test_conformal_solve_ignores_a_constant_in_its_start(make, n):
+    # Under Gauss-Bonnet the conformal energy does not change when a
+    # constant is added to u, and the pinned vertex is the solve's one
+    # gauge: a start shifted by 3 takes the same steps, up to rounding,
+    # to the same zero-mean u.
+    metric = make(n, np.random.default_rng(3), (-1, 1))
+    target = _target_off_by(metric, 0.0)
+    u0 = np.zeros(n)
+    r1 = minimize_conformal_energy(metric, target, u0=u0)
+    r2 = minimize_conformal_energy(metric, target, u0=u0 + 3.0)
+    assert r1.status == r2.status == CONVERGED
+    assert (r1.iterations, r1.flips_total) == (r2.iterations, r2.flips_total)
+    for report in (r1, r2):
+        assert abs(report.u_final.mean()) <= 1e-14
+    assert np.max(np.abs(r1.u_final - r2.u_final)) <= 1e-12
 
 
 def test_punctured_octahedron_closed_form():
@@ -473,9 +495,11 @@ def test_solve_spd_empty_hessian():
 @given(genus=st.sampled_from([0, 1]), n=st.integers(3, 40),
        seed=st.integers(0, 2 ** 16),
        kind=st.sampled_from(["empty", "full", "random"]))
-def test_principal_csc_matches_scipy_slices(genus, n, seed, kind):
-    # The Hessians of both energies at random points; the submatrix must
-    # carry scipy's entries in scipy's order, bit for bit.
+def test_hessian_block_is_the_principal_submatrix(genus, n, seed, kind):
+    # The Hessians of both energies at random points.  The block is the
+    # kept rows read as columns, so it is the transpose of scipy's
+    # slice bit for bit, and the slice itself wherever H is bitwise
+    # symmetric.
     rng = np.random.default_rng(seed)
     if genus == 0:
         metric = surfaces.random_sphere(max(n, 4), rng)
@@ -490,12 +514,16 @@ def test_principal_csc_matches_scipy_slices(genus, n, seed, kind):
     m = hessian.shape[0]
     keep = {"empty": np.zeros(m, dtype=bool), "full": np.ones(m, dtype=bool),
             "random": rng.random(m) < rng.uniform(0.2, 0.9)}[kind]
-    got = _principal_csc(hessian, keep)
-    want = sp.csc_matrix(hessian[keep][:, keep])
-    assert got.format == "csc" and got.shape == want.shape
-    assert got.data.tobytes() == want.data.tobytes()
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.indptr, want.indptr)
+    got = ev.hessian_block(keep)
+    assert got.format == "csc" and got.has_canonical_format
+    wants = [hessian[keep][:, keep].T]
+    if (hessian != hessian.T).nnz == 0:
+        wants.append(sp.csc_matrix(hessian[keep][:, keep]))
+    for want in wants:
+        assert want.format == "csc" and got.shape == want.shape
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
 
 
 def _count_hessians(monkeypatch):
